@@ -222,7 +222,7 @@ def cmd_census(args):
     named = None
     if getattr(args, "family", None) == "x2" and V == ShiftType((0, 1)):
         named = three_orbit_representatives()
-    census = orbit_partition(points, R, V, q, args.budget, named_reps=named)
+    census = orbit_partition(points, R, V, q, named_reps=named)
     print(f"q = {q}: {census.point_count} points, |G_V| = {census.group_order}")
     print(f"orbits: {census.orbit_count}")
     for rec in census.orbits:

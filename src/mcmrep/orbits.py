@@ -9,26 +9,27 @@ generators suffices because they generate R over S and S acts by scalars.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
-from .fields import GF, QQ, PrimeField
+from .fields import GF, PrimeField
 from .graded import ShiftType, hom_entry_degrees
-from .groebner import IdealHandle, buchberger
+from .groebner import buchberger
 from .linalg import kernel_basis, solve
-from .matops import mat_adjugate, mat_det, mat_identity, mat_is_zero, mat_mul, mat_scale, mat_sub
-from .poly import Polynomial, PolynomialRing
+from .matops import mat_adjugate, mat_det, mat_identity, mat_mul, mat_scale, mat_sub
+from .poly import PolynomialRing
 from .repvariety import (
     MatrixPoint,
-    ParameterSpace,
     RepIdeal,
+    _coefficients_by_s_monomial,
     assignment_of,
     evaluate,
     parameterize,
 )
 
 DEFAULT_BUDGET = 10**7
-GROUP_SWEEP_CAP = 10**5
 EXHAUSTIVE_ISOM_CAP = 10**5
 SYMBOLIC_DET_CAP = 6
 SAMPLING_TRIALS = 64
@@ -152,16 +153,13 @@ def identity_coefficients(E: HomComponentBasis):
     return solve(rows, id_vec, len(E.vectors), field)
 
 
-def _det_of_generic_element(E: HomComponentBasis):
-    """Determinant of sum c_i alpha_i as a polynomial in k[c_1..c_r].
-
-    The determinant of a degree-0 endomorphism is a scalar, so the result
-    carries no S-variables."""
+def _generic_element(E: HomComponentBasis):
+    """The matrix sum c_i alpha_i over k[c_1..c_r] (x) S, and the ring
+    k[c_1..c_r]."""
     s_ring = E.source.s_ring
     r = E.dimension
-    c_names = [f"c{i + 1}" for i in range(r)]
-    big = PolynomialRing(s_ring.field, tuple(c_names) + s_ring.names,
-                         (1,) * r + s_ring.degrees)
+    c_ring = PolynomialRing(s_ring.field, tuple(f"c{i + 1}" for i in range(r)))
+    big = PolynomialRing(s_ring.field, c_ring.names + s_ring.names, (1,) * r + s_ring.degrees)
     d = len(E.source.shifts)
     generic = [[big.zero() for _ in range(d)] for _ in range(d)]
     for i, alpha in enumerate(E.basis):
@@ -170,14 +168,21 @@ def _det_of_generic_element(E: HomComponentBasis):
         c_var = big.monomial(tuple(c_exp))
         for p in range(d):
             for q in range(d):
-                emb = big.from_terms(
-                    {(0,) * r + m: co for m, co in alpha[p][q].terms.items()}
-                )
+                emb = big.from_terms({(0,) * r + m: co for m, co in alpha[p][q].terms.items()})
                 generic[p][q] = generic[p][q] + c_var * emb
-    det = mat_det(tuple(tuple(row) for row in generic), big)
+    return tuple(tuple(row) for row in generic), c_ring
+
+
+def _det_of_generic_element(E: HomComponentBasis):
+    """Determinant of sum c_i alpha_i as a polynomial in k[c_1..c_r].
+
+    The determinant of a degree-0 endomorphism is a scalar, so the result
+    carries no S-variables."""
+    G, c_ring = _generic_element(E)
+    r = c_ring.nvars
+    det = mat_det(G, G[0][0].ring)
     if any(any(m[r:]) for m in det.terms):
         raise InvariantViolationError("degree-0 determinant is not scalar in S")
-    c_ring = PolynomialRing(s_ring.field, c_names)
     return c_ring.from_terms({m[:r]: co for m, co in det.terms.items()})
 
 
@@ -264,13 +269,17 @@ def conjugate(pt: MatrixPoint, g: GroupElement) -> MatrixPoint:
     return MatrixPoint(pt.algebra, pt.shifts, mats)
 
 
+def _s_ring(q: int, s_degrees, s_names=None):
+    if s_names is None:
+        s_names = tuple(f"y{j + 1}" for j in range(len(s_degrees)))
+    return PolynomialRing(GF(q), tuple(s_names), s_degrees)
+
+
 def enumerate_group(V: ShiftType, q: int, s_degrees=(1,), budget=DEFAULT_BUDGET, s_names=None):
     """All elements of G_V(F_q), by scanning coefficient tuples of the
     degree-0 shape and keeping the invertible ones."""
-    field = GF(q)
-    if s_names is None:
-        s_names = tuple(f"y{j + 1}" for j in range(len(s_degrees)))
-    s_ring = PolynomialRing(field, tuple(s_names), s_degrees)
+    s_ring = _s_ring(q, s_degrees, s_names)
+    field = s_ring.field
     slots = _entry_slots(s_ring, V, V, 0)
     total = q ** len(slots)
     if total > budget:
@@ -288,8 +297,40 @@ def enumerate_group(V: ShiftType, q: int, s_degrees=(1,), budget=DEFAULT_BUDGET,
     return out
 
 
-def group_order(V: ShiftType, q: int, s_degrees=(1,), budget=DEFAULT_BUDGET) -> int:
-    return len(enumerate_group(V, q, s_degrees, budget))
+def group_order(V: ShiftType, q: int, s_degrees=(1,)) -> int:
+    """|G_V(F_q)|: prod |GL_m(F_q)| over blocks of m equal shifts, times q
+    per coefficient slot between unequal shifts."""
+    gl_blocks = math.prod(q**m - q**i for m in Counter(V.shifts).values() for i in range(m))
+    slots = _entry_slots(_s_ring(q, s_degrees), V, V, 0)
+    return gl_blocks * q ** sum(V.shifts[p] != V.shifts[r] for p, r, _ in slots)
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group of F_p: no power
+    g^e with e a proper divisor of p - 1 is 1."""
+    n = p - 1
+    small = [f for f in range(1, math.isqrt(n) + 1) if n % f == 0]
+    proper = [e for f in small for e in (f, n // f) if e < n]
+    return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in proper))
+
+
+def _group_generators(V: ShiftType, s_ring):
+    """One element of G_V(F_q) per degree-0 coefficient slot (p, q, m):
+    I + m E_pq off the diagonal, I with a primitive root at (p, p) on it.
+
+    Over a prime field the powers of I + m E_pq are all I + c m E_pq, since
+    E_pq^2 = 0.  These generate the unipotent radical and SL of each block
+    of equal shifts, and the diagonal roots supply every determinant."""
+    field = s_ring.field
+    root = _primitive_root(field.p)
+    slots = _entry_slots(s_ring, V, V, 0)
+    identity = [field.one if p == q else field.zero for p, q, _ in slots]
+    gens = []
+    for k, (p, q, _) in enumerate(slots):
+        vector = list(identity)
+        vector[k] = root if p == q else field.one
+        gens.append(GroupElement.from_matrix(V, _from_vector(s_ring, len(V), slots, vector)))
+    return gens
 
 
 def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
@@ -363,64 +404,43 @@ class OrbitCensus:
         return len(self.orbits)
 
 
-def orbit_partition(points, R, V: ShiftType, q: int, budget=DEFAULT_BUDGET, named_reps=None) -> OrbitCensus:
+def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCensus:
     """Partition the F_q-points into conjugation orbits.
 
-    Sweeps the full group when it fits the cap, otherwise clusters by
-    are_isomorphic.  Verifies the orbit-stabilizer identity and the
-    partition property; labels orbits against named representatives."""
+    Grows each orbit by breadth-first search under the generators of
+    G_V(F_q): an orbit of a finite group closes under its generators alone.
+    A stabilizer has order |G_V| / |orbit|.  Checks that each orbit stays in
+    the point set, that its size divides |G_V| and that the sizes sum to the
+    point count; labels orbits against named representatives."""
     field = GF(q)
     ps = parameterize(R, V, field)
-    s_degrees = R.normalization_degrees
     points = sorted(points)
     point_set = set(points)
     if len(point_set) != len(points):
         raise ValueError("duplicate points")
-    group = enumerate_group(V, q, s_degrees, budget, s_names=R.normalization)
-    n_group = len(group)
+    n_group = group_order(V, q, R.normalization_degrees)
+    gens = _group_generators(V, ps.s_ring)
 
     records = []
-    if n_group <= GROUP_SWEEP_CAP:
-        remaining = set(points)
-        for pt_vec in points:
-            if pt_vec not in remaining:
-                continue
-            pt = evaluate(ps, pt_vec, field)
-            orbit = set()
-            stab = 0
-            for g in group:
+    placed = set()
+    for pt_vec in points:
+        if pt_vec in placed:
+            continue
+        orbit = {pt_vec}
+        queue = [pt_vec]
+        for vec in queue:  # the queue grows while it is read
+            pt = evaluate(ps, vec, field)
+            for g in gens:
                 image = assignment_of(ps, conjugate(pt, g))
-                orbit.add(image)
-                if image == pt_vec:
-                    stab += 1
-            if not orbit <= point_set:
-                raise InvariantViolationError("orbit leaves the enumerated point set")
-            if len(orbit) * stab != n_group:
-                raise InvariantViolationError("orbit-stabilizer identity failed")
-            remaining -= orbit
-            records.append((min(orbit), len(orbit), stab))
-    else:
-        # pairwise-isomorphism clustering fallback
-        reps = []
-        sizes = []
-        members = []
-        for pt_vec in points:
-            pt = evaluate(ps, pt_vec, field)
-            for i, rep_pt in enumerate(reps):
-                if are_isomorphic(rep_pt, pt):
-                    sizes[i] += 1
-                    members[i].append(pt_vec)
-                    break
-            else:
-                reps.append(pt)
-                sizes.append(1)
-                members.append([pt_vec])
-        for i in range(len(reps)):
-            size = sizes[i]
-            if n_group % size != 0:
-                raise InvariantViolationError("orbit size does not divide the group order")
-            records.append((min(members[i]), size, n_group // size))
-
+                if image not in orbit:
+                    if image not in point_set:
+                        raise InvariantViolationError("orbit leaves the enumerated point set")
+                    orbit.add(image)
+                    queue.append(image)
+        if n_group % len(orbit) != 0:
+            raise InvariantViolationError("orbit size does not divide the group order")
+        placed |= orbit
+        records.append((min(orbit), len(orbit), n_group // len(orbit)))
     if sum(r[1] for r in records) != len(points):
         raise InvariantViolationError("orbit sizes do not sum to the point count")
 
@@ -489,36 +509,17 @@ def is_indecomposable(mu: MatrixPoint) -> bool:
     if r == 1:
         return True  # End_0 = k, local endomorphism ring
 
-    s_ring = mu.s_ring
-    c_names = tuple(f"c{i + 1}" for i in range(r))
-    big = PolynomialRing(field, c_names + s_ring.names, (1,) * r + s_ring.degrees)
-    generic = [[big.zero() for _ in range(d)] for _ in range(d)]
-    for i, alpha in enumerate(E.basis):
-        c_exp = [0] * big.nvars
-        c_exp[i] = 1
-        c_var = big.monomial(tuple(c_exp))
-        for p in range(d):
-            for q in range(d):
-                emb = big.from_terms({(0,) * r + m: co for m, co in alpha[p][q].terms.items()})
-                generic[p][q] = generic[p][q] + c_var * emb
-    G = tuple(tuple(row) for row in generic)
+    G, c_ring = _generic_element(E)
     defect = mat_sub(mat_mul(G, G), G)
-
-    c_ring = PolynomialRing(field, c_names)
     idem_gens = []
     seen = set()
     for row in defect:
         for entry in row:
-            groups = {}
-            for m, co in entry.terms.items():
-                groups.setdefault(m[r:], {})[m[:r]] = co
-            for terms in groups.values():
-                g = c_ring.from_terms(terms)
-                if not g.is_zero():
-                    g = g.monic()
-                    if g not in seen:
-                        seen.add(g)
-                        idem_gens.append(g)
+            for g in _coefficients_by_s_monomial(entry, r, c_ring):
+                g = g.monic()
+                if g not in seen:
+                    seen.add(g)
+                    idem_gens.append(g)
 
     # sanity: 0 and identity are idempotent
     zero_pt = [field.zero] * r
@@ -528,11 +529,11 @@ def is_indecomposable(mu: MatrixPoint) -> bool:
 
     # V(idem) == {0, identity}  iff  every generator of the two-point
     # vanishing ideal lies in the radical of the idempotency ideal
-    rab = PolynomialRing(field, c_names + ("w_rab",))
-    lift = {n: rab.variable(n) for n in c_names}
+    rab = PolynomialRing(field, c_ring.names + ("w_rab",))
+    lift = {n: rab.variable(n) for n in c_ring.names}
     lifted = [g.substitute(lift) for g in idem_gens]
     w = rab.variable("w_rab")
-    cs = [rab.variable(n) for n in c_names]
+    cs = [rab.variable(n) for n in c_ring.names]
     for i in range(r):
         for j in range(r):
             target = cs[i] * (cs[j] - rab.constant(id_coords[j]))

@@ -349,8 +349,6 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
-            if self.is_constant():
-                return self.constant_coefficient() == self.ring.field.coerce(other)
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 

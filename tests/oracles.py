@@ -1,8 +1,10 @@
 """Independent test oracles, written before and kept apart from the main
 implementations they check."""
 
-from mcmrep.fields import QQ
+from mcmrep.fields import GF, QQ
+from mcmrep.orbits import conjugate, enumerate_group
 from mcmrep.poly import PolynomialRing
+from mcmrep.repvariety import assignment_of, evaluate, parameterize
 
 
 # -- naive Buchberger, no selection strategy, no criteria ----------------
@@ -133,3 +135,27 @@ def brute_force_x2_points(q):
                     ):
                         pts.append((a, b, c, d))
     return pts
+
+
+# -- orbit census by a sweep over the whole group ------------------------
+
+
+def sweep_orbit_partition(points, R, V, q):
+    """|G_V(F_q)| and the orbit records (representative, size, stabilizer
+    order) in representative order, from conjugating each orbit's least
+    point by every element of the enumerated group and counting the
+    elements that fix it."""
+    field = GF(q)
+    ps = parameterize(R, V, field)
+    group = enumerate_group(V, q, R.normalization_degrees, s_names=R.normalization)
+    remaining = set(points)
+    records = []
+    for vec in sorted(points):
+        if vec not in remaining:
+            continue
+        pt = evaluate(ps, vec, field)
+        images = [assignment_of(ps, conjugate(pt, g)) for g in group]
+        orbit = set(images)
+        remaining -= orbit
+        records.append((min(orbit), len(orbit), images.count(vec)))
+    return len(group), records

@@ -20,10 +20,11 @@ from mcmrep.orbits import (
     is_indecomposable,
     orbit_partition,
 )
+from mcmrep.parsing import parse_polynomial
 from mcmrep.poly import PolynomialRing
 from mcmrep.repvariety import build_defining_ideal, evaluate, parameterize, validate_point
 
-from oracles import brute_force_x2_points
+from oracles import brute_force_x2_points, sweep_orbit_partition
 
 V01 = ShiftType((0, 1))
 
@@ -197,6 +198,12 @@ def test_group_order_formulas():
         assert group_order(V01, q) == (q - 1) ** 2 * q
         assert group_order(ShiftType((0,)), q) == q - 1
         assert group_order(ShiftType((0, 0)), q) == (q * q - 1) * (q * q - q)
+    cases = [((0, 0, 1), 2, (1,)), ((0, 1, 1), 2, (1,)), ((0, 1, 2), 2, (1,)),
+             ((0, 0, 0), 2, (1,)), ((0, 1, 2), 3, (1,))]
+    cases += [(shifts, 3, s_degrees) for shifts in ((0, 1), (0, 2)) for s_degrees in ((1, 1), (1, 2))]
+    for shifts, q, s_degrees in cases:
+        V = ShiftType(shifts)
+        assert group_order(V, q, s_degrees) == len(enumerate_group(V, q, s_degrees))
 
 
 def test_group_enumeration_budget(R):
@@ -216,6 +223,39 @@ def test_orbit_partition_three_orbits(R, reps):
         assert sorted(o.label for o in census.orbits) == sorted(nm.label for nm in reps)
         assert census.isomorphism_class_count == 3
         assert not census.counts_diverge
+
+
+PRESENTATIONS = {
+    "x2": (("x", "y"), ("x^2",), ("y",)),
+    "x2y2": (("x", "y"), ("x^2 + y^2",), ("y",)),
+    "xz": (("x", "z", "y"), ("x^2", "x*z", "z^2"), ("y",)),
+    "x2s2": (("x", "y", "w"), ("x^2",), ("y", "w")),
+}
+
+
+def named_algebra(name):
+    names, relations, normalization = PRESENTATIONS[name]
+    ring = PolynomialRing(QQ, names)
+    return GradedAlgebra(ring, tuple(parse_polynomial(ring, r) for r in relations), normalization)
+
+
+@pytest.mark.parametrize("name,shifts,q", [
+    ("x2", (0, 1), 2), ("x2", (0, 1), 3), ("x2", (0, 1), 5),
+    ("x2", (0, 1, 2), 2), ("x2", (0, 1, 2), 3),
+    ("x2y2", (0, 0), 3), ("x2y2", (0, 0), 5),  # a GL_2 block; x^2 + y^2 splits at q = 5
+    ("xz", (0, 1), 3),  # two algebra generators
+    ("x2s2", (0, 1), 3),  # a two-variable S
+])
+def test_orbit_partition_matches_full_sweep(name, shifts, q):
+    R = named_algebra(name)
+    V = ShiftType(shifts)
+    points = enumerate_points(build_defining_ideal(R, V), q)
+    census = orbit_partition(points, R, V, q)
+    n_group, records = sweep_orbit_partition(points, R, V, q)
+    assert census.group_order == n_group
+    assert [(o.representative, o.size, o.stabilizer_order) for o in census.orbits] == records
+    for _, size, stabilizer_order in records:
+        assert size * stabilizer_order == n_group
 
 
 def test_orbit_partition_single_point(R):

@@ -35,6 +35,16 @@ def test_ring_arithmetic_matches_integers(ring):
         assert f - f == ring.zero()
 
 
+def test_equal_polynomials_hash_equal(ring):
+    x, y = ring.gens()
+    values = [ring.constant(3), ring.constant(3), ring.zero(), x + y, y + x, 3, 0, "x"]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b)
+    assert len({ring.constant(3), 3}) == 2
+
+
 def test_weighted_grevlex_leading_monomial():
     ring = PolynomialRing(QQ, ("x", "y"), (1, 2))
     x, y = ring.gens()
