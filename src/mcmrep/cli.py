@@ -217,11 +217,17 @@ def cmd_census(args):
     R = _load_algebra(args)
     V = _shifts(args)
     q = args.q
-    rep = build_defining_ideal(R, V)
+    field = R.ring.field
+    for given in (field, _field(args)):
+        if given != QQ and given.p != q:
+            raise ValueError(
+                f"a census over F_{q} needs an algebra over Q or F_{q}, not F_{given.p}"
+            )
+    rep = build_defining_ideal(R, V, field)
     points = enumerate_points(rep, q, args.budget)
     named = None
     if getattr(args, "family", None) == "x2" and V == ShiftType((0, 1)):
-        named = three_orbit_representatives()
+        named = three_orbit_representatives(field)
     census = orbit_partition(points, R, V, q, named_reps=named)
     print(f"q = {q}: {census.point_count} points, |G_V| = {census.group_order}")
     print(f"orbits: {census.orbit_count}")

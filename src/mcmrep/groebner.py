@@ -2,10 +2,15 @@
 
 The term order is the ring's weighted grevlex order.  Buchberger runs with
 the normal selection strategy and both the coprime-leading-term and chain
-criteria; the reduced basis is canonical for a fixed ring.
+criteria; the reduced basis is canonical for a fixed ring.  Both selections
+are heap-ordered: pending pairs sit in a min-heap keyed by the sort key of
+their lcm, computed once when the pair is created, and the terms still to be
+reduced in a normal form sit in a max-heap keyed by their own sort key.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .poly import (
     Polynomial,
@@ -13,7 +18,6 @@ from .poly import (
     RingMismatchError,
     monomial_div,
     monomial_divides,
-    monomial_gcd,
     monomial_lcm,
     monomial_mul,
 )
@@ -31,11 +35,21 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     ring = f.ring
     F = ring.field
     lead = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis]
+    descending_key = ring.descending_key
     remainder = {}
     work = dict(f.terms)
-    while work:
-        m = max(work, key=ring.sort_key)
-        c = work.pop(m)
+    # Max-heap of the terms of work, one entry per monomial.  Reduction only
+    # adds terms below the one it reduces, so a popped monomial never comes
+    # back.  A monomial that cancels keeps its entry: the entry serves it
+    # again if it comes back, and is skipped if it is still gone when popped.
+    queue = [(descending_key(m), m) for m in work]
+    heapq.heapify(queue)
+    queued = set(work)
+    while queue:
+        m = heapq.heappop(queue)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for lm, lc, g in lead:
             if monomial_divides(lm, m):
                 q = monomial_div(m, lm)
@@ -49,6 +63,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                         work.pop(mm, None)
                     else:
                         work[mm] = s
+                        if mm not in queued:
+                            queued.add(mm)
+                            heapq.heappush(queue, (descending_key(mm), mm))
                 break
         else:
             remainder[m] = c
@@ -67,8 +84,12 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def buchberger(generators) -> list:
     """Reduced Groebner basis of the given generators.
 
-    Normal selection strategy; pairs skipped by the coprime and chain
-    criteria.  Returns monic polynomials sorted ascending in the term order.
+    Normal selection strategy: the pending pair with the least lcm goes
+    first, ties broken by the pair's indices.  Each pair (i, j) is pushed
+    onto a heap keyed by (sort key of its lcm, (i, j)) once, when G[j]
+    joins the basis; the set of pending pairs answers the chain criterion's
+    membership test.  Pairs are skipped by the coprime and chain criteria.
+    Returns monic polynomials sorted ascending in the term order.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -79,22 +100,26 @@ def buchberger(generators) -> list:
             raise RingMismatchError("generators in different rings")
 
     G = []
+    lm = []
     pairs = set()
+    queue = []
+
+    def add(g):
+        j = len(G)
+        m = g.leading_monomial()
+        for i in range(j):
+            heapq.heappush(queue, (ring.sort_key(monomial_lcm(lm[i], m)), (i, j)))
+            pairs.add((i, j))
+        G.append(g)
+        lm.append(m)
+
     for g in sorted(gens, key=lambda h: ring.sort_key(h.leading_monomial())):
         g = normal_form(g, G)
-        if g.is_zero():
-            continue
-        g = g.monic()
-        pairs.update((i, len(G)) for i in range(len(G)))
-        G.append(g)
+        if not g.is_zero():
+            add(g.monic())
 
-    lm = [g.leading_monomial() for g in G]
-
-    def pair_lcm(p):
-        return monomial_lcm(lm[p[0]], lm[p[1]])
-
-    while pairs:
-        pair = min(pairs, key=lambda p: (ring.sort_key(pair_lcm(p)), p))
+    while queue:
+        pair = heapq.heappop(queue)[1]
         pairs.discard(pair)
         i, j = pair
         lij = monomial_lcm(lm[i], lm[j])
@@ -115,12 +140,8 @@ def buchberger(generators) -> list:
         if chained:
             continue
         r = normal_form(s_polynomial(G[i], G[j]), G)
-        if r.is_zero():
-            continue
-        r = r.monic()
-        pairs.update((t, len(G)) for t in range(len(G)))
-        G.append(r)
-        lm.append(r.leading_monomial())
+        if not r.is_zero():
+            add(r.monic())
 
     # minimalize
     order = sorted(range(len(G)), key=lambda i: ring.sort_key(lm[i]))

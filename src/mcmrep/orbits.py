@@ -13,8 +13,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .fields import GF, PrimeField
+from .fields import GF, QQ, PrimeField
 from .graded import ShiftType, hom_entry_degrees
 from .groebner import buchberger
 from .linalg import kernel_basis, solve
@@ -333,11 +334,22 @@ def _group_generators(V: ShiftType, s_ring):
     return gens
 
 
+def _primitive(g):
+    """A rational polynomial scaled to a primitive integer polynomial: the
+    same zero set over QQ, and a reduction modulo every prime."""
+    values = g.terms.values()
+    den = math.lcm(*(c.denominator for c in values))
+    num = math.gcd(*(c.numerator * (den // c.denominator) for c in values))
+    return g.scale(Fraction(den, num))
+
+
 def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
     """All F_q-points of the variety, in lexicographic assignment order.
 
     Depth-first with early rejection: a generator is tested as soon as all
-    unknowns in its support are assigned."""
+    unknowns in its support are assigned.  An ideal over QQ is reduced
+    modulo q through primitive integer generators; one over a prime field
+    must be over F_q."""
     ps = rep.parameter_space
     n = len(ps.unknowns)
     total = q**n
@@ -346,7 +358,12 @@ def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
             f"point enumeration needs {total} tuples (budget {budget})", total
         )
     field = GF(q)
-    gens = [g.change_field(field) for g in rep.ideal.generators]
+    gens = rep.ideal.generators
+    if rep.ideal.ring.field == QQ:
+        gens = [_primitive(g) for g in gens if not g.is_zero()]
+    elif rep.ideal.ring.field.p != q:
+        raise ValueError(f"an ideal over F_{rep.ideal.ring.field.p} has no reduction to F_{q}")
+    gens = [g.change_field(field) for g in gens]
     # bucket generators by the last unknown in their support
     buckets = [[] for _ in range(n + 1)]
     for g in gens:

@@ -77,6 +77,10 @@ class PolynomialRing:
         """Weighted grevlex key: larger key = larger monomial."""
         return (self.monomial_weight(m), tuple(-e for e in reversed(m)))
 
+    def descending_key(self, m: tuple):
+        """Reverse of sort_key: smaller key = larger monomial (max-heaps)."""
+        return (-self.monomial_weight(m), m[::-1])
+
     # -- constructors -------------------------------------------------
 
     def zero(self) -> "Polynomial":

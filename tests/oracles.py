@@ -1,6 +1,8 @@
 """Independent test oracles, written before and kept apart from the main
 implementations they check."""
 
+from fractions import Fraction
+
 from mcmrep.fields import GF, QQ
 from mcmrep.orbits import conjugate, enumerate_group
 from mcmrep.poly import PolynomialRing
@@ -72,6 +74,31 @@ def naive_reduced_groebner(gens):
         reduced.append(naive_normal_form(g, minimal[:i] + minimal[i + 1 :]).monic())
     reduced.sort(key=lambda g: ring.sort_key(g.leading_monomial()))
     return reduced
+
+
+def sympy_reduced_groebner(gens):
+    """sympy's reduced grevlex basis, as monic polynomials of the generators'
+    ring sorted ascending.  Every variable must have degree 1, so that
+    sympy's grevlex is the ring's order."""
+    import sympy
+
+    ring = gens[0].ring
+    assert set(ring.degrees) == {1}
+    symbols = sympy.symbols(ring.names)
+    names = dict(zip(ring.names, symbols))
+    exprs = [sympy.sympify(str(g).replace("^", "**"), locals=names) for g in gens]
+    opts = {"order": "grevlex"}
+    if ring.field != QQ:
+        opts["modulus"] = ring.field.p
+    basis = []
+    for p in sympy.groebner(exprs, *symbols, **opts).polys:
+        if ring.field == QQ:
+            terms = {m: Fraction(int(c.p), int(c.q)) for m, c in p.terms()}
+        else:
+            terms = {m: int(c) % ring.field.p for m, c in p.terms()}
+        basis.append(ring.from_terms(terms).monic())
+    basis.sort(key=lambda g: ring.sort_key(g.leading_monomial()))
+    return basis
 
 
 # -- the running example: R = k[x,y]/(x^2), V = {0, 1} -------------------

@@ -90,6 +90,39 @@ def test_census_budget_refusal(capsys):
     assert "budget" in err
 
 
+def test_census_over_matching_prime_field(tmp_path, capsys):
+    q_path, p_path = tmp_path / "q.json", tmp_path / "p.json"
+    code, q_out, _ = run(capsys, "census", "--family", "x2", "--shifts", "0,1",
+                         "--q", "5", "--json", str(q_path))
+    assert code == 0
+    code, p_out, _ = run(capsys, "census", "--family", "x2", "--field", "Fp:5",
+                         "--shifts", "0,1", "--q", "5", "--json", str(p_path))
+    assert code == 0
+    assert p_out == q_out
+    assert p_path.read_bytes() == q_path.read_bytes()
+    path = tmp_path / "x2_f5.alg"
+    path.write_text("field: Fp:5\n" + X2_TEXT)
+    code, out, _ = run(capsys, "census", "--algebra", str(path), "--shifts", "0,1",
+                       "--q", "5")
+    assert code == 0
+    assert "25 points" in out and "orbits: 3" in out
+
+
+def test_census_refuses_field_mismatch(tmp_path, capsys):
+    code, out, err = run(capsys, "census", "--family", "x2", "--field", "Fp:7",
+                         "--shifts", "0,1", "--q", "5")
+    assert code == 1
+    assert out == ""
+    assert "F_5" in err and "F_7" in err
+    path = tmp_path / "x2_f3.alg"
+    path.write_text("field: Fp:3\n" + X2_TEXT)
+    code, out, err = run(capsys, "census", "--algebra", str(path), "--shifts", "0,1",
+                         "--q", "5")
+    assert code == 1
+    assert out == ""
+    assert "F_5" in err and "F_3" in err
+
+
 def test_spread(capsys):
     code, out, _ = run(capsys, "spread", "--shifts", "1,4")
     assert code == 0

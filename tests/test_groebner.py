@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from mcmrep.fields import QQ
+from mcmrep.families import example_algebra_x2
+from mcmrep.fields import GF, QQ
+from mcmrep.graded import ShiftType
 from mcmrep.groebner import (
     IdealHandle,
     buchberger,
@@ -14,9 +17,10 @@ from mcmrep.groebner import (
     is_zero_dimensional,
     normal_form,
 )
-from mcmrep.poly import PolynomialRing, RingMismatchError
+from mcmrep.poly import PolynomialRing, RingMismatchError, monomial_divides
+from mcmrep.repvariety import build_defining_ideal
 
-from oracles import naive_reduced_groebner
+from oracles import naive_normal_form, naive_reduced_groebner, sympy_reduced_groebner
 
 
 @pytest.fixture
@@ -53,6 +57,31 @@ def test_against_oracle_random_systems(kxy):
     for _ in range(15):
         gens = [random_poly(kxy, rng) for _ in range(rng.randint(1, 3))]
         assert buchberger(gens) == naive_reduced_groebner(gens)
+
+
+@pytest.mark.parametrize("field,degrees", [
+    (GF(2), (1, 1, 1)),
+    (GF(7), (1, 1, 1)),
+    (GF(32003), (1, 1, 1)),
+    # x^2, y^2 and z share weight 2, so many pairs tie on the weight of
+    # their lcm, and pairs with equal lcms fall back to the index order
+    (QQ, (1, 1, 2)),
+], ids=["GF2", "GF7", "GF32003", "QQ-weighted"])
+def test_against_oracle_random_systems_in_three_variables(field, degrees):
+    ring = PolynomialRing(field, ("x", "y", "z"), degrees)
+    rng = random.Random(11)
+    for _ in range(12):
+        gens = [random_poly(ring, rng, max_exp=2) for _ in range(rng.randint(1, 3))]
+        assert buchberger(gens) == naive_reduced_groebner(gens)
+
+
+def test_normal_form_term_cancels_then_returns(kxy):
+    x, y = kxy.gens()
+    g1 = x**3 - x * y * y  # reducing x^3 cancels the x*y^2 of f
+    g2 = x * x * y - x * y * y  # reducing x^2*y brings x*y^2 back
+    f = x**3 + x * x * y - x * y * y + y**3
+    assert normal_form(f, [g1, g2]) == x * y * y + y**3
+    assert normal_form(f, [g1, g2]) == naive_normal_form(f, [g1, g2])
 
 
 def test_normal_form_trivial(kxy):
@@ -159,3 +188,34 @@ def test_is_zero_dimensional(kxy):
     assert is_zero_dimensional(ideal([x * x, y]))
     assert not is_zero_dimensional(ideal([x * x]))
     assert is_zero_dimensional(ideal([x * x, y]))  # quotient basis {1, x}
+
+
+def x2_defining_generators(shifts, field):
+    rep = build_defining_ideal(example_algebra_x2(field), ShiftType(shifts), field)
+    return list(rep.ideal.generators)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_x2_defining_ideal_matches_sympy(field):
+    pytest.importorskip("sympy")
+    gens = x2_defining_generators((0, 1, 2, 3), field)
+    basis = buchberger(gens)
+    assert len(basis) == 49
+    assert basis == sympy_reduced_groebner(gens)
+
+
+def test_x2_defining_ideal_with_99_element_basis():
+    gens = x2_defining_generators((0, 1, 1, 2), QQ)
+    basis = buchberger(gens)
+    assert len(basis) == 99
+    # SHA-256 of sympy's reduced grevlex basis, one polynomial a line
+    text = "\n".join(str(g) for g in basis)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6329ff0a1d26a08faeb2fb99b0ead57f2fb3d146b5724d007e04ee57d3266a81"
+    )
+    lead = [g.leading_monomial() for g in basis]
+    for i, g in enumerate(basis):
+        assert g.leading_coefficient() == 1
+        for m in g.terms:
+            assert not any(monomial_divides(l, m) for k, l in enumerate(lead) if k != i)
+    assert all(normal_form(g, basis).is_zero() for g in gens)

@@ -233,9 +233,9 @@ PRESENTATIONS = {
 }
 
 
-def named_algebra(name):
+def named_algebra(name, field=QQ):
     names, relations, normalization = PRESENTATIONS[name]
-    ring = PolynomialRing(QQ, names)
+    ring = PolynomialRing(field, names)
     return GradedAlgebra(ring, tuple(parse_polynomial(ring, r) for r in relations), normalization)
 
 
@@ -256,6 +256,19 @@ def test_orbit_partition_matches_full_sweep(name, shifts, q):
     assert [(o.representative, o.size, o.stabilizer_order) for o in census.orbits] == records
     for _, size, stabilizer_order in records:
         assert size * stabilizer_order == n_group
+
+
+def test_enumerate_points_reduces_rational_denominators():
+    # the QQ ideal of x2s2 at type (0, 1) holds u1*u2 + 1/2*u4*u6
+    V = ShiftType((0, 1))
+    rep = build_defining_ideal(named_algebra("x2s2"), V)
+    assert any(c.denominator == 2 for g in rep.ideal.generators for c in g.terms.values())
+    direct = build_defining_ideal(named_algebra("x2s2", GF(2)), V, GF(2))
+    points = enumerate_points(rep, 2)
+    assert len(points) == 12
+    assert points == enumerate_points(direct, 2)
+    with pytest.raises(ValueError):
+        enumerate_points(direct, 3)
 
 
 def test_orbit_partition_single_point(R):
