@@ -111,8 +111,9 @@ def cmd_validate(args):
 
 def cmd_hilbert(args):
     R = _load_algebra(args)
-    if validate_presentation(R):
-        raise AlgebraSemanticError(validate_presentation(R))
+    problems = validate_presentation(R)
+    if problems:
+        raise AlgebraSemanticError(problems)
     H = hilbert_series(R)
     D = args.degree_bound
     coeffs = H.expand(D)

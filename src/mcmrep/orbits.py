@@ -20,13 +20,15 @@ from .graded import ShiftType, hom_entry_degrees
 from .groebner import buchberger
 from .linalg import kernel_basis, solve
 from .matops import mat_adjugate, mat_det, mat_identity, mat_mul, mat_scale, mat_sub
-from .poly import PolynomialRing
+from .poly import PolynomialRing, monomial_mul
 from .repvariety import (
     MatrixPoint,
     RepIdeal,
     _coefficients_by_s_monomial,
     assignment_of,
+    entry_slots,
     evaluate,
+    matrix_of,
     parameterize,
 )
 
@@ -46,38 +48,6 @@ class BudgetExceededError(RuntimeError):
 
 class InvariantViolationError(RuntimeError):
     """An internal consistency check failed."""
-
-
-def _entry_slots(s_ring, V: ShiftType, W: ShiftType, e: int):
-    """Ordered coefficient slots (p, q, monomial) for a degree-e map
-    S (x) V -> S (x) W."""
-    table = hom_entry_degrees(V, W, e)
-    s_indices = list(range(s_ring.nvars))
-    slots = []
-    for p in range(len(W.shifts)):
-        for q in range(len(V.shifts)):
-            deg = table[p][q]
-            if deg < 0:
-                continue
-            for mono in s_ring.monomials_of_weight(deg, s_indices):
-                slots.append((p, q, mono))
-    return slots
-
-
-def _slot_matrix(s_ring, d, slot, coeff=1):
-    p, q, mono = slot
-    rows = [[s_ring.zero() for _ in range(d)] for _ in range(d)]
-    rows[p][q] = s_ring.monomial(mono, coeff)
-    return tuple(tuple(r) for r in rows)
-
-
-def _from_vector(s_ring, d, slots, vector):
-    entries = [[{} for _ in range(d)] for _ in range(d)]
-    field = s_ring.field
-    for (p, q, mono), c in zip(slots, vector):
-        if not field.is_zero(c):
-            entries[p][q][mono] = field.add(entries[p][q].get(mono, field.zero), c)
-    return tuple(tuple(s_ring.from_terms(entries[p][q]) for q in range(d)) for p in range(d))
 
 
 @dataclass(frozen=True)
@@ -103,7 +73,7 @@ class HomComponentBasis:
         for c, v in zip(coeffs, self.vectors):
             c = field.coerce(c)
             vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, v)]
-        return _from_vector(s_ring, len(self.source.shifts), self.slots, vec)
+        return matrix_of(s_ring, len(self.source.shifts), self.slots, vec)
 
 
 def _check_compatible(mu: MatrixPoint, nu: MatrixPoint):
@@ -115,27 +85,33 @@ def _check_compatible(mu: MatrixPoint, nu: MatrixPoint):
 
 def hom_component(mu: MatrixPoint, nu: MatrixPoint, e: int) -> HomComponentBasis:
     """Solve the intertwining conditions for a generic degree-e map and
-    return a kernel basis."""
+    return a kernel basis.
+
+    The slot alpha = m E_pq contributes (alpha mu)[p][b] = m mu[q][b] and
+    (nu alpha)[a][q] = nu[a][p] m to alpha mu - nu alpha = 0, one row per
+    (generator, entry, S-monomial)."""
     _check_compatible(mu, nu)
     s_ring = mu.s_ring
     field = s_ring.field
     V = mu.shifts
     d = V.dimension
-    slots = _entry_slots(s_ring, V, V, e)
+    slots = entry_slots(s_ring, V, V, e)
     rows_by_key = {}
-    for gi in range(len(mu.matrices)):
-        for k, slot in enumerate(slots):
-            B = _slot_matrix(s_ring, d, slot)
-            C = mat_sub(mat_mul(B, mu.matrices[gi]), mat_mul(nu.matrices[gi], B))
-            for a in range(d):
-                for b in range(d):
-                    for mono, c in C[a][b].terms.items():
-                        key = (gi, a, b, mono)
-                        row = rows_by_key.setdefault(key, [field.zero] * len(slots))
-                        row[k] = field.add(row[k], c)
+    for gi, (M, N) in enumerate(zip(mu.matrices, nu.matrices)):
+        for k, (p, q, m) in enumerate(slots):
+            terms = [
+                ((gi, p, b, monomial_mul(m, t)), c)
+                for b in range(d) for t, c in M[q][b].terms.items()
+            ] + [
+                ((gi, a, q, monomial_mul(t, m)), field.neg(c))
+                for a in range(d) for t, c in N[a][p].terms.items()
+            ]
+            for key, c in terms:
+                row = rows_by_key.setdefault(key, [field.zero] * len(slots))
+                row[k] = field.add(row[k], c)
     rows = [rows_by_key[k] for k in sorted(rows_by_key)]
     vectors = kernel_basis(rows, len(slots), field)
-    basis = tuple(_from_vector(s_ring, d, slots, v) for v in vectors)
+    basis = tuple(matrix_of(s_ring, d, slots, v) for v in vectors)
     return HomComponentBasis(e, mu, nu, tuple(slots), tuple(tuple(v) for v in vectors), basis)
 
 
@@ -281,7 +257,7 @@ def enumerate_group(V: ShiftType, q: int, s_degrees=(1,), budget=DEFAULT_BUDGET,
     degree-0 shape and keeping the invertible ones."""
     s_ring = _s_ring(q, s_degrees, s_names)
     field = s_ring.field
-    slots = _entry_slots(s_ring, V, V, 0)
+    slots = entry_slots(s_ring, V, V, 0)
     total = q ** len(slots)
     if total > budget:
         raise BudgetExceededError(
@@ -290,7 +266,7 @@ def enumerate_group(V: ShiftType, q: int, s_degrees=(1,), budget=DEFAULT_BUDGET,
     d = len(V.shifts)
     out = []
     for values in itertools.product(field.elements(), repeat=len(slots)):
-        matrix = _from_vector(s_ring, d, slots, list(values))
+        matrix = matrix_of(s_ring, d, slots, values)
         det = mat_det(matrix, s_ring)
         if det.is_zero():
             continue
@@ -302,7 +278,7 @@ def group_order(V: ShiftType, q: int, s_degrees=(1,)) -> int:
     """|G_V(F_q)|: prod |GL_m(F_q)| over blocks of m equal shifts, times q
     per coefficient slot between unequal shifts."""
     gl_blocks = math.prod(q**m - q**i for m in Counter(V.shifts).values() for i in range(m))
-    slots = _entry_slots(_s_ring(q, s_degrees), V, V, 0)
+    slots = entry_slots(_s_ring(q, s_degrees), V, V, 0)
     return gl_blocks * q ** sum(V.shifts[p] != V.shifts[r] for p, r, _ in slots)
 
 
@@ -324,13 +300,13 @@ def _group_generators(V: ShiftType, s_ring):
     of equal shifts, and the diagonal roots supply every determinant."""
     field = s_ring.field
     root = _primitive_root(field.p)
-    slots = _entry_slots(s_ring, V, V, 0)
+    slots = entry_slots(s_ring, V, V, 0)
     identity = [field.one if p == q else field.zero for p, q, _ in slots]
     gens = []
     for k, (p, q, _) in enumerate(slots):
         vector = list(identity)
         vector[k] = root if p == q else field.one
-        gens.append(GroupElement.from_matrix(V, _from_vector(s_ring, len(V), slots, vector)))
+        gens.append(GroupElement.from_matrix(V, matrix_of(s_ring, len(V), slots, vector)))
     return gens
 
 
@@ -421,14 +397,25 @@ class OrbitCensus:
         return len(self.orbits)
 
 
+def _act(columns, vec, q):
+    """The image of vec under the linear map with the given sparse columns."""
+    out = [0] * len(columns)
+    for v, column in zip(vec, columns):
+        if v:
+            for i, c in column:
+                out[i] += v * c
+    return tuple(x % q for x in out)
+
+
 def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCensus:
     """Partition the F_q-points into conjugation orbits.
 
     Grows each orbit by breadth-first search under the generators of
-    G_V(F_q): an orbit of a finite group closes under its generators alone.
-    A stabilizer has order |G_V| / |orbit|.  Checks that each orbit stays in
-    the point set, that its size divides |G_V| and that the sizes sum to the
-    point count; labels orbits against named representatives."""
+    G_V(F_q), each a linear map on the coordinates F_q^n: an orbit of a
+    finite group closes under its generators alone.  A stabilizer has order
+    |G_V| / |orbit|.  Checks that each orbit stays in the point set, that
+    its size divides |G_V| and that the sizes sum to the point count; labels
+    orbits against named representatives."""
     field = GF(q)
     ps = parameterize(R, V, field)
     points = sorted(points)
@@ -436,7 +423,14 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     if len(point_set) != len(points):
         raise ValueError("duplicate points")
     n_group = group_order(V, q, R.normalization_degrees)
-    gens = _group_generators(V, ps.s_ring)
+    # conjugation is linear on the coordinates: column j of a generator's
+    # map is the image of the j-th unit point, as (index, value) pairs
+    n = len(ps)
+    units = [evaluate(ps, [int(i == j) for i in range(n)], field) for j in range(n)]
+    actions = [
+        [[(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units]
+        for g in _group_generators(V, ps.s_ring)
+    ]
 
     records = []
     placed = set()
@@ -446,9 +440,8 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
         orbit = {pt_vec}
         queue = [pt_vec]
         for vec in queue:  # the queue grows while it is read
-            pt = evaluate(ps, vec, field)
-            for g in gens:
-                image = assignment_of(ps, conjugate(pt, g))
+            for columns in actions:
+                image = _act(columns, vec, q)
                 if image not in orbit:
                     if image not in point_set:
                         raise InvariantViolationError("orbit leaves the enumerated point set")

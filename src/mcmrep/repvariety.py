@@ -52,12 +52,6 @@ class ParameterSpace:
     def __len__(self):
         return len(self.unknowns)
 
-    def index_of(self, generator, row, col, monomial) -> int:
-        for i, u in enumerate(self.unknowns):
-            if (u.generator, u.row, u.col, u.monomial) == (generator, row, col, tuple(monomial)):
-                return i
-        raise KeyError((generator, row, col, monomial))
-
 
 @dataclass(frozen=True)
 class MatrixPoint:
@@ -101,27 +95,39 @@ def _require_valid(R: GradedAlgebra):
         raise ValueError("normalization not verified: R is not visibly module-finite over S")
 
 
+def entry_slots(s_ring, V: ShiftType, W: ShiftType, e: int):
+    """Coefficient slots (p, q, S-monomial) of a degree-e map S (x) V ->
+    S (x) W: entries row-major, then S-monomials in descending order."""
+    table = hom_entry_degrees(V, W, e)
+    return [
+        (p, q, mono)
+        for p, row in enumerate(table)
+        for q, deg in enumerate(row)
+        for mono in s_ring.monomials_of_weight(deg)
+    ]
+
+
+def matrix_of(s_ring, d, slots, vector):
+    """The d x d matrix over S whose coefficient at each slot is the
+    matching entry of vector."""
+    entries = [[{} for _ in range(d)] for _ in range(d)]
+    for (p, q, mono), c in zip(slots, vector):
+        entries[p][q][mono] = c
+    return tuple(tuple(s_ring.from_terms(entries[p][q]) for q in range(d)) for p in range(d))
+
+
 def parameterize(R: GradedAlgebra, V: ShiftType, field=QQ) -> ParameterSpace:
-    """Unknown coefficients in deterministic order: generators, then
-    row-major entries, then the fixed monomial order of S (descending)."""
+    """Unknown coefficients in deterministic order: generators, then the
+    entry slots of each generator's matrix."""
     _require_valid(R)
     s_ring = R.s_ring(field)
-    s_indices = list(range(len(R.normalization)))
     unknowns = []
     degrees = []
     for z in R.generator_names:
         dz = R.generator_degree(z)
-        table = hom_entry_degrees(V, V, dz)
-        for p in range(V.dimension):
-            for q in range(V.dimension):
-                deg = table[p][q]
-                if deg < 0:
-                    continue
-                for mono in s_ring.monomials_of_weight(deg, s_indices):
-                    unknowns.append(
-                        Unknown(f"u{len(unknowns) + 1}", z, p, q, mono)
-                    )
-                    degrees.append(dz)
+        for p, q, mono in entry_slots(s_ring, V, V, dz):
+            unknowns.append(Unknown(f"u{len(unknowns) + 1}", z, p, q, mono))
+            degrees.append(dz)
     prefix = "u"
     if any(u.name in R.ring._index for u in unknowns):
         prefix = "u_"
@@ -294,23 +300,14 @@ def evaluate(ps: ParameterSpace, assignment, field=None) -> MatrixPoint:
             raise ValueError(
                 f"assignment has {len(values)} entries, expected {len(ps.unknowns)}"
             )
-    s_ring = ps.algebra.s_ring(field)
-    d = ps.shifts.dimension
+    R, V = ps.algebra, ps.shifts
+    s_ring = R.s_ring(field)
     mats = []
-    for z in ps.algebra.generator_names:
-        entries = [[{} for _ in range(d)] for _ in range(d)]
-        for u, v in zip(ps.unknowns, values):
-            if u.generator != z or field.is_zero(v):
-                continue
-            slot = entries[u.row][u.col]
-            slot[u.monomial] = field.add(slot.get(u.monomial, field.zero), v)
-        mats.append(
-            tuple(
-                tuple(s_ring.from_terms(entries[p][q]) for q in range(d))
-                for p in range(d)
-            )
-        )
-    return MatrixPoint(ps.algebra, ps.shifts, tuple(mats))
+    for z in R.generator_names:
+        slots = entry_slots(s_ring, V, V, R.generator_degree(z))
+        mats.append(matrix_of(s_ring, V.dimension, slots, values[:len(slots)]))
+        values = values[len(slots):]
+    return MatrixPoint(R, V, tuple(mats))
 
 
 def assignment_of(ps: ParameterSpace, pt: MatrixPoint):

@@ -4,9 +4,11 @@ implementations they check."""
 from fractions import Fraction
 
 from mcmrep.fields import GF, QQ
+from mcmrep.linalg import kernel_basis
+from mcmrep.matops import mat_mul, mat_sub
 from mcmrep.orbits import conjugate, enumerate_group
 from mcmrep.poly import PolynomialRing
-from mcmrep.repvariety import assignment_of, evaluate, parameterize
+from mcmrep.repvariety import assignment_of, entry_slots, evaluate, parameterize
 
 
 # -- naive Buchberger, no selection strategy, no criteria ----------------
@@ -186,3 +188,28 @@ def sweep_orbit_partition(points, R, V, q):
         remaining -= orbit
         records.append((min(orbit), len(orbit), images.count(vec)))
     return len(group), records
+
+
+# -- graded Hom components through Polynomial matrix products ------------
+
+
+def matmul_hom_component(mu, nu, e):
+    """Coefficient slots and kernel vectors of the degree-e maps from mu to
+    nu: for the unit map B of each slot, B.mu(z) - nu(z).B through mat_mul
+    gives that slot's column of the intertwining system."""
+    s_ring = mu.s_ring
+    field = s_ring.field
+    d = len(mu.shifts)
+    slots = entry_slots(s_ring, mu.shifts, mu.shifts, e)
+    rows = {}
+    for gi, (M, N) in enumerate(zip(mu.matrices, nu.matrices)):
+        for k, (p, q, mono) in enumerate(slots):
+            B = [[s_ring.zero()] * d for _ in range(d)]
+            B[p][q] = s_ring.monomial(mono)
+            C = mat_sub(mat_mul(B, M), mat_mul(N, B))
+            for a in range(d):
+                for b in range(d):
+                    for m, c in C[a][b].terms.items():
+                        row = rows.setdefault((gi, a, b, m), [field.zero] * len(slots))
+                        row[k] = field.add(row[k], c)
+    return slots, kernel_basis(list(rows.values()), len(slots), field)

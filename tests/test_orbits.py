@@ -6,8 +6,9 @@ import pytest
 from mcmrep.families import example_algebra_x2, three_orbit_representatives
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
-from mcmrep.matops import mat_identity, mat_is_zero, mat_mul, mat_sub
+from mcmrep.matops import mat_identity, mat_is_zero, mat_mul, mat_sub, mat_zero
 from mcmrep.orbits import (
+    SYMBOLIC_DET_CAP,
     BudgetExceededError,
     GroupElement,
     are_isomorphic,
@@ -22,9 +23,15 @@ from mcmrep.orbits import (
 )
 from mcmrep.parsing import parse_polynomial
 from mcmrep.poly import PolynomialRing
-from mcmrep.repvariety import build_defining_ideal, evaluate, parameterize, validate_point
+from mcmrep.repvariety import (
+    MatrixPoint,
+    build_defining_ideal,
+    evaluate,
+    parameterize,
+    validate_point,
+)
 
-from oracles import brute_force_x2_points, sweep_orbit_partition
+from oracles import brute_force_x2_points, matmul_hom_component, sweep_orbit_partition
 
 V01 = ShiftType((0, 1))
 
@@ -271,6 +278,31 @@ def test_enumerate_points_reduces_rational_denominators():
         enumerate_points(direct, 3)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("name", ["x2", "xz", "x2s2"])
+def test_hom_component_matches_matmul_oracle(name, field):
+    # points over F_3 with coordinates read as 0, 1, -1 that are points over
+    # QQ, and so over F_5 too
+    R = named_algebra(name, field)
+    V = ShiftType((0, 1))
+    ps = parameterize(R, V, field)
+    lifted = (
+        tuple((0, 1, -1)[c] for c in v)
+        for v in enumerate_points(build_defining_ideal(named_algebra(name), V), 3)
+    )
+    points = [pt for pt in (evaluate(ps, v, field) for v in lifted) if validate_point(pt)]
+    sample = [points[0]] + random.Random(7).sample(points[1:], 4)
+    dimensions = set()
+    for mu, nu in itertools.permutations(sample, 2):
+        for e in (0, 1, 2):
+            E = hom_component(mu, nu, e)
+            slots, vectors = matmul_hom_component(mu, nu, e)
+            assert list(E.slots) == slots
+            assert [list(v) for v in E.vectors] == vectors
+            dimensions.add(E.dimension)
+    assert len(dimensions) > 1
+
+
 def test_orbit_partition_single_point(R):
     rep = build_defining_ideal(R, ShiftType((0,)))
     points = enumerate_points(rep, 5)
@@ -316,6 +348,25 @@ def test_are_isomorphic_properties_sampled(R):
         a, b, c = (rng.choice(pts) for _ in range(3))
         if are_isomorphic(a, b) and are_isomorphic(b, c):
             assert are_isomorphic(a, c)
+
+
+def test_are_isomorphic_sampled_branch(R):
+    # over QQ with a degree-0 Hom space above SYMBOLIC_DET_CAP, the answer
+    # comes from determinants at sampled coefficients: End_0 of the zero
+    # point of type (0, 0, 1, 1), R/(x)^2 (+) R/(x)(-1)^2, has dimension 12,
+    # and its Hom_0 into R (+) R/(x) (+) R/(x)(-1) has dimension 8
+    V = ShiftType((0, 0, 1, 1))
+    s_ring = R.s_ring()
+    zero = MatrixPoint(R, V, (mat_zero(s_ring, 4),))
+    rows = [list(row) for row in mat_zero(s_ring, 4)]
+    rows[2][0] = s_ring.one()  # x sends the generator 1 of R to x
+    mixed = MatrixPoint(R, V, (rows,))
+    assert validate_point(mixed)
+    assert hom_component(zero, zero, 0).dimension == 12
+    assert hom_component(zero, mixed, 0).dimension == 8
+    assert SYMBOLIC_DET_CAP < 8
+    assert are_isomorphic(zero, zero)
+    assert not are_isomorphic(zero, mixed)
 
 
 def test_conjugation_invariance_random_over_f5(R):
