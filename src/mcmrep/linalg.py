@@ -61,3 +61,24 @@ def solve(rows, rhs, ncols, field):
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
     return x
+
+
+def determinant(rows, field):
+    """Determinant of a square matrix by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    acc = field.one
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if not field.is_zero(rows[i][c])), None)
+        if pivot is None:
+            return field.zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            acc = field.neg(acc)
+        acc = field.mul(acc, rows[c][c])
+        inv = field.inv(rows[c][c])
+        for i in range(c + 1, n):
+            if not field.is_zero(rows[i][c]):
+                factor = field.mul(rows[i][c], inv)
+                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[c])]
+    return acc

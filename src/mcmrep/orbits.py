@@ -18,14 +18,13 @@ from fractions import Fraction
 from .fields import GF, QQ, PrimeField
 from .graded import ShiftType, hom_entry_degrees
 from .groebner import buchberger
-from .linalg import kernel_basis, solve
+from .linalg import determinant, kernel_basis, rref, solve
 from .matops import mat_adjugate, mat_det, mat_identity, mat_mul, mat_scale, mat_sub
 from .poly import PolynomialRing, monomial_mul
 from .repvariety import (
     MatrixPoint,
     RepIdeal,
     _coefficients_by_s_monomial,
-    assignment_of,
     entry_slots,
     evaluate,
     matrix_of,
@@ -68,12 +67,18 @@ class HomComponentBasis:
     def element(self, coeffs):
         """The matrix sum_i coeffs[i] * basis[i]."""
         s_ring = self.source.s_ring
-        field = s_ring.field
-        vec = [field.zero] * len(self.slots)
-        for c, v in zip(coeffs, self.vectors):
-            c = field.coerce(c)
-            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, v)]
+        coeffs = [s_ring.field.coerce(c) for c in coeffs]
+        vec = _combine(s_ring.field, coeffs, self.vectors, len(self.slots))
         return matrix_of(s_ring, len(self.source.shifts), self.slots, vec)
+
+
+def _combine(field, coeffs, vectors, n):
+    """sum_i coeffs[i] * vectors[i] over k, a list of length n."""
+    out = [field.zero] * n
+    for c, v in zip(coeffs, vectors):
+        if not field.is_zero(c):
+            out = [field.add(x, field.mul(c, y)) for x, y in zip(out, v)]
+    return out
 
 
 def _check_compatible(mu: MatrixPoint, nu: MatrixPoint):
@@ -150,52 +155,87 @@ def _generic_element(E: HomComponentBasis):
     return tuple(tuple(row) for row in generic), c_ring
 
 
-def _det_of_generic_element(E: HomComponentBasis):
-    """Determinant of sum c_i alpha_i as a polynomial in k[c_1..c_r].
+def _shift_blocks(V: ShiftType):
+    """The index lists of the runs of equal shifts, in order."""
+    runs = itertools.groupby(enumerate(V.shifts), key=lambda t: t[1])
+    return [[p for p, _ in run] for _, run in runs]
 
-    The determinant of a degree-0 endomorphism is a scalar, so the result
-    carries no S-variables."""
-    G, c_ring = _generic_element(E)
-    r = c_ring.nvars
-    det = mat_det(G, G[0][0].ring)
-    if any(any(m[r:]) for m in det.terms):
-        raise InvariantViolationError("degree-0 determinant is not scalar in S")
-    return c_ring.from_terms({m[:r]: co for m, co in det.terms.items()})
+
+def _block_det(V: ShiftType, entry, field):
+    """det over k of a degree-0 endomorphism of S (x) V whose entry (p, q),
+    for p and q in one block of equal shifts, is the scalar entry(p, q).
+
+    ShiftType keeps its shifts sorted and entry (p, q) has degree
+    l_q - l_p, so the matrix is zero below the blocks of equal shifts and
+    constant on them: it is block upper triangular, and its determinant is
+    the product of the blocks' determinants."""
+    acc = field.one
+    for block in _shift_blocks(V):
+        acc = field.mul(acc, determinant([[entry(p, q) for q in block] for p in block], field))
+    return acc
 
 
 def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint, seed: int = 0) -> bool:
     """True iff the degree-0 hom space from mu to nu contains an invertible
     matrix.
 
-    Exhaustive over small finite coefficient spaces; symbolic determinant
-    up to basis dimension 6; otherwise randomized with a recorded witness
-    (a witness proves isomorphism, 64 failed trials report False)."""
+    Every alpha in Hom_0 is block upper triangular with constant blocks on
+    the runs of equal shifts (see _block_det), so det alpha is the product
+    of the blocks' determinants over k, and whether alpha is invertible
+    depends only on its projection onto the block slots, a linear image of
+    Hom_0.  The branch is chosen by r = dim Hom_0:
+
+    - over F_p with p^r <= EXHAUSTIVE_ISOM_CAP, every element of the
+      projection is tried, as an F_p-combination of an echelon basis of it.
+      The search covers all of Hom_0, so both answers are certified.
+    - for r <= SYMBOLIC_DET_CAP, the blocks' determinants of the generic
+      element sum c_i alpha_i are expanded in k[c_1..c_r].  Their product
+      is the determinant of the generic element and is nonzero iff each of
+      them is, so the answer is the one the full determinant gives.  It is
+      exact over QQ; over F_p it is certified when d < p, since the
+      determinant has degree at most d in each c_i and a nonzero polynomial
+      of degree below p in each variable has a nonzero value on F_p^r.
+    - otherwise SAMPLING_TRIALS seeded draws of the c_i: a draw with
+      nonsingular blocks is a witness, so True is certified; False is not.
+    """
     _check_compatible(mu, nu)
-    d = mu.shifts.dimension
-    if d == 0:
+    V = mu.shifts
+    if V.dimension == 0:
         return True
     E = hom_component(mu, nu, 0)
     r = E.dimension
     if r == 0:
         return False
     field = mu.s_ring.field
-    s_ring = mu.s_ring
+    block_slots = [k for k, (p, q, _) in enumerate(E.slots) if V.shifts[p] == V.shifts[q]]
+    pos = {E.slots[k][:2]: i for i, k in enumerate(block_slots)}
+    n = len(block_slots)
+    projected = [[v[k] for k in block_slots] for v in E.vectors]
+
+    def invertible(vec):
+        return not field.is_zero(_block_det(V, lambda p, q: vec[pos[p, q]], field))
+
     if isinstance(field, PrimeField) and field.p**r <= EXHAUSTIVE_ISOM_CAP:
-        for coeffs in itertools.product(field.elements(), repeat=r):
-            alpha = E.element(coeffs)
-            det = mat_det(alpha, s_ring)
-            if not det.is_zero():
-                return True
-        return False
+        echelon, _ = rref(projected, n, field)
+        return any(
+            invertible(_combine(field, coeffs, echelon, n))
+            for coeffs in itertools.product(field.elements(), repeat=len(echelon))
+        )
     if r <= SYMBOLIC_DET_CAP:
-        return not _det_of_generic_element(E).is_zero()
-    det_poly_degree = d  # det is multilinear of degree <= d in the c's
-    sample_bound = max(2 * det_poly_degree, 97)
+        c_ring = PolynomialRing(field, tuple(f"c{i + 1}" for i in range(r)))
+        c_vars = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        generic = [
+            c_ring.from_terms({c: v[k] for c, v in zip(c_vars, projected)}) for k in range(n)
+        ]
+        return all(
+            not mat_det([[generic[pos[p, q]] for q in block] for p in block], c_ring).is_zero()
+            for block in _shift_blocks(V)
+        )
+    sample_bound = max(2 * V.dimension, 97)  # det has degree <= d in the c's
     rng = random.Random(seed)
     for _ in range(SAMPLING_TRIALS):
-        coeffs = [rng.randrange(sample_bound) for _ in range(r)]
-        alpha = E.element(coeffs)
-        if not mat_det(alpha, s_ring).is_zero():
+        coeffs = [field.coerce(rng.randrange(sample_bound)) for _ in range(r)]
+        if invertible(_combine(field, coeffs, projected, n)):
             return True
     return False
 
@@ -225,11 +265,10 @@ class GroupElement:
                     continue
                 if table[p][q] < 0 or not e.is_homogeneous() or e.weighted_degree() != table[p][q]:
                     raise ValueError(f"entry ({p + 1},{q + 1}) violates the degree-0 shape")
-        det = mat_det(matrix, ring)
-        if not det.is_constant() or det.is_zero():
-            raise ValueError("matrix is not invertible (determinant is not a nonzero scalar)")
-        inv_det = ring.field.inv(det.constant_coefficient())
-        inverse = mat_scale(mat_adjugate(matrix, ring), ring.constant(inv_det))
+        det = _block_det(shifts, lambda p, q: matrix[p][q].constant_coefficient(), ring.field)
+        if ring.field.is_zero(det):
+            raise ValueError("matrix is not invertible (a block of equal shifts is singular)")
+        inverse = mat_scale(mat_adjugate(matrix, ring), ring.constant(ring.field.inv(det)))
         return GroupElement(shifts, matrix, inverse)
 
     @staticmethod
@@ -264,13 +303,12 @@ def enumerate_group(V: ShiftType, q: int, s_degrees=(1,), budget=DEFAULT_BUDGET,
             f"group enumeration needs {total} tuples (budget {budget})", total
         )
     d = len(V.shifts)
+    block_slot = {(p, r): k for k, (p, r, _) in enumerate(slots) if V.shifts[p] == V.shifts[r]}
     out = []
     for values in itertools.product(field.elements(), repeat=len(slots)):
-        matrix = matrix_of(s_ring, d, slots, values)
-        det = mat_det(matrix, s_ring)
-        if det.is_zero():
+        if field.is_zero(_block_det(V, lambda p, r: values[block_slot[p, r]], field)):
             continue
-        out.append(GroupElement.from_matrix(V, matrix))
+        out.append(GroupElement.from_matrix(V, matrix_of(s_ring, d, slots, values)))
     return out
 
 
@@ -297,16 +335,22 @@ def _group_generators(V: ShiftType, s_ring):
 
     Over a prime field the powers of I + m E_pq are all I + c m E_pq, since
     E_pq^2 = 0.  These generate the unipotent radical and SL of each block
-    of equal shifts, and the diagonal roots supply every determinant."""
+    of equal shifts, and the diagonal roots supply every determinant.  The
+    inverses are I - m E_pq and I with the inverse root at (p, p)."""
     field = s_ring.field
     root = _primitive_root(field.p)
     slots = entry_slots(s_ring, V, V, 0)
     identity = [field.one if p == q else field.zero for p, q, _ in slots]
     gens = []
     for k, (p, q, _) in enumerate(slots):
-        vector = list(identity)
-        vector[k] = root if p == q else field.one
-        gens.append(GroupElement.from_matrix(V, matrix_of(s_ring, len(V), slots, vector)))
+        vector, inverse = list(identity), list(identity)
+        if p == q:
+            vector[k], inverse[k] = root, field.inv(root)
+        else:
+            vector[k], inverse[k] = field.one, field.neg(field.one)
+        gens.append(GroupElement(
+            V, matrix_of(s_ring, len(V), slots, vector), matrix_of(s_ring, len(V), slots, inverse)
+        ))
     return gens
 
 
@@ -339,38 +383,42 @@ def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
         gens = [_primitive(g) for g in gens if not g.is_zero()]
     elif rep.ideal.ring.field.p != q:
         raise ValueError(f"an ideal over F_{rep.ideal.ring.field.p} has no reduction to F_{q}")
-    gens = [g.change_field(field) for g in gens]
-    # bucket generators by the last unknown in their support
+    # each generator as (coefficient, unknowns with multiplicity) terms over
+    # F_q, bucketed by the last unknown in its support
     buckets = [[] for _ in range(n + 1)]
     for g in gens:
-        last = 0
-        for m in g.terms:
-            for i in range(n - 1, -1, -1):
-                if m[i]:
-                    last = max(last, i + 1)
-                    break
-        buckets[last].append(g)
-    if any(not g.is_zero() and g.is_constant() for g in buckets[0]):
+        terms = [
+            (c, tuple(i for i, e in enumerate(m) for _ in range(e)))
+            for m, c in g.change_field(field).terms.items()
+        ]
+        buckets[max((i + 1 for _, factors in terms for i in factors), default=0)].append(terms)
+    if any(buckets[0]):  # a nonzero constant
         return []
     out = []
     values = [0] * n
 
-    def admissible(depth):
-        point = values[:depth] + [0] * (n - depth)
-        return all(field.is_zero(g.evaluate(point)) for g in buckets[depth])
+    def admissible(checks):
+        for terms in checks:
+            acc = 0
+            for c, factors in terms:
+                for i in factors:
+                    c *= values[i]
+                acc += c
+            if acc % q:
+                return False
+        return True
 
     def rec(depth):
         if depth == n:
             out.append(tuple(values))
             return
+        checks = buckets[depth + 1]
         for v in range(q):
             values[depth] = v
-            if admissible(depth + 1):
+            if not checks or admissible(checks):
                 rec(depth + 1)
         values[depth] = 0
 
-    if n == 0:
-        return [()] if all(g.is_zero() for g in gens) else []
     rec(0)
     return out
 
@@ -407,6 +455,31 @@ def _act(columns, vec, q):
     return tuple(x % q for x in out)
 
 
+def _conjugation_columns(ps, g: GroupElement):
+    """Conjugation by g as a linear map on the coordinates F_q^n, one
+    sparse column of sorted (index, value) pairs per unknown.
+
+    The unit point of unknown (z, p, q, m) is m E_pq in the matrix of z, and
+    g (m E_pq) g^-1 = sum_ij g[i][p] m g^-1[q][j] E_ij: the column is read
+    off the terms of those entries, each product monomial being the slot
+    (z, i, j, monomial)."""
+    q = ps.s_ring.field.p
+    index = {(u.generator, u.row, u.col, u.monomial): k for k, u in enumerate(ps.unknowns)}
+    d = len(g.matrix)
+    columns = []
+    for u in ps.unknowns:
+        acc = {}
+        for i in range(d):
+            for ti, ci in g.matrix[i][u.row].terms.items():
+                head = monomial_mul(ti, u.monomial)
+                for j in range(d):
+                    for tj, cj in g.inverse[u.col][j].terms.items():
+                        k = index[u.generator, i, j, monomial_mul(head, tj)]
+                        acc[k] = acc.get(k, 0) + ci * cj
+        columns.append(sorted((k, c % q) for k, c in acc.items() if c % q))
+    return columns
+
+
 def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCensus:
     """Partition the F_q-points into conjugation orbits.
 
@@ -423,14 +496,7 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     if len(point_set) != len(points):
         raise ValueError("duplicate points")
     n_group = group_order(V, q, R.normalization_degrees)
-    # conjugation is linear on the coordinates: column j of a generator's
-    # map is the image of the j-th unit point, as (index, value) pairs
-    n = len(ps)
-    units = [evaluate(ps, [int(i == j) for i in range(n)], field) for j in range(n)]
-    actions = [
-        [[(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units]
-        for g in _group_generators(V, ps.s_ring)
-    ]
+    actions = [_conjugation_columns(ps, g) for g in _group_generators(V, ps.s_ring)]
 
     records = []
     placed = set()

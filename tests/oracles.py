@@ -1,12 +1,25 @@
 """Independent test oracles, written before and kept apart from the main
 implementations they check."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
-from mcmrep.fields import GF, QQ
+from mcmrep.fields import GF, QQ, PrimeField
 from mcmrep.linalg import kernel_basis
-from mcmrep.matops import mat_mul, mat_sub
-from mcmrep.orbits import conjugate, enumerate_group
+from mcmrep.matops import mat_det, mat_mul, mat_sub
+from mcmrep.orbits import (
+    EXHAUSTIVE_ISOM_CAP,
+    SAMPLING_TRIALS,
+    SYMBOLIC_DET_CAP,
+    InvariantViolationError,
+    _check_compatible,
+    _generic_element,
+    conjugate,
+    enumerate_group,
+    hom_component,
+)
 from mcmrep.poly import PolynomialRing
 from mcmrep.repvariety import assignment_of, entry_slots, evaluate, parameterize
 
@@ -166,6 +179,25 @@ def brute_force_x2_points(q):
     return pts
 
 
+def brute_force_points(rep, q):
+    """All F_q-points of the variety, from every one of the q^n tuples
+    through Polynomial.evaluate, in lexicographic order.  A QQ generator is
+    first cleared of denominators and of the content of its numerators."""
+    field = GF(q)
+    gens = []
+    for g in rep.ideal.generators:
+        if rep.ideal.ring.field == QQ and not g.is_zero():
+            den = math.lcm(*(c.denominator for c in g.terms.values()))
+            ints = [c.numerator * (den // c.denominator) for c in g.terms.values()]
+            g = g.scale(Fraction(den, math.gcd(*ints)))
+        gens.append(g.change_field(field))
+    n = len(rep.parameter_space.unknowns)
+    return [
+        pt for pt in itertools.product(range(q), repeat=n)
+        if all(field.is_zero(g.evaluate(list(pt))) for g in gens)
+    ]
+
+
 # -- orbit census by a sweep over the whole group ------------------------
 
 
@@ -213,3 +245,56 @@ def matmul_hom_component(mu, nu, e):
                         row = rows.setdefault((gi, a, b, m), [field.zero] * len(slots))
                         row[k] = field.add(row[k], c)
     return slots, kernel_basis(list(rows.values()), len(slots), field)
+
+
+# -- isomorphism through cofactor determinants of whole maps --------------
+
+
+def _cofactor_det_of_generic_element(E):
+    """Determinant of sum c_i alpha_i as a polynomial in k[c_1..c_r].
+
+    The determinant of a degree-0 endomorphism is a scalar, so the result
+    carries no S-variables."""
+    G, c_ring = _generic_element(E)
+    r = c_ring.nvars
+    det = mat_det(G, G[0][0].ring)
+    if any(any(m[r:]) for m in det.terms):
+        raise InvariantViolationError("degree-0 determinant is not scalar in S")
+    return c_ring.from_terms({m[:r]: co for m, co in det.terms.items()})
+
+
+def cofactor_are_isomorphic(mu, nu, seed=0):
+    """True iff the degree-0 hom space from mu to nu contains an invertible
+    matrix.
+
+    Exhaustive over small finite coefficient spaces; symbolic determinant
+    up to basis dimension 6; otherwise randomized with a recorded witness
+    (a witness proves isomorphism, 64 failed trials report False)."""
+    _check_compatible(mu, nu)
+    d = mu.shifts.dimension
+    if d == 0:
+        return True
+    E = hom_component(mu, nu, 0)
+    r = E.dimension
+    if r == 0:
+        return False
+    field = mu.s_ring.field
+    s_ring = mu.s_ring
+    if isinstance(field, PrimeField) and field.p**r <= EXHAUSTIVE_ISOM_CAP:
+        for coeffs in itertools.product(field.elements(), repeat=r):
+            alpha = E.element(coeffs)
+            det = mat_det(alpha, s_ring)
+            if not det.is_zero():
+                return True
+        return False
+    if r <= SYMBOLIC_DET_CAP:
+        return not _cofactor_det_of_generic_element(E).is_zero()
+    det_poly_degree = d  # det is multilinear of degree <= d in the c's
+    sample_bound = max(2 * det_poly_degree, 97)
+    rng = random.Random(seed)
+    for _ in range(SAMPLING_TRIALS):
+        coeffs = [rng.randrange(sample_bound) for _ in range(r)]
+        alpha = E.element(coeffs)
+        if not mat_det(alpha, s_ring).is_zero():
+            return True
+    return False

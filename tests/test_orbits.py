@@ -6,11 +6,15 @@ import pytest
 from mcmrep.families import example_algebra_x2, three_orbit_representatives
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
-from mcmrep.matops import mat_identity, mat_is_zero, mat_mul, mat_sub, mat_zero
+from mcmrep.matops import mat_det, mat_identity, mat_is_zero, mat_mul, mat_sub, mat_zero
 from mcmrep.orbits import (
+    EXHAUSTIVE_ISOM_CAP,
     SYMBOLIC_DET_CAP,
     BudgetExceededError,
     GroupElement,
+    _block_det,
+    _conjugation_columns,
+    _group_generators,
     are_isomorphic,
     conjugate,
     enumerate_group,
@@ -25,13 +29,22 @@ from mcmrep.parsing import parse_polynomial
 from mcmrep.poly import PolynomialRing
 from mcmrep.repvariety import (
     MatrixPoint,
+    assignment_of,
     build_defining_ideal,
+    entry_slots,
     evaluate,
+    matrix_of,
     parameterize,
     validate_point,
 )
 
-from oracles import brute_force_x2_points, matmul_hom_component, sweep_orbit_partition
+from oracles import (
+    brute_force_points,
+    brute_force_x2_points,
+    cofactor_are_isomorphic,
+    matmul_hom_component,
+    sweep_orbit_partition,
+)
 
 V01 = ShiftType((0, 1))
 
@@ -185,6 +198,19 @@ def test_enumerate_points_matches_brute_force(R):
         assert enumerate_points(rep, q) == brute_force_x2_points(q)
 
 
+@pytest.mark.parametrize("name,shifts,q,field", [
+    ("x2y2", (0, 0), 5, QQ), ("x2y2", (0, 0), 7, QQ),
+    ("xz", (0, 1), 3, QQ),
+    ("x2s2", (0, 1), 2, QQ),  # a generator with denominator 2
+    ("x2y2", (0, 0), 5, GF(5)),
+], ids=["x2y2-q5", "x2y2-q7", "xz-q3", "x2s2-q2", "x2y2-F5"])
+def test_enumerate_points_matches_brute_force_points(name, shifts, q, field):
+    rep = build_defining_ideal(named_algebra(name, field), ShiftType(shifts), field)
+    points = enumerate_points(rep, q)
+    assert points
+    assert points == brute_force_points(rep, q)
+
+
 def test_enumerate_points_trivial_cases(R):
     ky = GradedAlgebra(PolynomialRing(QQ, ("y",)), (), ("y",))
     rep = build_defining_ideal(ky, ShiftType((0,)))
@@ -324,8 +350,6 @@ def test_orbit_members_pairwise_isomorphic(R):
         base = evaluate(ps, o.representative, field)
         seen = set()
         for g in group:
-            from mcmrep.repvariety import assignment_of
-
             seen.add(assignment_of(ps, conjugate(base, g)))
         assert len(seen) == o.size
         for member in sorted(seen):
@@ -367,6 +391,8 @@ def test_are_isomorphic_sampled_branch(R):
     assert SYMBOLIC_DET_CAP < 8
     assert are_isomorphic(zero, zero)
     assert not are_isomorphic(zero, mixed)
+    for a, b in itertools.product((zero, mixed), repeat=2):
+        assert are_isomorphic(a, b) == cofactor_are_isomorphic(a, b)
 
 
 def test_conjugation_invariance_random_over_f5(R):
@@ -381,3 +407,102 @@ def test_conjugation_invariance_random_over_f5(R):
         pt = evaluate(ps, rng.choice(valid), field)
         g = rng.choice(group)
         assert validate_point(conjugate(pt, g))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_block_det_matches_cofactor_det(field):
+    rng = random.Random(11)
+    cases = [((0, 0, 1), (1,)), ((0, 1, 1, 2), (1,)), ((0, 0, 0), (1,)), ((1, 1), (1,)),
+             ((0, 1, 1), (1, 2)), ((0, 0, 2), (1, 1))]
+    for shifts, s_degrees in cases:
+        V = ShiftType(shifts)
+        s_ring = PolynomialRing(field, tuple(f"y{i}" for i in range(len(s_degrees))), s_degrees)
+        slots = entry_slots(s_ring, V, V, 0)
+        singular = set()
+        for _ in range(40):
+            M = matrix_of(s_ring, len(V), slots, [rng.choice((0, 0, 1, -1, 2)) for _ in slots])
+            det = mat_det(M, s_ring)
+            assert det.is_constant()
+            block = _block_det(V, lambda p, q: M[p][q].constant_coefficient(), field)
+            assert block == det.constant_coefficient()
+            singular.add(det.is_zero())
+        assert singular == {True, False}
+
+
+def random_group_element(V, s_ring, rng):
+    """Seeded random element of G_V over a prime field, retried until the
+    matrix is invertible."""
+    slots = entry_slots(s_ring, V, V, 0)
+    while True:
+        values = [rng.randrange(s_ring.field.p) for _ in slots]
+        try:
+            return GroupElement.from_matrix(V, matrix_of(s_ring, len(V), slots, values))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("name,shifts,q", [
+    ("x2", (0, 1), 5), ("x2", (0, 1, 2), 3), ("x2", (0, 0, 1), 3),
+    ("x2y2", (0, 0), 5), ("xz", (0, 1), 3), ("x2s2", (0, 1), 3),
+])
+def test_are_isomorphic_matches_cofactor_oracle_on_census(name, shifts, q):
+    # every ordered pair of orbit representatives, and each representative
+    # against a seeded conjugate of every representative
+    R = named_algebra(name)
+    V = ShiftType(shifts)
+    field = GF(q)
+    ps = parameterize(R, V, field)
+    census = orbit_partition(enumerate_points(build_defining_ideal(R, V), q), R, V, q)
+    reps = [evaluate(ps, o.representative, field) for o in census.orbits]
+    rng = random.Random(q)
+    moved = [conjugate(pt, random_group_element(V, ps.s_ring, rng)) for pt in reps]
+    answers = []
+    for mu, nu in itertools.product(reps, reps + moved):
+        answer = are_isomorphic(mu, nu)
+        assert answer == cofactor_are_isomorphic(mu, nu)
+        answers.append(answer)
+    assert answers.count(True) == 2 * census.isomorphism_class_count == 2 * len(reps)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("shifts", [(0, 1, 2), (0, 0, 1)])
+def test_are_isomorphic_matches_cofactor_oracle_symbolic(shifts, field):
+    # points over F_3 with coordinates read as 0, 1, -1 that are points over
+    # QQ, and so over F_32003 too; their Hom_0 spaces are too large for the
+    # exhaustive branch over F_32003 and within SYMBOLIC_DET_CAP
+    R = named_algebra("x2", field)
+    V = ShiftType(shifts)
+    ps = parameterize(R, V, field)
+    lifted = (
+        tuple((0, 1, -1)[c] for c in v)
+        for v in enumerate_points(build_defining_ideal(named_algebra("x2"), V), 3)
+    )
+    points = [pt for pt in (evaluate(ps, v, field) for v in lifted) if validate_point(pt)]
+    sample = random.Random(5).sample(points, 8)
+    answers = set()
+    for mu, nu in itertools.product(sample, repeat=2):
+        r = hom_component(mu, nu, 0).dimension
+        if not 1 < r <= SYMBOLIC_DET_CAP:
+            continue
+        assert field == QQ or field.p**r > EXHAUSTIVE_ISOM_CAP
+        answer = are_isomorphic(mu, nu)
+        assert answer == cofactor_are_isomorphic(mu, nu)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("name,shifts", [("x2", (0, 1, 2)), ("xz", (0, 1)), ("x2s2", (0, 1))])
+def test_conjugation_columns_match_conjugate(name, shifts, q):
+    R = named_algebra(name)
+    V = ShiftType(shifts)
+    field = GF(q)
+    ps = parameterize(R, V, field)
+    n = len(ps)
+    units = [evaluate(ps, [int(i == j) for i in range(n)], field) for j in range(n)]
+    for g in _group_generators(V, ps.s_ring):
+        assert mat_mul(g.matrix, g.inverse) == mat_identity(ps.s_ring, len(V))
+        expected = [
+            [(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units
+        ]
+        assert _conjugation_columns(ps, g) == expected
