@@ -122,8 +122,9 @@ def cmd_hilbert(args):
     print("coefficients (t^0..t^%d): %s" % (D, ", ".join(map(str, coeffs))))
     print("hilbert polynomial: " + _format_poly_in_i(hp))
     # consistency against standard monomial counts
+    relations = R.relation_ideal()
     for d in range(D + 1):
-        count = len(component_monomials(R.ring, R.relation_ideal(), d))
+        count = len(component_monomials(R.ring, relations, d))
         if count != coeffs[d]:
             raise InvariantViolationError(
                 f"series coefficient {coeffs[d]} != monomial count {count} at degree {d}"

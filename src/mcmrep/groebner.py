@@ -6,79 +6,128 @@ criteria; the reduced basis is canonical for a fixed ring.  Both selections
 are heap-ordered: pending pairs sit in a min-heap keyed by the sort key of
 their lcm, computed once when the pair is created, and the terms still to be
 reduced in a normal form sit in a max-heap keyed by their own sort key.
+
+Every reducer search goes through the polynomials' cached lead entries
+(`Polynomial.lead_entry`): the support bitmask of a leading monomial
+rejects most non-divisors with one integer test before the exact test on
+its sparse exponents (the divisibility pre-filter of Bachmann and
+Schoenemann, "Monomial representations for Groebner bases computations",
+ISSAC 1998).  The search still takes the first divisor in basis order.
+The entries' tail terms carry their weighted degree and support, so the
+heap key and mask of every term a reduction creates come from sums and
+unions, and S-polynomials are built from the tails alone.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import add, sub
 
 from .poly import (
     Polynomial,
     PolynomialRing,
     RingMismatchError,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
-    monomial_mul,
+    monomial_support,
 )
+
+
+def _first_divisor(lead, m: tuple, mask: int):
+    """The first lead entry whose leading monomial divides m, or None.
+
+    mask is the support of m: an entry with a variable outside it cannot
+    divide m, and is passed over after one integer test.
+    """
+    outside = ~mask
+    for entry in lead:
+        if entry.mask & outside:
+            continue
+        for i, e in entry.exps:
+            if m[i] < e:
+                break
+        else:
+            return entry
+    return None
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Full remainder of f on division by basis (all terms reduced).
 
-    Unique when basis is a Groebner basis.
+    Each term is reduced by the first basis element, in the given order,
+    whose leading monomial divides it.  Unique when basis is a Groebner
+    basis.
     """
-    basis = [g for g in basis if not g.is_zero()]
-    for g in basis:
-        if g.ring != f.ring:
-            raise RingMismatchError("basis polynomial in a different ring")
     ring = f.ring
+    lead = []
+    for g in basis:
+        if g.terms:
+            if g.ring is not ring and g.ring != ring:
+                raise RingMismatchError("basis polynomial in a different ring")
+            lead.append(g.lead_entry())
     F = ring.field
-    lead = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis]
-    descending_key = ring.descending_key
+    zero, fsub, fmul, fdiv, is_zero = F.zero, F.sub, F.mul, F.div, F.is_zero
     remainder = {}
     work = dict(f.terms)
-    # Max-heap of the terms of work, one entry per monomial.  Reduction only
-    # adds terms below the one it reduces, so a popped monomial never comes
-    # back.  A monomial that cancels keeps its entry: the entry serves it
-    # again if it comes back, and is skipped if it is still gone when popped.
-    queue = [(descending_key(m), m) for m in work]
+    # Max-heap of the terms of work, one entry (key, monomial, support) per
+    # monomial; the key is (-weight, reversed monomial).  Reduction only adds
+    # terms below the one it reduces, so a popped monomial never comes back.
+    # A monomial that cancels keeps its entry: the entry serves it again if
+    # it comes back, and is skipped if it is still gone when popped.
+    weight = ring.monomial_weight
+    queue = [((-weight(m), m[::-1]), m, monomial_support(m)) for m in work]
     heapq.heapify(queue)
     queued = set(work)
+    heappop, heappush = heapq.heappop, heapq.heappush
     while queue:
-        m = heapq.heappop(queue)[1]
+        key, m, mask = heappop(queue)
         c = work.pop(m, None)
         if c is None:
             continue
-        for lm, lc, g in lead:
-            if monomial_divides(lm, m):
-                q = monomial_div(m, lm)
-                factor = F.div(c, lc)
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    mm = monomial_mul(gm, q)
-                    s = F.sub(work.get(mm, F.zero), F.mul(gc, factor))
-                    if F.is_zero(s):
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = s
-                        if mm not in queued:
-                            queued.add(mm)
-                            heapq.heappush(queue, (descending_key(mm), mm))
-                break
-        else:
+        entry = _first_divisor(lead, m, mask)
+        if entry is None:
             remainder[m] = c
+            continue
+        lmask, exps, lm, lc, lweight, tail = entry
+        q = tuple(map(sub, m, lm))
+        qmask = mask & ~lmask
+        for i, e in exps:
+            if m[i] > e:
+                qmask |= 1 << i
+        qweight = -key[0] - lweight
+        factor = fdiv(c, lc)
+        for gm, gc, gweight, gmask in tail:
+            mm = tuple(map(add, gm, q))
+            s = fsub(work.get(mm, zero), fmul(gc, factor))
+            if is_zero(s):
+                work.pop(mm, None)
+            else:
+                work[mm] = s
+                if mm not in queued:
+                    queued.add(mm)
+                    heappush(queue, ((-gweight - qweight, mm[::-1]), mm, gmask | qmask))
     return Polynomial(ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    lcm = monomial_lcm(lmf, lmg)
+    """S-polynomial of two nonzero polynomials of one ring.
+
+    The leading terms cancel exactly, so it is built from the two tails.
+    """
+    a, b = f.lead_entry(), g.lead_entry()
     F = f.ring.field
-    s1 = f.mul_term(monomial_div(lcm, lmf), F.inv(f.leading_coefficient()))
-    s2 = g.mul_term(monomial_div(lcm, lmg), F.inv(g.leading_coefficient()))
-    return s1 - s2
+    lcm = monomial_lcm(a.lm, b.lm)
+    u, v = monomial_div(lcm, a.lm), monomial_div(lcm, b.lm)
+    ca, cb = F.inv(a.lc), F.neg(F.inv(b.lc))
+    terms = {tuple(map(add, m, u)): F.mul(c, ca) for m, c, _, _ in a.tail}
+    for m, c, _, _ in b.tail:
+        mm = tuple(map(add, m, v))
+        s = F.add(terms.get(mm, F.zero), F.mul(c, cb))
+        if F.is_zero(s):
+            terms.pop(mm, None)
+        else:
+            terms[mm] = s
+    return Polynomial(f.ring, terms)
 
 
 def buchberger(generators) -> list:
@@ -100,55 +149,61 @@ def buchberger(generators) -> list:
             raise RingMismatchError("generators in different rings")
 
     G = []
-    lm = []
+    lead = []
     pairs = set()
     queue = []
 
-    def add(g):
+    def add_element(g):
         j = len(G)
-        m = g.leading_monomial()
+        e = g.lead_entry()
         for i in range(j):
-            heapq.heappush(queue, (ring.sort_key(monomial_lcm(lm[i], m)), (i, j)))
+            heapq.heappush(queue, (ring.sort_key(monomial_lcm(lead[i].lm, e.lm)), (i, j)))
             pairs.add((i, j))
         G.append(g)
-        lm.append(m)
+        lead.append(e)
 
     for g in sorted(gens, key=lambda h: ring.sort_key(h.leading_monomial())):
         g = normal_form(g, G)
         if not g.is_zero():
-            add(g.monic())
+            add_element(g.monic())
 
     while queue:
         pair = heapq.heappop(queue)[1]
         pairs.discard(pair)
         i, j = pair
-        lij = monomial_lcm(lm[i], lm[j])
-        # coprime criterion
-        if lij == monomial_mul(lm[i], lm[j]):
+        a, b = lead[i], lead[j]
+        # coprime criterion: lcm == product iff the supports are disjoint
+        if not a.mask & b.mask:
             continue
-        # chain criterion
+        # chain criterion: some other G[k] whose leading monomial divides
+        # the lcm, with neither (i, k) nor (j, k) pending
+        lij = monomial_lcm(a.lm, b.lm)
+        outside = ~(a.mask | b.mask)
         chained = False
-        for k in range(len(G)):
-            if k in pair:
+        for k, entry in enumerate(lead):
+            if entry.mask & outside or k == i or k == j:
                 continue
-            if monomial_divides(lm[k], lij):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pairs and pjk not in pairs:
+            for v, e in entry.exps:
+                if lij[v] < e:
+                    break
+            else:
+                if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
                     chained = True
                     break
         if chained:
             continue
         r = normal_form(s_polynomial(G[i], G[j]), G)
         if not r.is_zero():
-            add(r.monic())
+            add_element(r.monic())
 
     # minimalize
-    order = sorted(range(len(G)), key=lambda i: ring.sort_key(lm[i]))
+    order = sorted(range(len(G)), key=lambda i: ring.sort_key(lead[i].lm))
     minimal = []
+    kept = []
     for i in order:
-        if not any(monomial_divides(g.leading_monomial(), lm[i]) for g in minimal):
+        if _first_divisor(kept, lead[i].lm, lead[i].mask) is None:
             minimal.append(G[i])
+            kept.append(lead[i])
     # interreduce
     reduced = []
     for i, g in enumerate(minimal):
@@ -217,19 +272,15 @@ def component_monomials(ring: PolynomialRing, modulus: IdealHandle, d: int):
         raise ValueError("degree must be non-negative")
     if not modulus.is_homogeneous():
         raise ValueError("modulus must be homogeneous")
-    lead = [g.leading_monomial() for g in modulus.groebner_basis()]
+    lead = [g.lead_entry() for g in modulus.groebner_basis()]
     return [
         m
         for m in ring.monomials_of_weight(d)
-        if not any(monomial_divides(l, m) for l in lead)
+        if _first_divisor(lead, m, monomial_support(m)) is None
     ]
 
 
 def is_zero_dimensional(I: IdealHandle) -> bool:
     """True iff LT(I) contains a pure power of every ring variable."""
-    lead = [g.leading_monomial() for g in I.groebner_basis()]
-    n = I.ring.nvars
-    for i in range(n):
-        if not any(m[i] > 0 and all(m[j] == 0 for j in range(n) if j != i) for m in lead):
-            return False
-    return True
+    masks = {g.lead_entry().mask for g in I.groebner_basis()}
+    return all(1 << i in masks for i in range(I.ring.nvars))

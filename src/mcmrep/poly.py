@@ -8,6 +8,8 @@ variable order, with the weighted degree taken from the variable degrees.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, neg, sub
+from typing import NamedTuple
 
 
 class RingMismatchError(ValueError):
@@ -15,7 +17,7 @@ class RingMismatchError(ValueError):
 
 
 def monomial_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: tuple, b: tuple) -> bool:
@@ -25,15 +27,42 @@ def monomial_divides(a: tuple, b: tuple) -> bool:
 
 def monomial_div(a: tuple, b: tuple) -> tuple:
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_gcd(a: tuple, b: tuple) -> tuple:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
+
+
+def monomial_support(m: tuple) -> int:
+    """Bitmask of the variables of m: bit i is set iff m[i] > 0."""
+    mask = 0
+    for i, e in enumerate(m):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+class LeadEntry(NamedTuple):
+    """What a reducer search needs of a nonzero polynomial.
+
+    If m is divisible by lm then mask & ~monomial_support(m) == 0, so one
+    integer test rejects most non-divisors before the exact test on the
+    sparse (index, exponent) pairs in exps.  The tail holds every term but
+    the leading one, in the polynomial's own term order, as
+    (monomial, coefficient, weighted degree, support mask).
+    """
+
+    mask: int
+    exps: tuple
+    lm: tuple
+    lc: object
+    weight: int
+    tail: tuple
 
 
 class PolynomialRing:
@@ -71,15 +100,11 @@ class PolynomialRing:
         return self._index[name]
 
     def monomial_weight(self, m: tuple) -> int:
-        return sum(e * d for e, d in zip(m, self.degrees))
+        return sum(map(mul, m, self.degrees))
 
     def sort_key(self, m: tuple):
         """Weighted grevlex key: larger key = larger monomial."""
-        return (self.monomial_weight(m), tuple(-e for e in reversed(m)))
-
-    def descending_key(self, m: tuple):
-        """Reverse of sort_key: smaller key = larger monomial (max-heaps)."""
-        return (-self.monomial_weight(m), m[::-1])
+        return (self.monomial_weight(m), tuple(map(neg, reversed(m))))
 
     # -- constructors -------------------------------------------------
 
@@ -165,12 +190,13 @@ class PolynomialRing:
 class Polynomial:
     """Sparse polynomial: finite map monomial -> nonzero coefficient."""
 
-    __slots__ = ("ring", "terms", "_lm")
+    __slots__ = ("ring", "terms", "_lm", "_lead")
 
     def __init__(self, ring: PolynomialRing, terms: dict):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", dict(terms))
         object.__setattr__(self, "_lm", None)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
@@ -206,6 +232,21 @@ class Polynomial:
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
+
+    def lead_entry(self) -> LeadEntry:
+        """The reducer data of this polynomial, built on first use and cached
+        like the leading monomial; nonzero polynomials only."""
+        entry = self._lead
+        if entry is None:
+            lm = self.leading_monomial()
+            weight = self.ring.monomial_weight
+            tail = tuple(
+                (m, c, weight(m), monomial_support(m)) for m, c in self.terms.items() if m != lm
+            )
+            exps = tuple((i, e) for i, e in enumerate(lm) if e)
+            entry = LeadEntry(monomial_support(lm), exps, lm, self.terms[lm], weight(lm), tail)
+            object.__setattr__(self, "_lead", entry)
+        return entry
 
     def monic(self) -> "Polynomial":
         if self.is_zero():

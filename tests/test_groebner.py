@@ -16,11 +16,17 @@ from mcmrep.groebner import (
     ideal_membership,
     is_zero_dimensional,
     normal_form,
+    s_polynomial,
 )
 from mcmrep.poly import PolynomialRing, RingMismatchError, monomial_divides
 from mcmrep.repvariety import build_defining_ideal
 
-from oracles import naive_normal_form, naive_reduced_groebner, sympy_reduced_groebner
+from oracles import (
+    naive_normal_form,
+    naive_reduced_groebner,
+    naive_spoly,
+    sympy_reduced_groebner,
+)
 
 
 @pytest.fixture
@@ -84,6 +90,73 @@ def test_normal_form_term_cancels_then_returns(kxy):
     assert normal_form(f, [g1, g2]) == naive_normal_form(f, [g1, g2])
 
 
+@pytest.mark.parametrize("field,degrees", [
+    (QQ, (1, 1, 1)),
+    (GF(7), (1, 1, 1)),
+    (GF(32003), (1, 1, 1)),
+    (QQ, (1, 1, 2)),
+], ids=["QQ", "GF7", "GF32003", "QQ-weighted"])
+def test_normal_form_takes_first_divisor_in_basis_order(field, degrees):
+    # The bases are random and in general not Groebner bases, so the
+    # remainder depends on which divisor reduces each term: normal_form
+    # must take the first one in basis order, as the oracle does.
+    ring = PolynomialRing(field, ("x", "y", "z"), degrees)
+    rng = random.Random(23)
+    order_matters = 0
+    for _ in range(40):
+        basis = [random_poly(ring, rng, max_exp=2) for _ in range(rng.randint(2, 4))]
+        f = random_poly(ring, rng, max_terms=8)
+        expected = naive_normal_form(f, basis)
+        assert normal_form(f, basis) == expected
+        order_matters += naive_normal_form(f, basis[::-1]) != expected
+    # the cases tell a first-divisor rule from another reducer choice
+    assert order_matters >= 5
+
+
+def test_s_polynomial_matches_oracle():
+    ring = PolynomialRing(GF(7), ("x", "y", "z"), (1, 2, 1))
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(40):
+        f, g = random_poly(ring, rng), random_poly(ring, rng)
+        if f.is_zero() or g.is_zero():
+            continue
+        assert s_polynomial(f, g) == naive_spoly(f, g)
+        checked += 1
+    assert checked >= 20
+
+
+def test_support_mask_needs_the_exponent_test(kxy):
+    # the support of x^2 lies inside that of x*y, but x^2 does not divide it
+    x, y = kxy.gens()
+    assert normal_form(x * y, [x * x]) == x * y
+    assert normal_form(x * y + x**2 * y, [x * x, y * y]) == x * y
+    assert buchberger([x * x, x * y]) == [x * y, x * x]
+    assert component_monomials(kxy, ideal([x * x]), 2) == [(1, 1), (0, 2)]
+
+
+def test_support_masks_wider_than_a_machine_word():
+    # the reductions use only variables 64..69, so a mask cut to 64 bits
+    # would be 0 for every monomial in them and could not tell them apart
+    names = tuple(f"x{i}" for i in range(70))
+    ring = PolynomialRing(GF(32003), names)
+    a, b, c, d = (ring.variable(f"x{i}") for i in (64, 66, 68, 69))
+    assert d.lead_entry().mask == 1 << 69
+    assert normal_form(c * d + a, [d * d - b]) == c * d + a
+    assert normal_form(c * d * d + a, [d * d - b]) == b * c + a
+    gens = [d * d - a * b, c * d - a, b * c * c - d]
+    assert buchberger(gens) == naive_reduced_groebner(gens)
+    standard = component_monomials(ring, ideal([d * d, c * d]), 2)
+    assert len(standard) == 70 * 71 // 2 - 2
+    assert (d * d).leading_monomial() not in standard
+    assert (c * d).leading_monomial() not in standard
+    assert (b * d).leading_monomial() in standard
+    # a pure power of x69 has the mask 1 << 69
+    squares = [v * v for v in ring.gens()]
+    assert is_zero_dimensional(ideal(squares))
+    assert not is_zero_dimensional(ideal(squares[:-1] + [c * d]))
+
+
 def test_normal_form_trivial(kxy):
     x, y = kxy.gens()
     assert normal_form(x * x, [x * x]).is_zero()
@@ -114,6 +187,38 @@ def test_normal_form_ring_mismatch(kxy):
     other = PolynomialRing(QQ, ("x", "z"))
     with pytest.raises(RingMismatchError):
         normal_form(other.variable("x"), [kxy.variable("x")])
+
+
+def test_ring_mismatch_with_cached_lead_entries(kxy):
+    # a polynomial that has served as a reducer in its own ring carries a
+    # cached lead entry; that must not let it into another ring's reduction
+    x, y = kxy.gens()
+    other = PolynomialRing(QQ, ("x", "z"))
+    foreign = other.variable("x") * other.variable("z")
+    assert normal_form(foreign, [foreign]).is_zero()
+    I = ideal([x * x - y, x * y - x])
+    I.contains(x)
+    with pytest.raises(RingMismatchError):
+        I.contains(foreign)
+    with pytest.raises(RingMismatchError):
+        normal_form(foreign, I.groebner_basis())
+    with pytest.raises(RingMismatchError):
+        normal_form(x * y, [x, foreign])
+
+
+def test_contains_agrees_with_normal_form(kxy):
+    rng = random.Random(31)
+    x, y = kxy.gens()
+    I = ideal([x * x - y, x * y - x])
+    basis = I.groebner_basis()
+    members = 0
+    for _ in range(60):
+        f = random_poly(kxy, rng, max_terms=6)
+        if rng.random() < 0.5:
+            f = f * (x * x - y)
+        assert I.contains(f) == normal_form(f, basis).is_zero()
+        members += I.contains(f)
+    assert 10 <= members < 60
 
 
 def test_reduced_basis_is_permutation_invariant(kxy):

@@ -45,6 +45,20 @@ def test_equal_polynomials_hash_equal(ring):
     assert len({ring.constant(3), 3}) == 2
 
 
+def test_lead_entry_is_cached_outside_equality(ring):
+    x, y = ring.gens()
+    f = 3 * x * x * y + x * y - 2 * y
+    g = x * y - 2 * y + 3 * x * x * y
+    entry = f.lead_entry()
+    assert entry is f.lead_entry()
+    assert entry.mask == 0b11 and entry.exps == ((0, 2), (1, 1))
+    assert (entry.lm, entry.lc, entry.weight) == ((2, 1), 3, 3)
+    assert {t[0]: t[1:] for t in entry.tail} == {(1, 1): (1, 2, 0b11), (0, 1): (-2, 1, 0b10)}
+    # f carries a cached entry and g does not; they are still equal
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+
+
 def test_weighted_grevlex_leading_monomial():
     ring = PolynomialRing(QQ, ("x", "y"), (1, 2))
     x, y = ring.gens()
