@@ -36,7 +36,6 @@ from .orbits import (
     InvariantViolationError,
     are_isomorphic,
     enumerate_points,
-    group_order,
     is_indecomposable,
     orbit_partition,
 )

@@ -8,11 +8,11 @@ with M(i)_n = M_{n+i}, so S(-l) has its generator in degree l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groebner import IdealHandle, component_monomials, is_zero_dimensional
-from .poly import Polynomial, PolynomialRing, monomial_div, monomial_gcd
+from .groebner import IdealHandle, is_zero_dimensional
+from .poly import PolynomialRing, monomial_div, monomial_gcd
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class GradedAlgebra:
     ring: PolynomialRing
     relations: tuple
     normalization: tuple
+    _relation_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "relations", tuple(self.relations))
@@ -50,7 +51,11 @@ class GradedAlgebra:
         )
 
     def relation_ideal(self) -> IdealHandle:
-        return IdealHandle(self.ring, self.relations)
+        """The ideal of the relations in R.ring, one handle per algebra, so
+        that its reduced basis is computed once."""
+        if self._relation_ideal is None:
+            object.__setattr__(self, "_relation_ideal", IdealHandle(self.ring, self.relations))
+        return self._relation_ideal
 
 
 @dataclass(frozen=True)

@@ -44,17 +44,6 @@ def mat_mul(A, B):
     return tuple(out)
 
 
-def mat_pow(A, n, ring):
-    result = mat_identity(ring, len(A))
-    base = A
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
-
-
 def mat_is_zero(A):
     return all(e.is_zero() for row in A for e in row)
 

@@ -19,12 +19,11 @@ from .fields import GF, QQ, PrimeField
 from .graded import ShiftType, hom_entry_degrees
 from .groebner import buchberger
 from .linalg import determinant, kernel_basis, rref, solve
-from .matops import mat_adjugate, mat_det, mat_identity, mat_mul, mat_scale, mat_sub
+from .matops import mat_adjugate, mat_det, mat_identity, mat_mul, mat_scale
 from .poly import PolynomialRing, monomial_mul
 from .repvariety import (
     MatrixPoint,
     RepIdeal,
-    _coefficients_by_s_monomial,
     entry_slots,
     evaluate,
     matrix_of,
@@ -58,11 +57,17 @@ class HomComponentBasis:
     target: MatrixPoint
     slots: tuple  # coefficient slots of the generic map
     vectors: tuple  # basis coefficient vectors over k
-    basis: tuple  # basis matrices over S
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
+
+    @property
+    def basis(self) -> tuple:
+        """The basis vectors as matrices over S."""
+        s_ring = self.source.s_ring
+        d = len(self.source.shifts)
+        return tuple(matrix_of(s_ring, d, self.slots, v) for v in self.vectors)
 
     def element(self, coeffs):
         """The matrix sum_i coeffs[i] * basis[i]."""
@@ -116,8 +121,7 @@ def hom_component(mu: MatrixPoint, nu: MatrixPoint, e: int) -> HomComponentBasis
                 row[k] = field.add(row[k], c)
     rows = [rows_by_key[k] for k in sorted(rows_by_key)]
     vectors = kernel_basis(rows, len(slots), field)
-    basis = tuple(matrix_of(s_ring, d, slots, v) for v in vectors)
-    return HomComponentBasis(e, mu, nu, tuple(slots), tuple(tuple(v) for v in vectors), basis)
+    return HomComponentBasis(e, mu, nu, tuple(slots), tuple(tuple(v) for v in vectors))
 
 
 def identity_coefficients(E: HomComponentBasis):
@@ -133,26 +137,6 @@ def identity_coefficients(E: HomComponentBasis):
     # columns are the basis vectors
     rows = [[v[i] for v in E.vectors] for i in range(len(E.slots))]
     return solve(rows, id_vec, len(E.vectors), field)
-
-
-def _generic_element(E: HomComponentBasis):
-    """The matrix sum c_i alpha_i over k[c_1..c_r] (x) S, and the ring
-    k[c_1..c_r]."""
-    s_ring = E.source.s_ring
-    r = E.dimension
-    c_ring = PolynomialRing(s_ring.field, tuple(f"c{i + 1}" for i in range(r)))
-    big = PolynomialRing(s_ring.field, c_ring.names + s_ring.names, (1,) * r + s_ring.degrees)
-    d = len(E.source.shifts)
-    generic = [[big.zero() for _ in range(d)] for _ in range(d)]
-    for i, alpha in enumerate(E.basis):
-        c_exp = [0] * big.nvars
-        c_exp[i] = 1
-        c_var = big.monomial(tuple(c_exp))
-        for p in range(d):
-            for q in range(d):
-                emb = big.from_terms({(0,) * r + m: co for m, co in alpha[p][q].terms.items()})
-                generic[p][q] = generic[p][q] + c_var * emb
-    return tuple(tuple(row) for row in generic), c_ring
 
 
 def _shift_blocks(V: ShiftType):
@@ -566,13 +550,46 @@ def _reduce_point(pt: MatrixPoint, field) -> MatrixPoint:
     return MatrixPoint(pt.algebra, pt.shifts, mats)
 
 
+def _idempotency_system(E: HomComponentBasis, ring):
+    """The coefficients of G^2 - G for the generic element G = sum c_i alpha_i
+    of End_0, as polynomials in ring = k[c_1..c_r, w_rab]: one per slot
+    (p, q, m) in slot-key order, made monic and deduplicated.
+
+    Slot (p, t, m) of alpha_i with value x times slot (t, q, m') of alpha_j
+    with value y adds x y c_i c_j to slot (p, q, m m'), and each alpha_i
+    adds -c_i times its own entries."""
+    field = ring.field
+    c = [tuple(int(i == j) for j in range(ring.nvars)) for i in range(E.dimension)]  # c_i in ring
+    entries = [[(s, x) for s, x in zip(E.slots, v) if not field.is_zero(x)] for v in E.vectors]
+    by_row = [{} for _ in entries]  # per basis vector: row t -> [(column, monomial, value)]
+    for rows, vec in zip(by_row, entries):
+        for (t, q, m), y in vec:
+            rows.setdefault(t, []).append((q, m, y))
+    defect = {}
+
+    def add(slot, c_mono, x):
+        terms = defect.setdefault(slot, {})
+        terms[c_mono] = field.add(terms.get(c_mono, field.zero), x)
+
+    for i, vec in enumerate(entries):
+        for (p, t, m), x in vec:
+            add((p, t, m), c[i], field.neg(x))
+            for j, rows in enumerate(by_row):
+                c_mono = monomial_mul(c[i], c[j])
+                for q, m2, y in rows.get(t, ()):
+                    add((p, q, monomial_mul(m, m2)), c_mono, field.mul(x, y))
+    polys = (ring.from_terms(defect[slot]) for slot in sorted(defect))
+    return list(dict.fromkeys(g.monic() for g in polys if not g.is_zero()))
+
+
 def is_indecomposable(mu: MatrixPoint) -> bool:
     """True iff the only idempotent degree-0 endomorphisms of mu are 0 and
     the identity.
 
-    Forms the idempotency system for a generic element of End_0 and decides
-    whether its zero set is exactly {0, identity} by radical membership
-    (Rabinowitsch trick) of the two-point vanishing ideal."""
+    Forms the idempotency system for a generic element of End_0 from the
+    basis vectors over k and decides whether its zero set is exactly
+    {0, identity} by radical membership (Rabinowitsch trick) of the
+    two-point vanishing ideal."""
     d = mu.shifts.dimension
     if d == 0:
         return False
@@ -585,37 +602,25 @@ def is_indecomposable(mu: MatrixPoint) -> bool:
     if r == 1:
         return True  # End_0 = k, local endomorphism ring
 
-    G, c_ring = _generic_element(E)
-    defect = mat_sub(mat_mul(G, G), G)
-    idem_gens = []
-    seen = set()
-    for row in defect:
-        for entry in row:
-            for g in _coefficients_by_s_monomial(entry, r, c_ring):
-                g = g.monic()
-                if g not in seen:
-                    seen.add(g)
-                    idem_gens.append(g)
+    rab = PolynomialRing(field, tuple(f"c{i + 1}" for i in range(r)) + ("w_rab",))
+    idem_gens = _idempotency_system(E, rab)
 
     # sanity: 0 and identity are idempotent
-    zero_pt = [field.zero] * r
+    zero_pt = [field.zero] * (r + 1)
+    id_pt = list(id_coords) + [field.zero]
     for g in idem_gens:
-        if not field.is_zero(g.evaluate(zero_pt)) or not field.is_zero(g.evaluate(id_coords)):
+        if not field.is_zero(g.evaluate(zero_pt)) or not field.is_zero(g.evaluate(id_pt)):
             raise InvariantViolationError("0 or identity fails the idempotency system")
 
     # V(idem) == {0, identity}  iff  every generator of the two-point
     # vanishing ideal lies in the radical of the idempotency ideal
-    rab = PolynomialRing(field, c_ring.names + ("w_rab",))
-    lift = {n: rab.variable(n) for n in c_ring.names}
-    lifted = [g.substitute(lift) for g in idem_gens]
-    w = rab.variable("w_rab")
-    cs = [rab.variable(n) for n in c_ring.names]
+    *cs, w = rab.gens()
     for i in range(r):
         for j in range(r):
             target = cs[i] * (cs[j] - rab.constant(id_coords[j]))
             if target.is_zero():
                 continue
-            gb = buchberger(lifted + [rab.one() - w * target])
+            gb = buchberger(idem_gens + [rab.one() - w * target])
             if gb != [rab.one()]:
                 return False
     return True

@@ -353,35 +353,6 @@ class Polynomial:
             acc = F.add(acc, v)
         return F.coerce(acc)
 
-    def substitute(self, images: dict) -> "Polynomial":
-        """Substitute polynomials for variables (by name); others map across.
-
-        All image polynomials must live in one target ring that contains
-        images for every variable in this polynomial's support.
-        """
-        target = None
-        for img in images.values():
-            target = img.ring
-            break
-        if target is None:
-            raise ValueError("no substitution images given")
-        full = {}
-        for n in self.ring.names:
-            if n in images:
-                full[n] = images[n]
-            elif n in target._index:
-                full[n] = target.variable(n)
-            else:
-                raise ValueError(f"no image for variable {n}")
-        acc = target.zero()
-        for m, c in self.terms.items():
-            t = target.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    t = t * full[self.ring.names[i]] ** e
-            acc = acc + t
-        return acc
-
     def change_field(self, field) -> "Polynomial":
         """Map coefficients into another field (e.g. QQ -> F_p)."""
         ring = PolynomialRing(field, self.ring.names, self.ring.degrees)

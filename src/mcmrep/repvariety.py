@@ -10,12 +10,11 @@ affine space of unknown coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import QQ
 from .graded import GradedAlgebra, ShiftType, hom_entry_degrees, validate_presentation, verify_normalization
 from .groebner import IdealHandle
-from .matops import mat_add, mat_identity, mat_is_zero, mat_mul, mat_pow, mat_scale, mat_sub, mat_zero
+from .matops import mat_add, mat_identity, mat_is_zero, mat_mul, mat_scale, mat_sub, mat_zero
 from .poly import Polynomial, PolynomialRing
 
 
@@ -162,7 +161,9 @@ def relation_matrices(R: GradedAlgebra, d: int, matrices, ring, y_embed):
     matrices, at the given d x d matrices over `ring`.
 
     y_embed maps an S-exponent tuple to a `ring` exponent tuple.  Relation
-    monomials z^beta expand left-to-right in the fixed generator order.
+    monomials z^beta expand left-to-right in the fixed generator order, one
+    product per generator factor after the first; a pure-S term is the
+    identity.
     """
     out = []
     for rel in R.relations:
@@ -170,10 +171,12 @@ def relation_matrices(R: GradedAlgebra, d: int, matrices, ring, y_embed):
         for mono, coeff in rel.sorted_terms():
             z_exps, y_exps = _split_term(R, mono)
             scalar = ring.monomial(y_embed(y_exps), ring.field.coerce(coeff))
-            term = mat_identity(ring, d)
-            for i, e in enumerate(z_exps):
-                if e:
-                    term = mat_mul(term, mat_pow(matrices[i], e, ring))
+            term = None
+            for M, e in zip(matrices, z_exps):
+                for _ in range(e):
+                    term = M if term is None else mat_mul(term, M)
+            if term is None:
+                term = mat_identity(ring, d)
             acc = mat_add(acc, mat_scale(term, scalar))
         out.append(acc)
     for i in range(len(matrices)):

@@ -7,21 +7,29 @@ import random
 from fractions import Fraction
 
 from mcmrep.fields import GF, QQ, PrimeField
+from mcmrep.groebner import buchberger
 from mcmrep.linalg import kernel_basis
 from mcmrep.matops import mat_det, mat_mul, mat_sub
 from mcmrep.orbits import (
     EXHAUSTIVE_ISOM_CAP,
     SAMPLING_TRIALS,
     SYMBOLIC_DET_CAP,
+    HomComponentBasis,
     InvariantViolationError,
     _check_compatible,
-    _generic_element,
     conjugate,
     enumerate_group,
     hom_component,
+    identity_coefficients,
 )
 from mcmrep.poly import PolynomialRing
-from mcmrep.repvariety import assignment_of, entry_slots, evaluate, parameterize
+from mcmrep.repvariety import (
+    _coefficients_by_s_monomial,
+    assignment_of,
+    entry_slots,
+    evaluate,
+    parameterize,
+)
 
 
 # -- naive Buchberger, no selection strategy, no criteria ----------------
@@ -245,6 +253,90 @@ def matmul_hom_component(mu, nu, e):
                         row = rows.setdefault((gi, a, b, m), [field.zero] * len(slots))
                         row[k] = field.add(row[k], c)
     return slots, kernel_basis(list(rows.values()), len(slots), field)
+
+
+# -- generic elements of End_0 as Polynomial matrices ---------------------
+
+
+def _generic_element(E: HomComponentBasis):
+    """The matrix sum c_i alpha_i over k[c_1..c_r] (x) S, and the ring
+    k[c_1..c_r]."""
+    s_ring = E.source.s_ring
+    r = E.dimension
+    c_ring = PolynomialRing(s_ring.field, tuple(f"c{i + 1}" for i in range(r)))
+    big = PolynomialRing(s_ring.field, c_ring.names + s_ring.names, (1,) * r + s_ring.degrees)
+    d = len(E.source.shifts)
+    generic = [[big.zero() for _ in range(d)] for _ in range(d)]
+    for i, alpha in enumerate(E.basis):
+        c_exp = [0] * big.nvars
+        c_exp[i] = 1
+        c_var = big.monomial(tuple(c_exp))
+        for p in range(d):
+            for q in range(d):
+                emb = big.from_terms({(0,) * r + m: co for m, co in alpha[p][q].terms.items()})
+                generic[p][q] = generic[p][q] + c_var * emb
+    return tuple(tuple(row) for row in generic), c_ring
+
+
+def generic_element_idempotency_system(E):
+    """The monic, deduplicated coefficients of G^2 - G by entry and
+    S-monomial, for the generic element G of End_0 squared as a Polynomial
+    matrix over k[c_1..c_r] (x) S, lifted into k[c_1..c_r, w_rab]."""
+    r = E.dimension
+    G, c_ring = _generic_element(E)
+    defect = mat_sub(mat_mul(G, G), G)
+    idem_gens = []
+    seen = set()
+    for row in defect:
+        for entry in row:
+            for g in _coefficients_by_s_monomial(entry, r, c_ring):
+                g = g.monic()
+                if g not in seen:
+                    seen.add(g)
+                    idem_gens.append(g)
+    rab = PolynomialRing(c_ring.field, c_ring.names + ("w_rab",))
+    return [rab.from_terms({m + (0,): co for m, co in g.terms.items()}) for g in idem_gens]
+
+
+def generic_element_is_indecomposable(mu):
+    """True iff the only idempotent degree-0 endomorphisms of mu are 0 and
+    the identity, from generic_element_idempotency_system and radical
+    membership (Rabinowitsch trick) of the two-point vanishing ideal."""
+    d = mu.shifts.dimension
+    if d == 0:
+        return False
+    E = hom_component(mu, mu, 0)
+    r = E.dimension
+    field = mu.s_ring.field
+    id_coords = identity_coefficients(E)
+    if id_coords is None:
+        raise InvariantViolationError("identity not found in End_0 of a valid point")
+    if r == 1:
+        return True  # End_0 = k, local endomorphism ring
+
+    lifted = generic_element_idempotency_system(E)
+    rab = lifted[0].ring
+
+    # sanity: 0 and identity are idempotent
+    zero_pt = [field.zero] * (r + 1)
+    id_pt = list(id_coords) + [field.zero]
+    for g in lifted:
+        if not field.is_zero(g.evaluate(zero_pt)) or not field.is_zero(g.evaluate(id_pt)):
+            raise InvariantViolationError("0 or identity fails the idempotency system")
+
+    # V(idem) == {0, identity}  iff  every generator of the two-point
+    # vanishing ideal lies in the radical of the idempotency ideal
+    w = rab.variable("w_rab")
+    cs = [rab.variable(n) for n in rab.names[:r]]
+    for i in range(r):
+        for j in range(r):
+            target = cs[i] * (cs[j] - rab.constant(id_coords[j]))
+            if target.is_zero():
+                continue
+            gb = buchberger(lifted + [rab.one() - w * target])
+            if gb != [rab.one()]:
+                return False
+    return True
 
 
 # -- isomorphism through cofactor determinants of whole maps --------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mcmrep.groebner
 from mcmrep.cli import main
 
 X2_TEXT = "vars: x:1, y:1\nnormalization: y\nrelations: x^2\n"
@@ -38,6 +39,22 @@ def test_hilbert(capsys):
     code, out, _ = run(capsys, "hilbert", "--family", "x2")
     assert code == 0
     assert "1, 2, 2, 2, 2, 2, 2, 2" in out
+
+
+def test_hilbert_runs_buchberger_once(capsys, monkeypatch):
+    # the series and the per-degree consistency loop share the algebra's
+    # one relation ideal handle
+    runs = []
+    buchberger = mcmrep.groebner.buchberger
+
+    def counted(gens):
+        runs.append(gens)
+        return buchberger(gens)
+
+    monkeypatch.setattr(mcmrep.groebner, "buchberger", counted)
+    code, _, _ = run(capsys, "hilbert", "--family", "x2", "--degree-bound", "20")
+    assert code == 0
+    assert len(runs) == 1
 
 
 def test_repeqs(capsys):

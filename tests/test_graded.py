@@ -61,6 +61,17 @@ def test_hilbert_series_x2():
     assert H.expand(8) == [1, 2, 2, 2, 2, 2, 2, 2, 2]
 
 
+def test_relation_ideal_is_cached_outside_equality():
+    R = example_algebra_x2()
+    fresh = example_algebra_x2()
+    I = R.relation_ideal()
+    assert R.relation_ideal() is I
+    assert I.generators == R.relations
+    assert R == fresh and hash(R) == hash(fresh) and repr(R) == repr(fresh)
+    assert "Ideal" not in repr(R)
+    assert fresh.relation_ideal() is not I
+
+
 def test_hilbert_series_free_algebras():
     ky = GradedAlgebra(PolynomialRing(QQ, ("y",)), (), ("y",))
     assert hilbert_series(ky) == HilbertSeries.make({0: 1}, (1,))

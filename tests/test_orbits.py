@@ -15,6 +15,7 @@ from mcmrep.orbits import (
     _block_det,
     _conjugation_columns,
     _group_generators,
+    _idempotency_system,
     are_isomorphic,
     conjugate,
     enumerate_group,
@@ -42,6 +43,8 @@ from oracles import (
     brute_force_points,
     brute_force_x2_points,
     cofactor_are_isomorphic,
+    generic_element_idempotency_system,
+    generic_element_is_indecomposable,
     matmul_hom_component,
     sweep_orbit_partition,
 )
@@ -506,3 +509,65 @@ def test_conjugation_columns_match_conjugate(name, shifts, q):
             [(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units
         ]
         assert _conjugation_columns(ps, g) == expected
+
+
+def check_is_indecomposable_against_oracle(pt):
+    """is_indecomposable(pt), after checking that it equals the oracle's
+    answer and, when End_0 has dimension r > 1, that the idempotency system
+    equals the oracle's, generator for generator.  Returns (answer, r)."""
+    E = hom_component(pt, pt, 0)
+    if E.dimension > 1:
+        expected = generic_element_idempotency_system(E)
+        assert _idempotency_system(E, expected[0].ring) == expected
+    answer = is_indecomposable(pt)
+    assert answer == generic_element_is_indecomposable(pt)
+    return answer, E.dimension
+
+
+@pytest.mark.parametrize("name,shifts,q", [
+    ("x2", (0, 1, 2), 3), ("x2", (0, 0, 1), 3), ("x2", (0, 1, 1), 3), ("x2", (0, 1, 3), 3),
+    ("x2y2", (0, 0), 3), ("x2y2", (0, 0), 5),
+    ("xz", (0, 1), 3),
+    ("x2s2", (0, 1), 3),  # an entry holds several S-monomials
+])
+def test_is_indecomposable_matches_generic_element_oracle_on_census(name, shifts, q):
+    R = named_algebra(name)
+    V = ShiftType(shifts)
+    field = GF(q)
+    ps = parameterize(R, V, field)
+    census = orbit_partition(enumerate_points(build_defining_ideal(R, V), q), R, V, q)
+    results = [
+        check_is_indecomposable_against_oracle(evaluate(ps, o.representative, field))
+        for o in census.orbits
+    ]
+    assert any(r > 1 for _, r in results)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=["QQ", "GF7", "GF32003"])
+def test_is_indecomposable_matches_generic_element_oracle_on_conjugates(field):
+    # points over F_3 with coordinates read as 0, 1, -1 that are points over
+    # QQ, and so over F_7 and F_32003 too, each moved by a seeded element of
+    # G_V over the field
+    R = named_algebra("x2", field)
+    rng = random.Random(17)
+    results = []
+    for shifts in [(0, 1), (0, 2), (0, 0, 1)]:
+        V = ShiftType(shifts)
+        ps = parameterize(R, V, field)
+        lifted = (
+            tuple((0, 1, -1)[c] for c in v)
+            for v in enumerate_points(build_defining_ideal(named_algebra("x2"), V), 3)
+        )
+        points = [pt for pt in (evaluate(ps, v, field) for v in lifted) if validate_point(pt)]
+        slots = entry_slots(ps.s_ring, V, V, 0)
+        for pt in rng.sample(points, min(5, len(points))):
+            while True:
+                values = [rng.randint(-3, 3) for _ in slots]
+                try:
+                    g = GroupElement.from_matrix(V, matrix_of(ps.s_ring, len(V), slots, values))
+                    break
+                except ValueError:
+                    continue
+            results.append(check_is_indecomposable_against_oracle(conjugate(pt, g)))
+            assert results[-1][0] == is_indecomposable(pt)
+    assert {answer for answer, r in results if r > 1} == {True, False}

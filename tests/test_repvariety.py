@@ -6,6 +6,8 @@ from mcmrep.families import example_algebra_x2
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
 from mcmrep.groebner import ideal, ideal_equal, ideal_membership
+from mcmrep.matops import mat_add, mat_identity, mat_mul, mat_scale, mat_sub
+from mcmrep.parsing import parse_polynomial
 from mcmrep.poly import PolynomialRing
 from mcmrep.repvariety import (
     MatrixPoint,
@@ -13,6 +15,7 @@ from mcmrep.repvariety import (
     evaluate,
     parameterize,
     point_from_matrices,
+    relation_matrices,
     validate_point,
 )
 
@@ -117,6 +120,32 @@ def test_build_is_deterministic(R):
     assert [u.name for u in r1.parameter_space.unknowns] == [
         u.name for u in r2.parameter_space.unknowns
     ]
+
+
+@pytest.mark.parametrize("names,relations,expected", [
+    (("x", "y"), ("x^3",), lambda M, I, y: [mat_mul(mat_mul(M[0], M[0]), M[0])]),
+    (("x", "y"), ("x^2 + y^2",),  # a pure-S term
+     lambda M, I, y: [mat_add(mat_mul(M[0], M[0]), mat_scale(I, y * y))]),
+    (("x", "z", "y"), ("x^2", "x*z", "z^2"),  # a product of two generators, and a commutator
+     lambda M, I, y: [mat_mul(M[0], M[0]), mat_mul(M[0], M[1]), mat_mul(M[1], M[1]),
+                      mat_sub(mat_mul(M[0], M[1]), mat_mul(M[1], M[0]))]),
+], ids=["cube", "pure-S", "two-generators"])
+def test_relation_matrices_match_explicit_products(names, relations, expected):
+    ring = PolynomialRing(QQ, names)
+    A = GradedAlgebra(ring, tuple(parse_polynomial(ring, r) for r in relations), ("y",))
+    s_ring = A.s_ring()
+    y = s_ring.variable("y")
+    rng = random.Random(3)
+    d = 3
+    mats = [
+        tuple(
+            tuple(s_ring.constant(rng.randint(-2, 2)) + rng.randint(-2, 2) * y for _ in range(d))
+            for _ in range(d)
+        )
+        for _ in A.generator_names
+    ]
+    I = mat_identity(s_ring, d)
+    assert relation_matrices(A, d, mats, s_ring, tuple) == expected(mats, I, y)
 
 
 def test_validate_point_examples(R):
