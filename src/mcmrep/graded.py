@@ -24,6 +24,7 @@ class GradedAlgebra:
     relations: tuple
     normalization: tuple
     _relation_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
+    _normalization_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "relations", tuple(self.relations))
@@ -56,6 +57,14 @@ class GradedAlgebra:
         if self._relation_ideal is None:
             object.__setattr__(self, "_relation_ideal", IdealHandle(self.ring, self.relations))
         return self._relation_ideal
+
+    def normalization_ideal(self) -> IdealHandle:
+        """The ideal of the relations and the normalization variables, one
+        handle per algebra like relation_ideal()."""
+        if self._normalization_ideal is None:
+            gens = self.relations + tuple(self.ring.variable(n) for n in self.normalization)
+            object.__setattr__(self, "_normalization_ideal", IdealHandle(self.ring, gens))
+        return self._normalization_ideal
 
 
 @dataclass(frozen=True)
@@ -102,8 +111,7 @@ def validate_presentation(R: GradedAlgebra) -> list:
 def verify_normalization(R: GradedAlgebra) -> bool:
     """True iff R/(y_1..y_n)R is finite-dimensional over k, which certifies
     that R is module-finite over S."""
-    gens = list(R.relations) + [R.ring.variable(n) for n in R.normalization]
-    return is_zero_dimensional(IdealHandle(R.ring, gens))
+    return is_zero_dimensional(R.normalization_ideal())
 
 
 # -- integer polynomials in t (dict degree -> int) ----------------------

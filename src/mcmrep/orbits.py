@@ -16,14 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import GF, QQ, PrimeField
-from .graded import ShiftType, hom_entry_degrees
+from .graded import ShiftType
 from .groebner import buchberger
 from .linalg import determinant, kernel_basis, rref, solve
-from .matops import mat_adjugate, mat_det, mat_identity, mat_mul, mat_scale
-from .poly import PolynomialRing, monomial_mul
+from .matops import mat_det
+from .poly import PolynomialRing
 from .repvariety import (
     MatrixPoint,
     RepIdeal,
+    by_s_monomial,
+    coefficient_map,
+    compose,
     entry_slots,
     evaluate,
     matrix_of,
@@ -71,6 +74,8 @@ class HomComponentBasis:
 
     def element(self, coeffs):
         """The matrix sum_i coeffs[i] * basis[i]."""
+        if len(coeffs) != self.dimension:
+            raise ValueError(f"expected {self.dimension} coefficients, got {len(coeffs)}")
         s_ring = self.source.s_ring
         coeffs = [s_ring.field.coerce(c) for c in coeffs]
         vec = _combine(s_ring.field, coeffs, self.vectors, len(self.slots))
@@ -97,46 +102,42 @@ def hom_component(mu: MatrixPoint, nu: MatrixPoint, e: int) -> HomComponentBasis
     """Solve the intertwining conditions for a generic degree-e map and
     return a kernel basis.
 
-    The slot alpha = m E_pq contributes (alpha mu)[p][b] = m mu[q][b] and
-    (nu alpha)[a][q] = nu[a][p] m to alpha mu - nu alpha = 0, one row per
-    (generator, entry, S-monomial)."""
+    Column k of the system is alpha mu - nu alpha for the unit map alpha of
+    slot k, one row per (generator, entry, S-monomial)."""
     _check_compatible(mu, nu)
     s_ring = mu.s_ring
     field = s_ring.field
     V = mu.shifts
-    d = V.dimension
     slots = entry_slots(s_ring, V, V, e)
     rows_by_key = {}
     for gi, (M, N) in enumerate(zip(mu.matrices, nu.matrices)):
-        for k, (p, q, m) in enumerate(slots):
-            terms = [
-                ((gi, p, b, monomial_mul(m, t)), c)
-                for b in range(d) for t, c in M[q][b].terms.items()
-            ] + [
-                ((gi, a, q, monomial_mul(t, m)), field.neg(c))
-                for a in range(d) for t, c in N[a][p].terms.items()
-            ]
-            for key, c in terms:
-                row = rows_by_key.setdefault(key, [field.zero] * len(slots))
-                row[k] = field.add(row[k], c)
+        M = coefficient_map(M, s_ring)
+        minus_N = {key: field.neg(c) for key, c in coefficient_map(N, s_ring).items()}
+        for k, slot in enumerate(slots):
+            unit = {slot: field.one}
+            for values in (compose(unit, M, field), compose(minus_N, unit, field)):
+                for (a, b, m), c in values.items():
+                    row = rows_by_key.setdefault((gi, a, b, m), [field.zero] * len(slots))
+                    row[k] = field.add(row[k], c)
     rows = [rows_by_key[k] for k in sorted(rows_by_key)]
     vectors = kernel_basis(rows, len(slots), field)
     return HomComponentBasis(e, mu, nu, tuple(slots), tuple(tuple(v) for v in vectors))
 
 
+def _identity_vector(slots, field):
+    """The coefficient vector of the identity map in degree-0 slots, where
+    (p, p, m) is a slot only for the constant monomial m."""
+    return [field.one if p == q else field.zero for p, q, _ in slots]
+
+
 def identity_coefficients(E: HomComponentBasis):
     """Coordinates of the identity matrix in the basis of End_0, or None."""
     field = E.source.s_ring.field
-    zero_mono = (0,) * E.source.s_ring.nvars
-    id_vec = [
-        field.one if (p == q and mono == zero_mono) else field.zero
-        for (p, q, mono) in E.slots
-    ]
     if not E.vectors:
         return None
     # columns are the basis vectors
     rows = [[v[i] for v in E.vectors] for i in range(len(E.slots))]
-    return solve(rows, id_vec, len(E.vectors), field)
+    return solve(rows, _identity_vector(E.slots, field), len(E.vectors), field)
 
 
 def _shift_blocks(V: ShiftType):
@@ -240,24 +241,28 @@ class GroupElement:
             raise ValueError("matrix does not match the shift type")
         if d == 0:
             return GroupElement(shifts, matrix, matrix)
-        ring = matrix[0][0].ring
-        table = hom_entry_degrees(shifts, shifts, 0)
-        for p in range(d):
-            for q in range(d):
-                e = matrix[p][q]
-                if e.is_zero():
-                    continue
-                if table[p][q] < 0 or not e.is_homogeneous() or e.weighted_degree() != table[p][q]:
-                    raise ValueError(f"entry ({p + 1},{q + 1}) violates the degree-0 shape")
-        det = _block_det(shifts, lambda p, q: matrix[p][q].constant_coefficient(), ring.field)
-        if ring.field.is_zero(det):
+        s_ring = matrix[0][0].ring
+        field = s_ring.field
+        g = coefficient_map(matrix, s_ring)
+        slots = entry_slots(s_ring, shifts, shifts, 0)
+        index = {slot: k for k, slot in enumerate(slots)}
+        for p, q, m in g:
+            if (p, q, m) not in index:
+                raise ValueError(f"entry ({p + 1},{q + 1}) violates the degree-0 shape")
+        # the inverse h solves g h = 1; column k is g times the unit map of slot k
+        rows = [[field.zero] * len(slots) for _ in slots]
+        for k, slot in enumerate(slots):
+            for key, c in compose(g, {slot: field.one}, field).items():
+                rows[index[key]][k] = c
+        h = solve(rows, _identity_vector(slots, field), len(slots), field)
+        if h is None:
             raise ValueError("matrix is not invertible (a block of equal shifts is singular)")
-        inverse = mat_scale(mat_adjugate(matrix, ring), ring.constant(ring.field.inv(det)))
-        return GroupElement(shifts, matrix, inverse)
+        return GroupElement(shifts, matrix, matrix_of(s_ring, d, slots, h))
 
     @staticmethod
     def identity(shifts: ShiftType, s_ring) -> "GroupElement":
-        I = mat_identity(s_ring, len(shifts))
+        slots = entry_slots(s_ring, shifts, shifts, 0)
+        I = matrix_of(s_ring, len(shifts), slots, _identity_vector(slots, s_ring.field))
         return GroupElement(shifts, I, I)
 
 
@@ -265,8 +270,14 @@ def conjugate(pt: MatrixPoint, g: GroupElement) -> MatrixPoint:
     """Generator-wise g . mu(z_i) . g^{-1}."""
     if g.shifts != pt.shifts:
         raise ValueError("group element has a different shift type")
-    mats = tuple(mat_mul(mat_mul(g.matrix, M), g.inverse) for M in pt.matrices)
-    return MatrixPoint(pt.algebra, pt.shifts, mats)
+    s_ring = pt.s_ring
+    field = s_ring.field
+    G, G_inv = coefficient_map(g.matrix, s_ring), coefficient_map(g.inverse, s_ring)
+    mats = []
+    for M in pt.matrices:
+        values = compose(compose(G, coefficient_map(M, s_ring), field), G_inv, field)
+        mats.append(matrix_of(s_ring, len(pt.shifts), values.keys(), values.values()))
+    return MatrixPoint(pt.algebra, pt.shifts, tuple(mats))
 
 
 def _s_ring(q: int, s_degrees, s_names=None):
@@ -324,7 +335,7 @@ def _group_generators(V: ShiftType, s_ring):
     field = s_ring.field
     root = _primitive_root(field.p)
     slots = entry_slots(s_ring, V, V, 0)
-    identity = [field.one if p == q else field.zero for p, q, _ in slots]
+    identity = _identity_vector(slots, field)
     gens = []
     for k, (p, q, _) in enumerate(slots):
         vector, inverse = list(identity), list(identity)
@@ -443,24 +454,17 @@ def _conjugation_columns(ps, g: GroupElement):
     """Conjugation by g as a linear map on the coordinates F_q^n, one
     sparse column of sorted (index, value) pairs per unknown.
 
-    The unit point of unknown (z, p, q, m) is m E_pq in the matrix of z, and
-    g (m E_pq) g^-1 = sum_ij g[i][p] m g^-1[q][j] E_ij: the column is read
-    off the terms of those entries, each product monomial being the slot
-    (z, i, j, monomial)."""
-    q = ps.s_ring.field.p
+    The unit point of unknown (z, p, q, m) is m E_pq in the matrix of z:
+    its column is read off the coefficient map of g (m E_pq) g^-1."""
+    s_ring = ps.s_ring
+    field = s_ring.field
     index = {(u.generator, u.row, u.col, u.monomial): k for k, u in enumerate(ps.unknowns)}
-    d = len(g.matrix)
+    G, G_inv = coefficient_map(g.matrix, s_ring), coefficient_map(g.inverse, s_ring)
     columns = []
     for u in ps.unknowns:
-        acc = {}
-        for i in range(d):
-            for ti, ci in g.matrix[i][u.row].terms.items():
-                head = monomial_mul(ti, u.monomial)
-                for j in range(d):
-                    for tj, cj in g.inverse[u.col][j].terms.items():
-                        k = index[u.generator, i, j, monomial_mul(head, tj)]
-                        acc[k] = acc.get(k, 0) + ci * cj
-        columns.append(sorted((k, c % q) for k, c in acc.items() if c % q))
+        unit = {(u.row, u.col, u.monomial): field.one}
+        image = compose(compose(G, unit, field), G_inv, field)
+        columns.append(sorted((index[(u.generator,) + slot], c) for slot, c in image.items()))
     return columns
 
 
@@ -555,30 +559,21 @@ def _idempotency_system(E: HomComponentBasis, ring):
     of End_0, as polynomials in ring = k[c_1..c_r, w_rab]: one per slot
     (p, q, m) in slot-key order, made monic and deduplicated.
 
-    Slot (p, t, m) of alpha_i with value x times slot (t, q, m') of alpha_j
-    with value y adds x y c_i c_j to slot (p, q, m m'), and each alpha_i
-    adds -c_i times its own entries."""
+    G is the coefficient map with alpha_i's value at slot (p, q, m) at slot
+    (p, q, m c_i): its monomials are S-exponents followed by exponents of
+    ring's variables."""
     field = ring.field
-    c = [tuple(int(i == j) for j in range(ring.nvars)) for i in range(E.dimension)]  # c_i in ring
-    entries = [[(s, x) for s, x in zip(E.slots, v) if not field.is_zero(x)] for v in E.vectors]
-    by_row = [{} for _ in entries]  # per basis vector: row t -> [(column, monomial, value)]
-    for rows, vec in zip(by_row, entries):
-        for (t, q, m), y in vec:
-            rows.setdefault(t, []).append((q, m, y))
-    defect = {}
-
-    def add(slot, c_mono, x):
-        terms = defect.setdefault(slot, {})
-        terms[c_mono] = field.add(terms.get(c_mono, field.zero), x)
-
-    for i, vec in enumerate(entries):
-        for (p, t, m), x in vec:
-            add((p, t, m), c[i], field.neg(x))
-            for j, rows in enumerate(by_row):
-                c_mono = monomial_mul(c[i], c[j])
-                for q, m2, y in rows.get(t, ()):
-                    add((p, q, monomial_mul(m, m2)), c_mono, field.mul(x, y))
-    polys = (ring.from_terms(defect[slot]) for slot in sorted(defect))
+    G = {}
+    for i, v in enumerate(E.vectors):
+        c_i = tuple(int(i == j) for j in range(ring.nvars))
+        for (p, q, m), x in zip(E.slots, v):
+            if not field.is_zero(x):
+                G[p, q, m + c_i] = x
+    defect = compose(G, G, field)
+    for key, x in G.items():
+        defect[key] = field.sub(defect.get(key, field.zero), x)
+    by_slot = by_s_monomial(defect, E.source.s_ring.nvars)
+    polys = (ring.from_terms(by_slot[slot]) for slot in sorted(by_slot))
     return list(dict.fromkeys(g.monic() for g in polys if not g.is_zero()))
 
 

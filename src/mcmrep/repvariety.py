@@ -5,6 +5,9 @@ homogeneous of degree deg z_i + l_q - l_p.  Substituting generic matrices
 into the relations of R (and into all generator commutators) and extracting
 S-monomial coefficients yields the defining ideal of the variety in the
 affine space of unknown coefficients.
+
+Graded maps are handled as coefficient maps {(row, col, monomial): c} over
+k, and a product of maps is `compose`.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 from .fields import QQ
 from .graded import GradedAlgebra, ShiftType, hom_entry_degrees, validate_presentation, verify_normalization
 from .groebner import IdealHandle
-from .matops import mat_add, mat_identity, mat_is_zero, mat_mul, mat_scale, mat_sub, mat_zero
-from .poly import Polynomial, PolynomialRing
+from .poly import PolynomialRing, RingMismatchError, monomial_mul
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,44 @@ def matrix_of(s_ring, d, slots, vector):
     return tuple(tuple(s_ring.from_terms(entries[p][q]) for q in range(d)) for p in range(d))
 
 
+def coefficient_map(matrix, ring):
+    """The coefficients of a matrix over S = ring as a map {(row, col,
+    S-monomial): c} over k, nonzero values only.  An entry outside ring
+    raises RingMismatchError."""
+    out = {}
+    for p, row in enumerate(matrix):
+        for q, entry in enumerate(row):
+            if entry.ring is not ring and entry.ring != ring:
+                raise RingMismatchError(f"{entry.ring} vs {ring}")
+            for mono, c in entry.terms.items():
+                out[p, q, mono] = c
+    return out
+
+
+def compose(A, B, field):
+    """The product A . B of two coefficient maps over k: slot (p, t, m) of A
+    times slot (t, q, m') of B adds to slot (p, q, m m')."""
+    rows = {}
+    for (t, q, m), y in B.items():
+        rows.setdefault(t, []).append((q, m, y))
+    out = {}
+    for (p, t, m), x in A.items():
+        for q, m2, y in rows.get(t, ()):
+            key = (p, q, monomial_mul(m, m2))
+            out[key] = field.add(out.get(key, field.zero), field.mul(x, y))
+    return {key: c for key, c in out.items() if not field.is_zero(c)}
+
+
+def by_s_monomial(values, n):
+    """A coefficient map whose monomials are n S-exponents followed by the
+    exponents of unknowns, grouped as {(row, col, S-monomial): {unknowns'
+    monomial: c}}."""
+    groups = {}
+    for (p, q, m), c in values.items():
+        groups.setdefault((p, q, m[:n]), {})[m[n:]] = c
+    return groups
+
+
 def parameterize(R: GradedAlgebra, V: ShiftType, field=QQ) -> ParameterSpace:
     """Unknown coefficients in deterministic order: generators, then the
     entry slots of each generator's matrix."""
@@ -156,92 +196,53 @@ def _split_term(R: GradedAlgebra, monomial):
     return z_exps, tuple(y_exps)
 
 
-def relation_matrices(R: GradedAlgebra, d: int, matrices, ring, y_embed):
-    """Evaluate every relation of R, and every commutator of generator
-    matrices, at the given d x d matrices over `ring`.
+def _relation_maps(R: GradedAlgebra, d: int, maps, field, pad):
+    """The coefficient maps of every relation of R, and of every commutator
+    of two generators, at the generator maps `maps` of d x d matrices.
 
-    y_embed maps an S-exponent tuple to a `ring` exponent tuple.  Relation
-    monomials z^beta expand left-to-right in the fixed generator order, one
-    product per generator factor after the first; a pure-S term is the
-    identity.
-    """
+    A relation term c y^b z^beta is the scalar map c y^b times one generator
+    map per factor of z^beta, left to right in the fixed generator order;
+    the scalar's monomial is b followed by the exponents `pad`."""
     out = []
     for rel in R.relations:
-        acc = mat_zero(ring, d)
+        acc = {}
         for mono, coeff in rel.sorted_terms():
             z_exps, y_exps = _split_term(R, mono)
-            scalar = ring.monomial(y_embed(y_exps), ring.field.coerce(coeff))
-            term = None
-            for M, e in zip(matrices, z_exps):
+            term = {(p, p, y_exps + pad): field.coerce(coeff) for p in range(d)}
+            for M, e in zip(maps, z_exps):
                 for _ in range(e):
-                    term = M if term is None else mat_mul(term, M)
-            if term is None:
-                term = mat_identity(ring, d)
-            acc = mat_add(acc, mat_scale(term, scalar))
-        out.append(acc)
-    for i in range(len(matrices)):
-        for j in range(i + 1, len(matrices)):
-            out.append(
-                mat_sub(mat_mul(matrices[i], matrices[j]), mat_mul(matrices[j], matrices[i]))
-            )
+                    term = compose(term, M, field)
+            for key, c in term.items():
+                acc[key] = field.add(acc.get(key, field.zero), c)
+        out.append({key: c for key, c in acc.items() if not field.is_zero(c)})
+    for i, A in enumerate(maps):
+        for B in maps[i + 1:]:
+            acc = compose(A, B, field)
+            for key, c in compose(B, A, field).items():
+                acc[key] = field.sub(acc.get(key, field.zero), c)
+            out.append({key: c for key, c in acc.items() if not field.is_zero(c)})
     return out
 
 
 def build_defining_ideal(R: GradedAlgebra, V: ShiftType, field=QQ) -> RepIdeal:
-    """Substitute generic matrices into the relations and commutators and
-    extract S-monomial coefficients as ideal generators."""
+    """Substitute generic maps into the relations and commutators and
+    extract S-monomial coefficients as ideal generators.
+
+    The generic map of a generator puts its unknown u_k of slot (p, q, m)
+    at slot (p, q, m u_k): monomials are S-exponents followed by exponents
+    of the unknowns, and each (row, col, S-monomial) of a relation's map
+    holds one generator."""
     ps = parameterize(R, V, field)
-    n_u = len(ps.unknowns)
-    big = PolynomialRing(
-        field,
-        ps.ring.names + R.normalization,
-        ps.ring.degrees + R.normalization_degrees,
-    )
-    d = V.dimension
-
-    def y_embed(y_exps):
-        return (0,) * n_u + tuple(y_exps)
-
-    # generic matrices, entries sum of unknown * S-monomial
-    generic = []
-    for gi, z in enumerate(R.generator_names):
-        entries = [[big.zero() for _ in range(d)] for _ in range(d)]
-        for ui, u in enumerate(ps.unknowns):
-            if u.generator != z:
-                continue
-            exps = [0] * big.nvars
-            exps[ui] = 1
-            for k, e in enumerate(u.monomial):
-                exps[n_u + k] = e
-            entries[u.row][u.col] = entries[u.row][u.col] + big.monomial(tuple(exps))
-        generic.append(tuple(tuple(row) for row in entries))
-
-    gens = []
-    seen = set()
-    for mat in relation_matrices(R, d, generic, big, y_embed):
-        for row in mat:
-            for entry in row:
-                for g in _coefficients_by_s_monomial(entry, n_u, ps.ring):
-                    g = g.monic()
-                    if g not in seen:
-                        seen.add(g)
-                        gens.append(g)
-    gens.sort(key=lambda g: (g.ring.sort_key(g.leading_monomial()), tuple(g.sorted_terms())))
+    n_s, n_u = ps.s_ring.nvars, len(ps.unknowns)
+    generic = {z: {} for z in R.generator_names}
+    for k, u in enumerate(ps.unknowns):
+        u_k = tuple(int(i == k) for i in range(n_u))
+        generic[u.generator][u.row, u.col, u.monomial + u_k] = field.one
+    gens = set()
+    for values in _relation_maps(R, V.dimension, list(generic.values()), field, (0,) * n_u):
+        gens.update(ps.ring.from_terms(t).monic() for t in by_s_monomial(values, n_s).values())
+    gens = sorted(gens, key=lambda g: (ps.ring.sort_key(g.leading_monomial()), g.sorted_terms()))
     return RepIdeal(ps, IdealHandle(ps.ring, gens))
-
-
-def _coefficients_by_s_monomial(entry: Polynomial, n_u: int, u_ring: PolynomialRing):
-    """Group the terms of a big-ring polynomial by their S-monomial part and
-    return the coefficient polynomials in the unknowns-only ring."""
-    groups = {}
-    for m, c in entry.terms.items():
-        u_part, y_part = m[:n_u], m[n_u:]
-        groups.setdefault(y_part, {})[u_part] = c
-    return [
-        u_ring.from_terms(terms)
-        for _, terms in sorted(groups.items())
-        if any(not u_ring.field.is_zero(c) for c in terms.values())
-    ]
 
 
 def check_point_shape(pt: MatrixPoint):
@@ -278,10 +279,9 @@ def check_point_shape(pt: MatrixPoint):
 def validate_point(pt: MatrixPoint) -> bool:
     """True iff every relation matrix and every commutator vanishes at pt."""
     check_point_shape(pt)
-    R, V = pt.algebra, pt.shifts
-    ring = pt.s_ring
-    mats = relation_matrices(R, V.dimension, pt.matrices, ring, lambda y: tuple(y))
-    return all(mat_is_zero(m) for m in mats)
+    s_ring = pt.algebra.s_ring(pt.field)
+    maps = [coefficient_map(M, s_ring) for M in pt.matrices]
+    return not any(_relation_maps(pt.algebra, pt.shifts.dimension, maps, s_ring.field, ()))
 
 
 def evaluate(ps: ParameterSpace, assignment, field=None) -> MatrixPoint:
@@ -319,22 +319,16 @@ def assignment_of(ps: ParameterSpace, pt: MatrixPoint):
     s_ring = pt.s_ring
     if s_ring.names != tuple(ps.algebra.normalization):
         raise ValueError("matrix entries are not polynomials over S")
-    field = s_ring.field
-    slots = {(u.generator, u.row, u.col, u.monomial) for u in ps.unknowns}
+    values = {}
     for z, mat in zip(ps.algebra.generator_names, pt.matrices):
-        for p, row in enumerate(mat):
-            for q, e in enumerate(row):
-                for mono in e.terms:
-                    if (z, p, q, mono) not in slots:
-                        raise ValueError(
-                            f"entry {z}[{p + 1},{q + 1}] uses S-monomial outside the slot set"
-                        )
-    out = []
-    for u in ps.unknowns:
-        gi = ps.algebra.generator_names.index(u.generator)
-        entry = pt.matrices[gi][u.row][u.col]
-        out.append(entry.terms.get(u.monomial, field.zero))
-    return tuple(out)
+        for (p, q, mono), c in coefficient_map(mat, s_ring).items():
+            values[z, p, q, mono] = c
+    slots = [(u.generator, u.row, u.col, u.monomial) for u in ps.unknowns]
+    known = set(slots)
+    for z, p, q, mono in values:
+        if (z, p, q, mono) not in known:
+            raise ValueError(f"entry {z}[{p + 1},{q + 1}] uses S-monomial outside the slot set")
+    return tuple(values.get(slot, s_ring.field.zero) for slot in slots)
 
 
 def point_from_matrices(R: GradedAlgebra, V: ShiftType, matrices, field=QQ):

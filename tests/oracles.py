@@ -9,7 +9,7 @@ from fractions import Fraction
 from mcmrep.fields import GF, QQ, PrimeField
 from mcmrep.groebner import buchberger
 from mcmrep.linalg import kernel_basis
-from mcmrep.matops import mat_det, mat_mul, mat_sub
+from mcmrep.matops import mat_add, mat_det, mat_identity, mat_mul, mat_scale, mat_sub, mat_zero
 from mcmrep.orbits import (
     EXHAUSTIVE_ISOM_CAP,
     SAMPLING_TRIALS,
@@ -22,9 +22,11 @@ from mcmrep.orbits import (
     hom_component,
     identity_coefficients,
 )
+from mcmrep.groebner import IdealHandle
 from mcmrep.poly import PolynomialRing
 from mcmrep.repvariety import (
-    _coefficients_by_s_monomial,
+    RepIdeal,
+    _split_term,
     assignment_of,
     entry_slots,
     evaluate,
@@ -122,6 +124,79 @@ def sympy_reduced_groebner(gens):
         basis.append(ring.from_terms(terms).monic())
     basis.sort(key=lambda g: ring.sort_key(g.leading_monomial()))
     return basis
+
+
+# -- defining ideals by substitution into Polynomial matrices -------------
+
+
+def _coefficients_by_s_monomial(entry, n_u, u_ring):
+    """Group the terms of a big-ring polynomial by their S-monomial part and
+    return the coefficient polynomials in the unknowns-only ring."""
+    groups = {}
+    for m, c in entry.terms.items():
+        u_part, y_part = m[:n_u], m[n_u:]
+        groups.setdefault(y_part, {})[u_part] = c
+    return [
+        u_ring.from_terms(terms)
+        for _, terms in sorted(groups.items())
+        if any(not u_ring.field.is_zero(c) for c in terms.values())
+    ]
+
+
+def matmul_relation_matrices(R, d, matrices, ring, y_embed):
+    """Every relation of R, and every commutator of generator matrices, at
+    the given d x d matrices over `ring`, through mat_mul.
+
+    y_embed maps an S-exponent tuple to a `ring` exponent tuple.  Relation
+    monomials z^beta expand left to right in the fixed generator order; a
+    pure-S term is the identity."""
+    out = []
+    for rel in R.relations:
+        acc = mat_zero(ring, d)
+        for mono, coeff in rel.sorted_terms():
+            z_exps, y_exps = _split_term(R, mono)
+            scalar = ring.monomial(y_embed(y_exps), ring.field.coerce(coeff))
+            term = mat_identity(ring, d)
+            for M, e in zip(matrices, z_exps):
+                for _ in range(e):
+                    term = mat_mul(term, M)
+            acc = mat_add(acc, mat_scale(term, scalar))
+        out.append(acc)
+    for i in range(len(matrices)):
+        for j in range(i + 1, len(matrices)):
+            out.append(
+                mat_sub(mat_mul(matrices[i], matrices[j]), mat_mul(matrices[j], matrices[i]))
+            )
+    return out
+
+
+def substitution_defining_ideal(R, V, field=QQ):
+    """The defining ideal from generic matrices over k[u_1..u_n, y], the
+    unknowns first: the S-monomial coefficients of every relation matrix,
+    made monic, deduplicated and sorted by leading monomial, then terms."""
+    ps = parameterize(R, V, field)
+    n_u = len(ps.unknowns)
+    big = PolynomialRing(
+        field, ps.ring.names + R.normalization, ps.ring.degrees + R.normalization_degrees
+    )
+    d = V.dimension
+    generic = []
+    for z in R.generator_names:
+        entries = [[big.zero() for _ in range(d)] for _ in range(d)]
+        for ui, u in enumerate(ps.unknowns):
+            if u.generator == z:
+                exps = tuple(int(i == ui) for i in range(n_u)) + u.monomial
+                entries[u.row][u.col] = entries[u.row][u.col] + big.monomial(exps)
+        generic.append(tuple(tuple(row) for row in entries))
+    gens = []
+    for mat in matmul_relation_matrices(R, d, generic, big, lambda y: (0,) * n_u + tuple(y)):
+        for row in mat:
+            for entry in row:
+                for g in _coefficients_by_s_monomial(entry, n_u, ps.ring):
+                    if g.monic() not in gens:
+                        gens.append(g.monic())
+    gens.sort(key=lambda g: (g.ring.sort_key(g.leading_monomial()), tuple(g.sorted_terms())))
+    return RepIdeal(ps, IdealHandle(ps.ring, gens))
 
 
 # -- the running example: R = k[x,y]/(x^2), V = {0, 1} -------------------

@@ -70,6 +70,9 @@ def test_relation_ideal_is_cached_outside_equality():
     assert R == fresh and hash(R) == hash(fresh) and repr(R) == repr(fresh)
     assert "Ideal" not in repr(R)
     assert fresh.relation_ideal() is not I
+    N = R.normalization_ideal()
+    assert R.normalization_ideal() is N and fresh.normalization_ideal() is not N
+    assert "Ideal" not in repr(R)
 
 
 def test_hilbert_series_free_algebras():

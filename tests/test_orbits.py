@@ -27,7 +27,7 @@ from mcmrep.orbits import (
     orbit_partition,
 )
 from mcmrep.parsing import parse_polynomial
-from mcmrep.poly import PolynomialRing
+from mcmrep.poly import PolynomialRing, RingMismatchError
 from mcmrep.repvariety import (
     MatrixPoint,
     assignment_of,
@@ -82,6 +82,14 @@ def test_identity_always_in_end0(reps):
         coords = identity_coefficients(E)
         assert coords is not None
         assert E.element(coords) == mat_identity(nm.point.s_ring, 2)
+
+
+def test_element_rejects_wrong_coefficient_count(reps):
+    E = hom_component(reps[0].point, reps[0].point, 0)
+    assert E.dimension == 1
+    for coeffs in ([], [1, 1], [1, 1, 1]):
+        with pytest.raises(ValueError, match="expected 1 coefficients"):
+            E.element(coeffs)
 
 
 def test_no_invertible_hom_between_distinct_modules(reps):
@@ -187,6 +195,51 @@ def test_group_element_rejects_singular_and_misshaped(R):
         GroupElement.from_matrix(V01, ((s_ring.zero(), y), (s_ring.zero(), s_ring.constant(1))))
     with pytest.raises(ValueError, match="degree-0 shape"):
         GroupElement.from_matrix(V01, ((y, s_ring.zero()), (s_ring.zero(), s_ring.constant(1))))
+
+
+def test_mixed_rings_are_refused(R):
+    qq, f7 = R.s_ring(QQ), R.s_ring(GF(7))
+    mixed = ((qq.zero(), qq.zero()), (f7.one(), f7.zero()))
+    with pytest.raises(RingMismatchError):
+        validate_point(MatrixPoint(R, V01, (mixed,)))
+    with pytest.raises(RingMismatchError):
+        GroupElement.from_matrix(V01, ((qq.one(), f7.variable("y")), (qq.zero(), f7.one())))
+    g = GroupElement.from_matrix(V01, ((qq.one(), qq.variable("y")), (qq.zero(), qq.one())))
+    pt = MatrixPoint(R, V01, (((f7.zero(), f7.zero()), (f7.one(), f7.zero())),))
+    with pytest.raises(RingMismatchError):
+        conjugate(pt, g)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=["QQ", "GF7", "GF32003"])
+def test_conjugate_matches_matmul_oracle(field):
+    # seeded elements of G_V, the inverse checked on both sides, and the
+    # conjugate against explicit Polynomial matrix products
+    rng = random.Random(23)
+    for name, shifts in [("x2", (0, 1)), ("x2", (0, 1, 2)), ("x2", (0, 0, 1)), ("xz", (0, 1))]:
+        R = named_algebra(name, field)
+        V = ShiftType(shifts)
+        ps = parameterize(R, V, field)
+        lifted = (
+            tuple((0, 1, -1)[c] for c in v)
+            for v in enumerate_points(build_defining_ideal(named_algebra(name), V), 3)
+        )
+        points = [pt for pt in (evaluate(ps, v, field) for v in lifted) if validate_point(pt)]
+        slots = entry_slots(ps.s_ring, V, V, 0)
+        I = mat_identity(ps.s_ring, len(V))
+        for pt in rng.sample(points, min(6, len(points))):
+            while True:
+                values = [rng.randint(-3, 3) for _ in slots]
+                try:
+                    g = GroupElement.from_matrix(V, matrix_of(ps.s_ring, len(V), slots, values))
+                    break
+                except ValueError:
+                    continue
+            assert mat_mul(g.matrix, g.inverse) == I == mat_mul(g.inverse, g.matrix)
+            moved = conjugate(pt, g)
+            assert moved.matrices == tuple(
+                mat_mul(mat_mul(g.matrix, M), g.inverse) for M in pt.matrices
+            )
+            assert validate_point(moved)
 
 
 def test_indecomposability(R, reps):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import mcmrep.groebner
 from mcmrep.families import example_algebra_x2
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
@@ -11,15 +12,16 @@ from mcmrep.parsing import parse_polynomial
 from mcmrep.poly import PolynomialRing
 from mcmrep.repvariety import (
     MatrixPoint,
+    _relation_maps,
     build_defining_ideal,
+    coefficient_map,
     evaluate,
     parameterize,
     point_from_matrices,
-    relation_matrices,
     validate_point,
 )
 
-from oracles import square_generic_matrix_ideal
+from oracles import square_generic_matrix_ideal, substitution_defining_ideal
 
 V01 = ShiftType((0, 1))
 
@@ -80,6 +82,51 @@ def test_defining_ideal_matches_squaring_oracle(R):
     ring = rep.parameter_space.ring
     mapped = [ring.from_terms(dict(g.terms)) for g in oracle_gens]
     assert ideal_equal(rep.ideal, ideal(mapped, ring=ring))
+
+
+PRESENTATIONS = {
+    "x2": (("x", "y"), ("x^2",), ("y",)),
+    "x3": (("x", "y"), ("x^3",), ("y",)),
+    "xz": (("x", "z", "y"), ("x^2", "x*z", "z^2"), ("y",)),
+    "x2y2": (("x", "y"), ("x^2 + y^2",), ("y",)),
+    "x2s2": (("x", "y", "w"), ("x^2",), ("y", "w")),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(32003)], ids=["QQ", "GF3", "GF32003"])
+@pytest.mark.parametrize("name,types", [
+    ("x2", [(0,), (0, 1), (0, 0, 1), (0, 1, 2), (0, 1, 2, 3)]),
+    ("x3", [(0, 1), (0, 0, 1), (0, 1, 2)]),
+    ("xz", [(0, 1), (0, 0, 1)]),
+    ("x2y2", [(0, 0), (0, 1), (0, 0, 1)]),
+    ("x2s2", [(0, 1), (0, 0, 1)]),
+])
+def test_defining_ideal_matches_substitution_oracle(name, types, field):
+    # the same generators in the same order as substituting generic
+    # Polynomial matrices over k[u, y]
+    names, relations, normalization = PRESENTATIONS[name]
+    ring = PolynomialRing(field, names)
+    A = GradedAlgebra(ring, tuple(parse_polynomial(ring, r) for r in relations), normalization)
+    for shifts in types:
+        V = ShiftType(shifts)
+        rep = build_defining_ideal(A, V, field)
+        assert rep.ideal.generators == substitution_defining_ideal(A, V, field).ideal.generators
+        assert rep.ideal.generators
+
+
+def test_parameterize_verifies_normalization_once(R, monkeypatch):
+    # the algebra keeps its normalization ideal, so its basis is computed once
+    runs = []
+    buchberger = mcmrep.groebner.buchberger
+
+    def counted(gens):
+        runs.append(gens)
+        return buchberger(gens)
+
+    monkeypatch.setattr(mcmrep.groebner, "buchberger", counted)
+    parameterize(R, V01)
+    parameterize(R, ShiftType((0, 0, 1)), GF(5))
+    assert len(runs) == 1
 
 
 def test_published_variant_ideal_differs(R):
@@ -145,7 +192,10 @@ def test_relation_matrices_match_explicit_products(names, relations, expected):
         for _ in A.generator_names
     ]
     I = mat_identity(s_ring, d)
-    assert relation_matrices(A, d, mats, s_ring, tuple) == expected(mats, I, y)
+    maps = [coefficient_map(M, s_ring) for M in mats]
+    assert _relation_maps(A, d, maps, s_ring.field, ()) == [
+        coefficient_map(P, s_ring) for P in expected(mats, I, y)
+    ]
 
 
 def test_validate_point_examples(R):
