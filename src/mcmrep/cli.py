@@ -76,8 +76,16 @@ def _shifts(args) -> ShiftType:
     return ShiftType(tuple(int(p) for p in text.split(",")))
 
 
-def _assignment(text):
-    return [Fraction(p.strip()) for p in text.split(",")] if text.strip() else []
+def _point(ps, text):
+    """The point of ps whose unknowns take the comma-separated values."""
+    field = ps.ring.field
+    values = []
+    for part in text.split(",") if text.strip() else []:
+        try:
+            values.append(field.coerce(Fraction(part.strip())))
+        except ZeroDivisionError:
+            raise ValueError(f"coordinate {part.strip()!r} has no value in {field}") from None
+    return evaluate(ps, values)
 
 
 def _write_report(args, report):
@@ -113,8 +121,10 @@ def cmd_hilbert(args):
     problems = validate_presentation(R)
     if problems:
         raise AlgebraSemanticError(problems)
-    H = hilbert_series(R)
     D = args.degree_bound
+    if D < 0:
+        raise ValueError(f"--degree-bound must be nonnegative, not {D}")
+    H = hilbert_series(R)
     coeffs = H.expand(D)
     hp = hilbert_polynomial(H)
     print(f"series: {H}")
@@ -176,8 +186,7 @@ def cmd_check_point(args):
     R = _load_algebra(args)
     V = _shifts(args)
     ps = parameterize(R, V, _field(args))
-    values = _assignment(args.point)
-    pt = evaluate(ps, values)
+    pt = _point(ps, args.point)
     ok = validate_point(pt)
     print(f"valid point: {ok}")
     _write_report(args, {"command": "check-point", "valid": ok})
@@ -188,8 +197,8 @@ def cmd_isom(args):
     R = _load_algebra(args)
     V = _shifts(args)
     ps = parameterize(R, V, _field(args))
-    mu = evaluate(ps, _assignment(args.point1))
-    nu = evaluate(ps, _assignment(args.point2))
+    mu = _point(ps, args.point1)
+    nu = _point(ps, args.point2)
     for name, pt in (("point1", mu), ("point2", nu)):
         if not validate_point(pt):
             print(f"{name} is not a valid point")
@@ -204,7 +213,7 @@ def cmd_indec(args):
     R = _load_algebra(args)
     V = _shifts(args)
     ps = parameterize(R, V, _field(args))
-    pt = evaluate(ps, _assignment(args.point))
+    pt = _point(ps, args.point)
     if not validate_point(pt):
         print("point is not a valid point")
         return EXIT_VALIDATION

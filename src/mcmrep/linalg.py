@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 def rref(rows, ncols, field):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form; returns (rows, pivot column list).
+
+    Rows r and below are zero left of column c when column c is reached,
+    so the pivot row is scaled, and subtracted from the other rows, only on
+    its nonzero columns from c on."""
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -17,14 +21,16 @@ def rref(rows, ncols, field):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])
-                ]
+        row = rows[r]
+        inv = field.inv(row[c])
+        support = [j for j in range(c, ncols) if not field.is_zero(row[j])]
+        for j in support:
+            row[j] = field.mul(row[j], inv)
+        for i, other in enumerate(rows):
+            if i != r and not field.is_zero(other[c]):
+                factor = other[c]
+                for j in support:
+                    other[j] = field.sub(other[j], field.mul(factor, row[j]))
         pivots.append(c)
         r += 1
         if r == len(rows):

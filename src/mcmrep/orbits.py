@@ -8,6 +8,7 @@ generators suffices because they generate R over S and S acts by scalars.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -17,14 +18,12 @@ from fractions import Fraction
 
 from .fields import GF, QQ, PrimeField
 from .graded import ShiftType
-from .groebner import buchberger
 from .linalg import determinant, kernel_basis, rref, solve
 from .matops import mat_det
 from .poly import PolynomialRing
 from .repvariety import (
     MatrixPoint,
     RepIdeal,
-    by_s_monomial,
     coefficient_map,
     compose,
     entry_slots,
@@ -160,6 +159,16 @@ def _block_det(V: ShiftType, entry, field):
     return acc
 
 
+def _block_projection(E: HomComponentBasis):
+    """The projection of a degree-0 Hom space onto its constant blocks of
+    equal shifts (see _block_det): (slots, projected), the slots (p, q, m)
+    inside the blocks, in E's order, and the image of each basis vector of
+    E on them."""
+    V = E.source.shifts
+    block_slots = [k for k, (p, q, _) in enumerate(E.slots) if V.shifts[p] == V.shifts[q]]
+    return [E.slots[k] for k in block_slots], [[v[k] for k in block_slots] for v in E.vectors]
+
+
 def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint, seed: int = 0) -> bool:
     """True iff the degree-0 hom space from mu to nu contains an invertible
     matrix.
@@ -192,10 +201,9 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint, seed: int = 0) -> bool:
     if r == 0:
         return False
     field = mu.s_ring.field
-    block_slots = [k for k, (p, q, _) in enumerate(E.slots) if V.shifts[p] == V.shifts[q]]
-    pos = {E.slots[k][:2]: i for i, k in enumerate(block_slots)}
-    n = len(block_slots)
-    projected = [[v[k] for k in block_slots] for v in E.vectors]
+    slots, projected = _block_projection(E)
+    pos = {(p, q): i for i, (p, q, _) in enumerate(slots)}
+    n = len(slots)
 
     def invertible(vec):
         return not field.is_zero(_block_det(V, lambda p, q: vec[pos[p, q]], field))
@@ -554,68 +562,84 @@ def _reduce_point(pt: MatrixPoint, field) -> MatrixPoint:
     return MatrixPoint(pt.algebra, pt.shifts, mats)
 
 
-def _idempotency_system(E: HomComponentBasis, ring):
-    """The coefficients of G^2 - G for the generic element G = sum c_i alpha_i
-    of End_0, as polynomials in ring = k[c_1..c_r, w_rab]: one per slot
-    (p, q, m) in slot-key order, made monic and deduplicated.
+def _is_split_local(vectors, slots, blocks, field):
+    """True iff the algebra B spanned by vectors is k 1 + J with J
+    nilpotent.
 
-    G is the coefficient map with alpha_i's value at slot (p, q, m) at slot
-    (p, q, m c_i): its monomials are S-exponents followed by exponents of
-    ring's variables."""
-    field = ring.field
-    G = {}
-    for i, v in enumerate(E.vectors):
-        c_i = tuple(int(i == j) for j in range(ring.nvars))
-        for (p, q, m), x in zip(E.slots, v):
-            if not field.is_zero(x):
-                G[p, q, m + c_i] = x
-    defect = compose(G, G, field)
-    for key, x in G.items():
-        defect[key] = field.sub(defect.get(key, field.zero), x)
-    by_slot = by_s_monomial(defect, E.source.s_ring.nvars)
-    polys = (ring.from_terms(by_slot[slot]) for slot in sorted(by_slot))
-    return list(dict.fromkeys(g.monic() for g in polys if not g.is_zero()))
+    B lies in the product of the M_m(k) on the given blocks of indices: its
+    elements are coordinate vectors on slots, the slots (p, q, m) with p and
+    q in one block and m the constant monomial.  Each vector b of an
+    echelon basis of B must be lambda 1 plus a nilpotent for one lambda in
+    k, else the answer is False.  Over QQ, or from a block of size m prime
+    to p, lambda can only be trace / m; otherwise each lambda in F_p is
+    tried.  J is the span of the b - lambda 1, and a nilpotent subalgebra
+    of M_m(k) has J^m = 0, so the answer is True iff J^m = 0 for the
+    largest block size m; that also makes the algebra J generates
+    nilpotent."""
+    index = {slot: k for k, slot in enumerate(slots)}
+    diagonal = {p: k for k, (p, q, _) in enumerate(slots) if p == q}
+    one = _identity_vector(slots, field)
+    m = max(map(len, blocks))
+
+    def product(a, b):
+        A, B = ({slot: x for slot, x in zip(slots, v) if not field.is_zero(x)} for v in (a, b))
+        out = [field.zero] * len(slots)
+        for key, x in compose(A, B, field).items():
+            out[index[key]] = x
+        return out
+
+    def is_nilpotent(a):
+        power = a
+        for _ in range(m - 1):
+            power = product(power, a)
+        return all(field.is_zero(x) for x in power)
+
+    p = field.characteristic
+    block = next((blk for blk in blocks if p == 0 or len(blk) % p), None)
+    J = []
+    for b in rref(vectors, len(slots), field)[0]:
+        if block is None:
+            candidates = field.elements()
+        else:
+            trace = functools.reduce(field.add, (b[diagonal[i]] for i in block))
+            candidates = [field.div(trace, field.coerce(len(block)))]
+        shifted = ([field.sub(x, field.mul(lam, e)) for x, e in zip(b, one)] for lam in candidates)
+        nilpotent = next((a for a in shifted if is_nilpotent(a)), None)
+        if nilpotent is None:
+            return False
+        J.append(nilpotent)
+    power = rref(J, len(slots), field)[0]
+    for _ in range(m - 1):
+        power = rref([product(a, b) for a in power for b in J], len(slots), field)[0]
+    return not power
 
 
 def is_indecomposable(mu: MatrixPoint) -> bool:
-    """True iff the only idempotent degree-0 endomorphisms of mu are 0 and
-    the identity.
+    """True iff mu is absolutely indecomposable: End_0 (x) kbar has no
+    idempotents but 0 and the identity, that is, A = End_0 has A/rad A = k.
 
-    Forms the idempotency system for a generic element of End_0 from the
-    basis vectors over k and decides whether its zero set is exactly
-    {0, identity} by radical membership (Rabinowitsch trick) of the
-    two-point vanishing ideal."""
-    d = mu.shifts.dimension
-    if d == 0:
+    This is indecomposability over the algebraic closure, not over k: the
+    x2y2 point mu(x) = [[0, -y], [y, 0]] of type (0, 0) has End_0 = k[i]
+    with i^2 = -1, so it is indecomposable over QQ and decomposable over
+    kbar, and the answer is False; over F_2, End_0 = F_2[e] with e^2 = 0
+    is local, and the answer is True.
+
+    Decided by linear algebra over k.  The projection of A onto its
+    constant blocks of equal shifts (_block_projection) is an algebra map
+    onto B in the product of the M_m(k) whose kernel, the strictly block
+    upper triangular maps, is nilpotent.  So A/rad A = k iff B = k 1 + J
+    with J nilpotent (_is_split_local).  QQ and F_p are perfect, so
+    rad(A (x) kbar) = rad(A) (x) kbar and the answer over k is the one
+    over kbar."""
+    V = mu.shifts
+    if V.dimension == 0:
         return False
     E = hom_component(mu, mu, 0)
-    r = E.dimension
     field = mu.s_ring.field
-    id_coords = identity_coefficients(E)
-    if id_coords is None:
+    if identity_coefficients(E) is None:
         raise InvariantViolationError("identity not found in End_0 of a valid point")
-    if r == 1:
+    if E.dimension == 1:
         return True  # End_0 = k, local endomorphism ring
 
-    rab = PolynomialRing(field, tuple(f"c{i + 1}" for i in range(r)) + ("w_rab",))
-    idem_gens = _idempotency_system(E, rab)
-
-    # sanity: 0 and identity are idempotent
-    zero_pt = [field.zero] * (r + 1)
-    id_pt = list(id_coords) + [field.zero]
-    for g in idem_gens:
-        if not field.is_zero(g.evaluate(zero_pt)) or not field.is_zero(g.evaluate(id_pt)):
-            raise InvariantViolationError("0 or identity fails the idempotency system")
-
-    # V(idem) == {0, identity}  iff  every generator of the two-point
-    # vanishing ideal lies in the radical of the idempotency ideal
-    *cs, w = rab.gens()
-    for i in range(r):
-        for j in range(r):
-            target = cs[i] * (cs[j] - rab.constant(id_coords[j]))
-            if target.is_zero():
-                continue
-            gb = buchberger(idem_gens + [rab.one() - w * target])
-            if gb != [rab.one()]:
-                return False
-    return True
+    slots, projected = _block_projection(E)
+    return _is_split_local(projected, slots, _shift_blocks(V), field)

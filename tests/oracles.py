@@ -34,6 +34,35 @@ from mcmrep.repvariety import (
 )
 
 
+# -- Gauss-Jordan elimination on whole rows -------------------------------
+
+
+def dense_rref(rows, ncols, field):
+    """Reduced row echelon form, (rows, pivot column list), scaling and
+    subtracting whole rows."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if not field.is_zero(rows[i][c])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(x, inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not field.is_zero(rows[i][c]):
+                factor = rows[i][c]
+                rows[i] = [
+                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])
+                ]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
 # -- naive Buchberger, no selection strategy, no criteria ----------------
 
 

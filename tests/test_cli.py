@@ -93,6 +93,36 @@ def test_indec(capsys):
     assert code == 0 and "indecomposable: False" in out
 
 
+@pytest.mark.parametrize("field,bad", [("Q", "1/0,0,0,0"), ("Fp:7", "1/7,0,0,0")],
+                         ids=["Q", "Fp7"])
+@pytest.mark.parametrize("command,points", [
+    ("check-point", ("--point", None)),
+    ("indec", ("--point", None)),
+    ("isom", ("--point1", None, "--point2", "0,0,1,0")),
+    ("isom", ("--point1", "0,0,1,0", "--point2", None)),
+], ids=["check-point", "indec", "isom-point1", "isom-point2"])
+def test_point_without_a_value_is_refused(capsys, command, points, field, bad):
+    # 1/0 is no rational number, and 1/7 has no value in F_7
+    points = [bad if p is None else p for p in points]
+    code, out, err = run(capsys, command, "--family", "x2", "--field", field,
+                         "--shifts", "0,1", *points)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and bad.split(",")[0] in err
+
+
+def test_hilbert_refuses_negative_degree_bound(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    code, out, err = run(capsys, "hilbert", "--family", "x2", "--degree-bound", "-3",
+                         "--json", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--degree-bound" in err
+    assert not path.exists()
+    code, out, _ = run(capsys, "hilbert", "--family", "x2", "--degree-bound", "0")
+    assert code == 0 and "coefficients (t^0..t^0): 1\n" in out
+
+
 def test_census(capsys):
     code, out, _ = run(capsys, "census", "--family", "x2", "--shifts", "0,1", "--q", "5")
     assert code == 0

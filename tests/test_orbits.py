@@ -6,6 +6,7 @@ import pytest
 from mcmrep.families import example_algebra_x2, three_orbit_representatives
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
+from mcmrep.linalg import rref, solve
 from mcmrep.matops import mat_det, mat_identity, mat_is_zero, mat_mul, mat_sub, mat_zero
 from mcmrep.orbits import (
     EXHAUSTIVE_ISOM_CAP,
@@ -15,7 +16,7 @@ from mcmrep.orbits import (
     _block_det,
     _conjugation_columns,
     _group_generators,
-    _idempotency_system,
+    _is_split_local,
     are_isomorphic,
     conjugate,
     enumerate_group,
@@ -32,6 +33,7 @@ from mcmrep.repvariety import (
     MatrixPoint,
     assignment_of,
     build_defining_ideal,
+    compose,
     entry_slots,
     evaluate,
     matrix_of,
@@ -43,7 +45,6 @@ from oracles import (
     brute_force_points,
     brute_force_x2_points,
     cofactor_are_isomorphic,
-    generic_element_idempotency_system,
     generic_element_is_indecomposable,
     matmul_hom_component,
     sweep_orbit_partition,
@@ -566,12 +567,8 @@ def test_conjugation_columns_match_conjugate(name, shifts, q):
 
 def check_is_indecomposable_against_oracle(pt):
     """is_indecomposable(pt), after checking that it equals the oracle's
-    answer and, when End_0 has dimension r > 1, that the idempotency system
-    equals the oracle's, generator for generator.  Returns (answer, r)."""
+    answer.  Returns (answer, r) with r = dim End_0."""
     E = hom_component(pt, pt, 0)
-    if E.dimension > 1:
-        expected = generic_element_idempotency_system(E)
-        assert _idempotency_system(E, expected[0].ring) == expected
     answer = is_indecomposable(pt)
     assert answer == generic_element_is_indecomposable(pt)
     return answer, E.dimension
@@ -582,6 +579,8 @@ def check_is_indecomposable_against_oracle(pt):
     ("x2y2", (0, 0), 3), ("x2y2", (0, 0), 5),
     ("xz", (0, 1), 3),
     ("x2s2", (0, 1), 3),  # an entry holds several S-monomials
+    # blocks of size m with p | m: the eigenvalue is not trace / m
+    ("x2", (0, 0, 1), 2), ("x2", (0, 0, 0), 2), ("x2", (0, 0, 0), 3), ("x2y2", (0, 0), 2),
 ])
 def test_is_indecomposable_matches_generic_element_oracle_on_census(name, shifts, q):
     R = named_algebra(name)
@@ -594,6 +593,68 @@ def test_is_indecomposable_matches_generic_element_oracle_on_census(name, shifts
         for o in census.orbits
     ]
     assert any(r > 1 for _, r in results)
+
+
+@pytest.mark.parametrize("field,expected", [
+    (QQ, False), (GF(2), True), (GF(3), False), (GF(5), False), (GF(7), False), (GF(13), False),
+], ids=["QQ", "GF2", "GF3", "GF5", "GF7", "GF13"])
+def test_is_indecomposable_on_x2y2_rotation(field, expected):
+    # mu(x) = [[0, -y], [y, 0]] over k[x,y]/(x^2 + y^2): End_0 = k[i] with
+    # i^2 = -1.  Over kbar it splits, so the answer is False, also over QQ,
+    # F_3 and F_7 where k[i] is a field; over F_2, k[i] = F_2[e] with
+    # e = i + 1 and e^2 = 0 is local.
+    R = named_algebra("x2y2", field)
+    s_ring = R.s_ring(field)
+    y = s_ring.variable("y")
+    pt = MatrixPoint(R, ShiftType((0, 0)), (((s_ring.zero(), -y), (y, s_ring.zero())),))
+    assert validate_point(pt)
+    assert check_is_indecomposable_against_oracle(pt) == (expected, 2)
+
+
+BLOCK_SLOTS = [(p, q, (0,)) for p in range(4) for q in range(4)]
+
+
+def _as_map(rows):
+    return {(p, q, (0,)): x for p, row in enumerate(rows) for q, x in enumerate(row) if x}
+
+
+def _conjugated_tensor_algebra(field, P, basis):
+    """P (X (x) 1_2) P^-1 for X in the given basis of 2 x 2 matrices, as
+    coordinate vectors on BLOCK_SLOTS."""
+    columns = [solve(P, [int(i == j) for i in range(4)], 4, field) for j in range(4)]
+    P_inv = [[columns[j][i] for j in range(4)] for i in range(4)]
+    vectors = []
+    for X in basis:
+        T = [[X[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(4)] for i in range(4)]
+        Y = compose(compose(_as_map(P), _as_map(T), field), _as_map(P_inv), field)
+        vectors.append([field.coerce(Y.get(slot, 0)) for slot in BLOCK_SLOTS])
+    return vectors
+
+
+def test_split_local_test_needs_the_nilpotency_of_j():
+    # B = P (M_2(F_3) (x) 1_2) P^-1 is not local, yet P was chosen so that
+    # every vector of its echelon basis is lambda 1 plus a nilpotent: only
+    # J^4 != 0 shows it
+    field = GF(3)
+    blocks = [[0, 1, 2, 3]]
+    P = [[2, 2, 2, 1], [1, 0, 1, 1], [1, 1, 2, 0], [1, 0, 2, 1]]
+    units = [[[int((i, j) == (a, b)) for j in range(2)] for i in range(2)]
+             for a in range(2) for b in range(2)]
+    vectors = _conjugated_tensor_algebra(field, P, units)
+    for b in rref(vectors, 16, field)[0]:
+        b = _as_map([b[4 * i:4 * i + 4] for i in range(4)])
+        shifted = ({**b, **{(i, i, (0,)): field.sub(b.get((i, i, (0,)), 0), lam) for i in range(4)}}
+                   for lam in range(3))
+        assert any(not compose(compose(a, a, field), compose(a, a, field), field) for a in shifted)
+    assert not _is_split_local(vectors, BLOCK_SLOTS, blocks, field)
+    # the same conjugate of k[e] (x) 1_2, e^2 = 0, is local
+    local = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    assert _is_split_local(_conjugated_tensor_algebra(field, P, local), BLOCK_SLOTS, blocks, field)
+    # and M_2 (x) 1_2 unconjugated fails already at E_11 (x) 1_2
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert not _is_split_local(
+        _conjugated_tensor_algebra(field, identity, units), BLOCK_SLOTS, blocks, field
+    )
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=["QQ", "GF7", "GF32003"])
