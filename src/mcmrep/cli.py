@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation/semantic error, 2 budget refusal,
-3 internal invariant violation.
+Exit codes: 0 success, 1 validation/semantic error, 2 budget refusal or a
+command line the argument parser rejects, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .families import (
     rank_over_S,
     three_orbit_representatives,
 )
-from .fields import GF, QQ
 from .graded import (
     ShiftType,
     hilbert_polynomial,
@@ -39,7 +38,7 @@ from .orbits import (
     is_indecomposable,
     orbit_partition,
 )
-from .parsing import AlgebraSemanticError, AlgebraSyntaxError, parse_algebra_file
+from .parsing import AlgebraSemanticError, AlgebraSyntaxError, parse_algebra_file, parse_field
 from .repvariety import build_defining_ideal, evaluate, parameterize, validate_point
 
 EXIT_OK = 0
@@ -49,26 +48,20 @@ EXIT_INTERNAL = 3
 
 
 def _load_algebra(args):
-    if getattr(args, "family", None):
-        if args.family != "x2":
-            raise SystemExit(f"unknown family {args.family!r}")
-        return example_algebra_x2(_field(args))
-    if getattr(args, "algebra", None):
+    if args.family:
+        return example_algebra_x2()
+    if args.algebra:
         return parse_algebra_file(args.algebra)
     raise AlgebraSemanticError(["no algebra source given (use --family or --algebra)"])
 
 
 def _field(args):
-    spec = getattr(args, "field", None) or "Q"
-    if spec == "Q":
-        return QQ
-    if spec.startswith("Fp:"):
-        return GF(int(spec[3:]))
-    raise AlgebraSemanticError([f"unknown field {spec!r} (use Q or Fp:<p>)"])
+    """The field of the computation: --field, else None for R's own."""
+    return parse_field(args.field) if args.field else None
 
 
 def _shifts(args) -> ShiftType:
-    text = getattr(args, "shifts", None)
+    text = args.shifts
     if text is None:
         raise AlgebraSemanticError(["--shifts is required for this command"])
     if text.strip() == "":
@@ -76,20 +69,25 @@ def _shifts(args) -> ShiftType:
     return ShiftType(tuple(int(p) for p in text.split(",")))
 
 
-def _point(ps, text):
-    """The point of ps whose unknowns take the comma-separated values."""
+def _points(args, *texts):
+    """The points of R's parameter space of type --shifts, over the
+    computation's field, whose coordinates each text lists comma-separated."""
+    ps = parameterize(_load_algebra(args), _shifts(args), _field(args))
     field = ps.ring.field
-    values = []
-    for part in text.split(",") if text.strip() else []:
-        try:
-            values.append(field.coerce(Fraction(part.strip())))
-        except ZeroDivisionError:
-            raise ValueError(f"coordinate {part.strip()!r} has no value in {field}") from None
-    return evaluate(ps, values)
+    points = []
+    for text in texts:
+        values = []
+        for part in text.split(",") if text.strip() else []:
+            try:
+                values.append(field.coerce(Fraction(part.strip())))
+            except ZeroDivisionError:
+                raise ValueError(f"coordinate {part.strip()!r} has no value in {field}") from None
+        points.append(evaluate(ps, values))
+    return points
 
 
 def _write_report(args, report):
-    if getattr(args, "json", None):
+    if args.json:
         report = {"version": __version__, **report}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -183,10 +181,7 @@ def cmd_repeqs(args):
 
 
 def cmd_check_point(args):
-    R = _load_algebra(args)
-    V = _shifts(args)
-    ps = parameterize(R, V, _field(args))
-    pt = _point(ps, args.point)
+    pt, = _points(args, args.point)
     ok = validate_point(pt)
     print(f"valid point: {ok}")
     _write_report(args, {"command": "check-point", "valid": ok})
@@ -194,11 +189,7 @@ def cmd_check_point(args):
 
 
 def cmd_isom(args):
-    R = _load_algebra(args)
-    V = _shifts(args)
-    ps = parameterize(R, V, _field(args))
-    mu = _point(ps, args.point1)
-    nu = _point(ps, args.point2)
+    mu, nu = _points(args, args.point1, args.point2)
     for name, pt in (("point1", mu), ("point2", nu)):
         if not validate_point(pt):
             print(f"{name} is not a valid point")
@@ -210,10 +201,7 @@ def cmd_isom(args):
 
 
 def cmd_indec(args):
-    R = _load_algebra(args)
-    V = _shifts(args)
-    ps = parameterize(R, V, _field(args))
-    pt = _point(ps, args.point)
+    pt, = _points(args, args.point)
     if not validate_point(pt):
         print("point is not a valid point")
         return EXIT_VALIDATION
@@ -224,20 +212,16 @@ def cmd_indec(args):
 
 
 def cmd_census(args):
+    if args.budget < 0:
+        raise ValueError(f"--budget must be nonnegative, not {args.budget}")
     R = _load_algebra(args)
     V = _shifts(args)
     q = args.q
-    field = R.ring.field
-    for given in (field, _field(args)):
-        if given != QQ and given.p != q:
-            raise ValueError(
-                f"a census over F_{q} needs an algebra over Q or F_{q}, not F_{given.p}"
-            )
-    rep = build_defining_ideal(R, V, field)
+    rep = build_defining_ideal(R, V, _field(args))
     points = enumerate_points(rep, q, args.budget)
     named = None
-    if getattr(args, "family", None) == "x2" and V == ShiftType((0, 1)):
-        named = three_orbit_representatives(field)
+    if args.family and V == ShiftType((0, 1)):
+        named = three_orbit_representatives()
     census = orbit_partition(points, R, V, q, named_reps=named)
     print(f"q = {q}: {census.point_count} points, |G_V| = {census.group_order}")
     print(f"orbits: {census.orbit_count}")
@@ -287,12 +271,10 @@ def cmd_spread(args):
 def cmd_family(args):
     if args.module == "R":
         named = module_point_R()
-    elif args.module == "In":
-        if args.n is None:
-            raise AlgebraSemanticError(["--n is required for --module In"])
-        named = module_point_In(args.n)
+    elif args.n is None:
+        raise AlgebraSemanticError(["--n is required for --module In"])
     else:
-        raise AlgebraSemanticError([f"unknown module {args.module!r} (use R or In)"])
+        named = module_point_In(args.n)
     ok = validate_point(named.point)
     indec = is_indecomposable(named.point)
     H = hilbert_series_of_type(named.point.algebra.normalization_degrees, named.type)
@@ -317,16 +299,15 @@ def cmd_family(args):
 # -- argument plumbing -----------------------------------------------------
 
 
-def _add_common(p, shifts=False, need_algebra=True):
-    if need_algebra:
-        p.add_argument("--family", help="built-in algebra preset (x2)")
-        p.add_argument("--algebra", help="path to an algebra presentation file")
-    p.add_argument("--field", default="Q", help="Q or Fp:<p> (default Q)")
-    if shifts:
+def _add_algebra(p, points=False):
+    """--family and --algebra; with points, also the field and the type of
+    the parameter space."""
+    p.add_argument("--family", choices=["x2"], help="built-in algebra preset")
+    p.add_argument("--algebra", help="path to an algebra presentation file")
+    if points:
+        p.add_argument("--field", help="field of the computation, Q or Fp:<p> "
+                       "(default: the algebra's own field)")
         p.add_argument("--shifts", help="comma-separated shift multiset, e.g. 0,1")
-    p.add_argument("--json", help="write a machine-readable report to this path")
-    p.add_argument("--degree-bound", type=int, default=12, dest="degree_bound")
-    p.add_argument("--budget", type=int, default=10**7)
 
 
 def build_parser():
@@ -339,48 +320,46 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a presentation")
-    _add_common(p)
-    p.set_defaults(fn=cmd_validate)
+    def command(name, fn, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", help="write a machine-readable report to this path")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("hilbert", help="Hilbert series and polynomial")
-    _add_common(p)
-    p.set_defaults(fn=cmd_hilbert)
+    _add_algebra(command("validate", cmd_validate, "check a presentation"))
 
-    p = sub.add_parser("repeqs", help="defining ideal of the representation variety")
-    _add_common(p, shifts=True)
-    p.set_defaults(fn=cmd_repeqs)
+    p = command("hilbert", cmd_hilbert, "Hilbert series and polynomial")
+    _add_algebra(p)
+    p.add_argument("--degree-bound", type=int, default=12, dest="degree_bound")
 
-    p = sub.add_parser("check-point", help="validate a concrete point")
-    _add_common(p, shifts=True)
+    p = command("repeqs", cmd_repeqs, "defining ideal of the representation variety")
+    _add_algebra(p, points=True)
+
+    p = command("check-point", cmd_check_point, "validate a concrete point")
+    _add_algebra(p, points=True)
     p.add_argument("--point", required=True, help="comma-separated assignment values")
-    p.set_defaults(fn=cmd_check_point)
 
-    p = sub.add_parser("isom", help="decide isomorphism of two points")
-    _add_common(p, shifts=True)
+    p = command("isom", cmd_isom, "decide isomorphism of two points")
+    _add_algebra(p, points=True)
     p.add_argument("--point1", required=True)
     p.add_argument("--point2", required=True)
-    p.set_defaults(fn=cmd_isom)
 
-    p = sub.add_parser("indec", help="decide indecomposability of a point")
-    _add_common(p, shifts=True)
+    p = command("indec", cmd_indec, "decide indecomposability of a point")
+    _add_algebra(p, points=True)
     p.add_argument("--point", required=True)
-    p.set_defaults(fn=cmd_indec)
 
-    p = sub.add_parser("census", help="enumerate F_q points and orbits")
-    _add_common(p, shifts=True)
+    p = command("census", cmd_census, "enumerate F_q points and orbits")
+    _add_algebra(p, points=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(fn=cmd_census)
+    p.add_argument("--budget", type=int, default=10**7,
+                   help="largest number of point tuples to enumerate")
 
-    p = sub.add_parser("spread", help="generator degree spread and rank of a type")
-    _add_common(p, shifts=True, need_algebra=False)
-    p.set_defaults(fn=cmd_spread)
+    p = command("spread", cmd_spread, "generator degree spread and rank of a type")
+    p.add_argument("--shifts", help="comma-separated shift multiset, e.g. 0,1")
 
-    p = sub.add_parser("family", help="named module presets")
-    _add_common(p)
-    p.add_argument("--module", required=True, help="R or In")
+    p = command("family", cmd_family, "named module presets")
+    p.add_argument("--module", required=True, choices=["R", "In"])
     p.add_argument("--n", type=int)
-    p.set_defaults(fn=cmd_family)
 
     return parser
 

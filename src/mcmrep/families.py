@@ -35,11 +35,12 @@ def example_algebra_x2(field=QQ) -> GradedAlgebra:
     return GradedAlgebra(ring, (x * x,), ("y",))
 
 
-def _point(R: GradedAlgebra, shifts, entries, field=QQ) -> MatrixPoint:
-    """Point of the single-generator algebra from a matrix of S-exponents.
+def _point(R: GradedAlgebra, shifts, entries) -> MatrixPoint:
+    """Point of the single-generator algebra over its own field from a
+    matrix of S-exponents.
 
     entries[p][q] is None for zero or (coeff, y_exponent)."""
-    s_ring = R.s_ring(field)
+    s_ring = R.s_ring()
     d = len(shifts)
     rows = []
     for p in range(d):
@@ -54,7 +55,7 @@ def _point(R: GradedAlgebra, shifts, entries, field=QQ) -> MatrixPoint:
 def module_point_R(field=QQ) -> NamedModulePoint:
     """R as a module over itself: type {0, 1}, basis (1, x)."""
     R = example_algebra_x2(field)
-    pt = _point(R, (0, 1), [[None, None], [(1, 0), None]], field)
+    pt = _point(R, (0, 1), [[None, None], [(1, 0), None]])
     return NamedModulePoint("R", pt, ShiftType((0, 1)))
 
 
@@ -68,7 +69,7 @@ def module_point_In(n: int, field=QQ) -> NamedModulePoint:
     if n == 0:
         return module_point_R(field)
     R = example_algebra_x2(field)
-    pt = _point(R, (1, n), [[None, (1, n)], [None, None]], field)
+    pt = _point(R, (1, n), [[None, (1, n)], [None, None]])
     return NamedModulePoint(f"I_{n}", pt, ShiftType((1, n)))
 
 
@@ -77,14 +78,14 @@ def module_point_In_shifted(n: int, field=QQ) -> NamedModulePoint:
     if n < 1:
         raise ValueError("n must be >= 1")
     R = example_algebra_x2(field)
-    pt = _point(R, (0, n - 1), [[None, (1, n)], [None, None]], field)
+    pt = _point(R, (0, n - 1), [[None, (1, n)], [None, None]])
     return NamedModulePoint(f"I_{n}(1)", pt, ShiftType((0, n - 1)))
 
 
 def module_point_decomposable(field=QQ) -> NamedModulePoint:
     """The zero point of type {0, 1}: R/(x) (+) R/(x)(-1)."""
     R = example_algebra_x2(field)
-    pt = _point(R, (0, 1), [[None, None], [None, None]], field)
+    pt = _point(R, (0, 1), [[None, None], [None, None]])
     return NamedModulePoint("R/(x) (+) R/(x)(-1)", pt, ShiftType((0, 1)))
 
 

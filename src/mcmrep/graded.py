@@ -44,12 +44,18 @@ class GradedAlgebra:
         return self.ring.degrees[self.ring.var_index(name)]
 
     def s_ring(self, field=None) -> PolynomialRing:
-        """The normalization ring S = k[y_1..y_n]."""
-        return PolynomialRing(
-            field if field is not None else self.ring.field,
-            self.normalization,
-            self.normalization_degrees,
-        )
+        """The normalization ring S = k[y_1..y_n] over R's own field, or over
+        `field`: the one place a computation's field is checked.  A field
+        other than R's own must be a prime field, for R over Q reduced
+        modulo p."""
+        own = self.ring.field
+        if field is None:
+            field = own
+        elif field != own and own.characteristic:
+            raise ValueError(
+                f"an algebra over {own} is computed over {own} only, not over {field}"
+            )
+        return PolynomialRing(field, self.normalization, self.normalization_degrees)
 
     def relation_ideal(self) -> IdealHandle:
         """The ideal of the relations in R.ring, one handle per algebra, so

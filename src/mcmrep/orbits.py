@@ -169,7 +169,7 @@ def _block_projection(E: HomComponentBasis):
     return [E.slots[k] for k in block_slots], [[v[k] for k in block_slots] for v in E.vectors]
 
 
-def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint, seed: int = 0) -> bool:
+def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
     """True iff the degree-0 hom space from mu to nu contains an invertible
     matrix.
 
@@ -225,7 +225,7 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint, seed: int = 0) -> bool:
             for block in _shift_blocks(V)
         )
     sample_bound = max(2 * V.dimension, 97)  # det has degree <= d in the c's
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(SAMPLING_TRIALS):
         coeffs = [field.coerce(rng.randrange(sample_bound)) for _ in range(r)]
         if invertible(_combine(field, coeffs, projected, n)):
@@ -375,17 +375,17 @@ def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
     must be over F_q."""
     ps = rep.parameter_space
     n = len(ps.unknowns)
+    field = GF(q)
+    gens = rep.ideal.generators
+    if rep.ideal.ring.field == QQ:
+        gens = [_primitive(g) for g in gens if not g.is_zero()]
+    elif rep.ideal.ring.field != field:
+        raise ValueError(f"an ideal over F_{rep.ideal.ring.field.p} has no reduction to F_{q}")
     total = q**n
     if total > budget:
         raise BudgetExceededError(
             f"point enumeration needs {total} tuples (budget {budget})", total
         )
-    field = GF(q)
-    gens = rep.ideal.generators
-    if rep.ideal.ring.field == QQ:
-        gens = [_primitive(g) for g in gens if not g.is_zero()]
-    elif rep.ideal.ring.field.p != q:
-        raise ValueError(f"an ideal over F_{rep.ideal.ring.field.p} has no reduction to F_{q}")
     # each generator as (coefficient, unknowns with multiplicity) terms over
     # F_q, bucketed by the last unknown in its support
     buckets = [[] for _ in range(n + 1)]
@@ -517,7 +517,7 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
         raise InvariantViolationError("orbit sizes do not sum to the point count")
 
     # isomorphism classes among the orbit representatives
-    rep_points = [evaluate(ps, r[0], field) for r in records]
+    rep_points = [evaluate(ps, r[0]) for r in records]
     class_of = [-1] * len(rep_points)
     n_classes = 0
     for i in range(len(rep_points)):

@@ -37,6 +37,15 @@ class AlgebraSemanticError(ValueError):
         self.violations = list(violations)
 
 
+def parse_field(spec: str):
+    """The field named by a field spec: Q, or Fp:<p> for a prime p."""
+    spec = spec.strip()
+    m = re.fullmatch(r"Q|Fp:([0-9]+)", spec)
+    if not m:
+        raise ValueError(f"unknown field {spec!r} (use Q or Fp:<p>)")
+    return GF(int(m.group(1))) if m.group(1) else QQ
+
+
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*^()])")
 
 
@@ -155,16 +164,10 @@ def parse_algebra_text(text: str) -> GradedAlgebra:
         key, value = stripped.split(":", 1)
         key = key.strip().lower()
         if key == "field":
-            v = value.strip()
-            if v == "Q":
-                field = QQ
-            elif v.startswith("Fp:"):
-                try:
-                    field = GF(int(v[3:]))
-                except ValueError as exc:
-                    raise AlgebraSyntaxError(str(exc), i) from exc
-            else:
-                raise AlgebraSyntaxError(f"unknown field {v!r} (use Q or Fp:<p>)", i)
+            try:
+                field = parse_field(value)
+            except ValueError as exc:
+                raise AlgebraSyntaxError(str(exc), i) from exc
         elif key == "vars":
             var_line = (i, value)
         elif key == "normalization":

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import QQ
 from .graded import GradedAlgebra, ShiftType, hom_entry_degrees, validate_presentation, verify_normalization
 from .groebner import IdealHandle
 from .poly import PolynomialRing, RingMismatchError, monomial_mul
@@ -155,9 +154,10 @@ def by_s_monomial(values, n):
     return groups
 
 
-def parameterize(R: GradedAlgebra, V: ShiftType, field=QQ) -> ParameterSpace:
+def parameterize(R: GradedAlgebra, V: ShiftType, field=None) -> ParameterSpace:
     """Unknown coefficients in deterministic order: generators, then the
-    entry slots of each generator's matrix."""
+    entry slots of each generator's matrix.  The field is R's own unless
+    given (see GradedAlgebra.s_ring)."""
     _require_valid(R)
     s_ring = R.s_ring(field)
     unknowns = []
@@ -174,7 +174,7 @@ def parameterize(R: GradedAlgebra, V: ShiftType, field=QQ) -> ParameterSpace:
             Unknown(f"{prefix}{i + 1}", u.generator, u.row, u.col, u.monomial)
             for i, u in enumerate(unknowns)
         ]
-    ring = PolynomialRing(field, [u.name for u in unknowns], degrees)
+    ring = PolynomialRing(s_ring.field, [u.name for u in unknowns], degrees)
     return ParameterSpace(R, V, unknowns, ring, s_ring)
 
 
@@ -224,7 +224,7 @@ def _relation_maps(R: GradedAlgebra, d: int, maps, field, pad):
     return out
 
 
-def build_defining_ideal(R: GradedAlgebra, V: ShiftType, field=QQ) -> RepIdeal:
+def build_defining_ideal(R: GradedAlgebra, V: ShiftType, field=None) -> RepIdeal:
     """Substitute generic maps into the relations and commutators and
     extract S-monomial coefficients as ideal generators.
 
@@ -233,6 +233,7 @@ def build_defining_ideal(R: GradedAlgebra, V: ShiftType, field=QQ) -> RepIdeal:
     of the unknowns, and each (row, col, S-monomial) of a relation's map
     holds one generator."""
     ps = parameterize(R, V, field)
+    field = ps.ring.field
     n_s, n_u = ps.s_ring.nvars, len(ps.unknowns)
     generic = {z: {} for z in R.generator_names}
     for k, u in enumerate(ps.unknowns):
@@ -284,14 +285,14 @@ def validate_point(pt: MatrixPoint) -> bool:
     return not any(_relation_maps(pt.algebra, pt.shifts.dimension, maps, s_ring.field, ()))
 
 
-def evaluate(ps: ParameterSpace, assignment, field=None) -> MatrixPoint:
-    """Concrete point from a total assignment of the unknowns.
+def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
+    """Concrete point over the field of ps from a total assignment of the
+    unknowns.
 
     assignment is a sequence aligned with ps.unknowns or a dict keyed by
     unknown name.  Inverse to point_from_matrices on conforming points.
     """
-    if field is None:
-        field = ps.ring.field
+    field = ps.ring.field
     if isinstance(assignment, dict):
         missing = [u.name for u in ps.unknowns if u.name not in assignment]
         if missing:
@@ -303,8 +304,7 @@ def evaluate(ps: ParameterSpace, assignment, field=None) -> MatrixPoint:
             raise ValueError(
                 f"assignment has {len(values)} entries, expected {len(ps.unknowns)}"
             )
-    R, V = ps.algebra, ps.shifts
-    s_ring = R.s_ring(field)
+    R, V, s_ring = ps.algebra, ps.shifts, ps.s_ring
     mats = []
     for z in R.generator_names:
         slots = entry_slots(s_ring, V, V, R.generator_degree(z))
@@ -331,7 +331,7 @@ def assignment_of(ps: ParameterSpace, pt: MatrixPoint):
     return tuple(values.get(slot, s_ring.field.zero) for slot in slots)
 
 
-def point_from_matrices(R: GradedAlgebra, V: ShiftType, matrices, field=QQ):
+def point_from_matrices(R: GradedAlgebra, V: ShiftType, matrices, field=None):
     """Read off the assignment vector of explicit matrices over S."""
     pt = MatrixPoint(R, V, tuple(matrices))
     ps = parameterize(R, V, pt.field if pt.matrices else field)

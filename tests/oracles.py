@@ -326,7 +326,7 @@ def sweep_orbit_partition(points, R, V, q):
     for vec in sorted(points):
         if vec not in remaining:
             continue
-        pt = evaluate(ps, vec, field)
+        pt = evaluate(ps, vec)
         images = [assignment_of(ps, conjugate(pt, g)) for g in group]
         orbit = set(images)
         remaining -= orbit

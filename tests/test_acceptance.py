@@ -108,7 +108,7 @@ def test_criterion_3_finiteness_at_desk_scale():
             ps = parameterize(R, V01, field)
             class_reps = []
             for v in oracle_points:
-                pt = evaluate(ps, v, field)
+                pt = evaluate(ps, v)
                 if not any(are_isomorphic(pt, rp) for rp in class_reps):
                     class_reps.append(pt)
             assert len(class_reps) == 3
@@ -163,7 +163,7 @@ def test_criterion_6_property_suites():
         valid5 = enumerate_points(rep, 5)
         group5 = enumerate_group(V01, 5, (1,), s_names=("y",))
         for _ in range(100):
-            pt = evaluate(ps5, rng.choice(valid5), field)
+            pt = evaluate(ps5, rng.choice(valid5))
             g = rng.choice(group5)
             assert validate_point(conjugate(pt, g))
         # (b) point/equation consistency, 100 random assignments
@@ -176,7 +176,7 @@ def test_criterion_6_property_suites():
         # (c) isomorphism relation on the q = 3 census
         field3 = GF(3)
         ps3 = parameterize(R, V01, field3)
-        pts3 = [evaluate(ps3, v, field3) for v in enumerate_points(rep, 3)]
+        pts3 = [evaluate(ps3, v) for v in enumerate_points(rep, 3)]
         for p in pts3:
             assert are_isomorphic(p, p)
         for a, b in itertools.combinations(pts3, 2):

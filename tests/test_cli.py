@@ -1,11 +1,44 @@
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 import mcmrep.groebner
-from mcmrep.cli import main
+from mcmrep.cli import build_parser, main
 
+ROOT = Path(__file__).resolve().parents[1]
 X2_TEXT = "vars: x:1, y:1\nnormalization: y\nrelations: x^2\n"
+X2_Q = str(ROOT / "perfbench" / "data" / "x2_Q.alg")
+F3_TEXT = "field: Fp:3\nvars: x:1, y:1\nnormalization: y\nrelations: x^2 + 2*y^2\n"
+
+# subcommand -> the options it reads, and a minimal runnable argument list
+_POINT_SPACE = {"--family", "--algebra", "--field", "--shifts", "--json"}
+OPTIONS = {
+    "validate": {"--family", "--algebra", "--json"},
+    "hilbert": {"--family", "--algebra", "--json", "--degree-bound"},
+    "repeqs": _POINT_SPACE,
+    "check-point": _POINT_SPACE | {"--point"},
+    "indec": _POINT_SPACE | {"--point"},
+    "isom": _POINT_SPACE | {"--point1", "--point2"},
+    "census": _POINT_SPACE | {"--q", "--budget"},
+    "spread": {"--shifts", "--json"},
+    "family": {"--module", "--n", "--json"},
+}
+BASE_ARGS = {
+    "validate": ["--family", "x2"],
+    "hilbert": ["--family", "x2"],
+    "repeqs": ["--family", "x2", "--shifts", "0,1"],
+    "check-point": ["--family", "x2", "--shifts", "0,1", "--point", "0,0,1,0"],
+    "indec": ["--family", "x2", "--shifts", "0,1", "--point", "0,0,1,0"],
+    "isom": ["--family", "x2", "--shifts", "0,1", "--point1", "0,0,1,0", "--point2", "0,0,2,0"],
+    "census": ["--family", "x2", "--shifts", "0,1", "--q", "3"],
+    "spread": ["--shifts", "1,4"],
+    "family": ["--module", "R"],
+}
+DROPPED_VALUES = {"--family": "x2", "--algebra": X2_Q, "--field": "Fp:5",
+                  "--degree-bound": "12", "--budget": "1000"}
 
 
 def run(capsys, *argv):
@@ -207,3 +240,101 @@ def test_repeqs_json_schema(tmp_path, capsys):
         "name": "u1", "generator": "x", "row": 1, "col": 1, "monomial": [1],
     }
     assert len(report["generators"]) == 4
+
+
+def _declared_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_declares_the_options_it_reads():
+    declared = _declared_options()
+    assert declared == OPTIONS
+    assert sum(len(options) for options in declared.values()) == 43
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option)
+    for command in OPTIONS
+    for option in sorted(set(DROPPED_VALUES) - OPTIONS[command])
+], ids=lambda x: x)
+def test_option_a_subcommand_does_not_read_is_refused(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *BASE_ARGS[command], option, DROPPED_VALUES[option]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--family", "x3"],
+    ["family", "--module", "I"],
+], ids=["family", "module"])
+def test_preset_names_outside_their_choices_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_algebra_file_computes_over_its_own_field(tmp_path, capsys):
+    # x = [[0, y], [y, 0]] squares to y^2, a point over F_3 but not over QQ
+    path = tmp_path / "f3.alg"
+    path.write_text(F3_TEXT)
+    argv = ["check-point", "--algebra", str(path), "--shifts", "0,0", "--point", "0,1,1,0"]
+    assert run(capsys, *argv) == (0, "valid point: True\n", "")
+    for field in ("Q", "Fp:5"):
+        code, out, err = run(capsys, *argv, "--field", field)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "GF(3)" in err
+
+
+@pytest.mark.parametrize("point", ["0,0,1,0", "1,0,0,0", "0,0,1/2,0", "0,3,-1,0"])
+def test_algebra_over_Q_reduces_modulo_p(capsys, point):
+    args = ["--field", "Fp:5", "--shifts", "0,1", "--point", point]
+    from_file = run(capsys, "check-point", "--algebra", X2_Q, *args)
+    from_preset = run(capsys, "check-point", "--family", "x2", *args)
+    assert from_file == from_preset
+
+
+@pytest.mark.parametrize("spec", ["Fp:abc", "F7", "Fp:"])
+def test_bad_field_spec_is_refused(capsys, spec):
+    code, out, err = run(capsys, "repeqs", "--family", "x2", "--field", spec,
+                         "--shifts", "0,1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: unknown field {spec!r} (use Q or Fp:<p>)\n"
+
+
+def test_census_refuses_negative_budget(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    code, out, err = run(capsys, "census", "--family", "x2", "--shifts", "0,1", "--q", "5",
+                         "--budget", "-5", "--json", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--budget" in err
+    assert not path.exists()
+
+
+def _readme_cli_lines():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mcmrep ")]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    lines = _readme_cli_lines()
+    assert sorted(argv[0] for argv in lines) == sorted(OPTIONS)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        # every option of the subcommand, with one of --family and --algebra
+        declared = OPTIONS[argv[0]]
+        used = {a for a in argv if a.startswith("--")}
+        assert used in ([declared - {s} for s in declared & {"--family", "--algebra"}]
+                         or [declared])
+        argv = [str(ROOT / a) if (ROOT / a).is_file() else a for a in argv]
+        assert run(capsys, *argv)[0] == 0, argv

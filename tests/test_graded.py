@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mcmrep.families import example_algebra_x2
-from mcmrep.fields import QQ
+from mcmrep.fields import GF, QQ
 from mcmrep.graded import (
     GradedAlgebra,
     HilbertSeries,
@@ -59,6 +59,18 @@ def test_hilbert_series_x2():
     expected = HilbertSeries.make({0: 1, 1: 1}, (1,))  # (1+t)/(1-t)
     assert H == expected
     assert H.expand(8) == [1, 2, 2, 2, 2, 2, 2, 2, 2]
+
+
+def test_s_ring_takes_the_algebras_field_or_a_prime_field_over_Q():
+    R = example_algebra_x2()
+    assert R.s_ring().field == QQ
+    assert R.s_ring(GF(7)).field == GF(7)
+    R3 = example_algebra_x2(GF(3))
+    assert R3.s_ring().field == R3.s_ring(GF(3)).field == GF(3)
+    with pytest.raises(ValueError, match=r"GF\(3\) .* QQ"):
+        R3.s_ring(QQ)
+    with pytest.raises(ValueError, match=r"GF\(3\) .* GF\(5\)"):
+        R3.s_ring(GF(5))
 
 
 def test_relation_ideal_is_cached_outside_equality():

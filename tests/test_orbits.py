@@ -224,7 +224,7 @@ def test_conjugate_matches_matmul_oracle(field):
             tuple((0, 1, -1)[c] for c in v)
             for v in enumerate_points(build_defining_ideal(named_algebra(name), V), 3)
         )
-        points = [pt for pt in (evaluate(ps, v, field) for v in lifted) if validate_point(pt)]
+        points = [pt for pt in (evaluate(ps, v) for v in lifted) if validate_point(pt)]
         slots = entry_slots(ps.s_ring, V, V, 0)
         I = mat_identity(ps.s_ring, len(V))
         for pt in rng.sample(points, min(6, len(points))):
@@ -373,7 +373,7 @@ def test_hom_component_matches_matmul_oracle(name, field):
         tuple((0, 1, -1)[c] for c in v)
         for v in enumerate_points(build_defining_ideal(named_algebra(name), V), 3)
     )
-    points = [pt for pt in (evaluate(ps, v, field) for v in lifted) if validate_point(pt)]
+    points = [pt for pt in (evaluate(ps, v) for v in lifted) if validate_point(pt)]
     sample = [points[0]] + random.Random(7).sample(points[1:], 4)
     dimensions = set()
     for mu, nu in itertools.permutations(sample, 2):
@@ -404,13 +404,13 @@ def test_orbit_members_pairwise_isomorphic(R):
     group = enumerate_group(V01, q, (1,), s_names=("y",))
     # reconstruct each orbit and check all members are isomorphic to the rep
     for o in census.orbits:
-        base = evaluate(ps, o.representative, field)
+        base = evaluate(ps, o.representative)
         seen = set()
         for g in group:
             seen.add(assignment_of(ps, conjugate(base, g)))
         assert len(seen) == o.size
         for member in sorted(seen):
-            assert are_isomorphic(base, evaluate(ps, member, field))
+            assert are_isomorphic(base, evaluate(ps, member))
 
 
 def test_are_isomorphic_properties_sampled(R):
@@ -419,7 +419,7 @@ def test_are_isomorphic_properties_sampled(R):
     rep = build_defining_ideal(R, V01)
     field = GF(q)
     ps = parameterize(R, V01, field)
-    pts = [evaluate(ps, v, field) for v in enumerate_points(rep, q)]
+    pts = [evaluate(ps, v) for v in enumerate_points(rep, q)]
     for p in pts:
         assert are_isomorphic(p, p)
     for a, b in itertools.combinations(pts, 2):
@@ -461,7 +461,7 @@ def test_conjugation_invariance_random_over_f5(R):
     valid = enumerate_points(rep, q)
     group = enumerate_group(V01, q, (1,), s_names=("y",))
     for _ in range(100):
-        pt = evaluate(ps, rng.choice(valid), field)
+        pt = evaluate(ps, rng.choice(valid))
         g = rng.choice(group)
         assert validate_point(conjugate(pt, g))
 
@@ -510,7 +510,7 @@ def test_are_isomorphic_matches_cofactor_oracle_on_census(name, shifts, q):
     field = GF(q)
     ps = parameterize(R, V, field)
     census = orbit_partition(enumerate_points(build_defining_ideal(R, V), q), R, V, q)
-    reps = [evaluate(ps, o.representative, field) for o in census.orbits]
+    reps = [evaluate(ps, o.representative) for o in census.orbits]
     rng = random.Random(q)
     moved = [conjugate(pt, random_group_element(V, ps.s_ring, rng)) for pt in reps]
     answers = []
@@ -534,7 +534,7 @@ def test_are_isomorphic_matches_cofactor_oracle_symbolic(shifts, field):
         tuple((0, 1, -1)[c] for c in v)
         for v in enumerate_points(build_defining_ideal(named_algebra("x2"), V), 3)
     )
-    points = [pt for pt in (evaluate(ps, v, field) for v in lifted) if validate_point(pt)]
+    points = [pt for pt in (evaluate(ps, v) for v in lifted) if validate_point(pt)]
     sample = random.Random(5).sample(points, 8)
     answers = set()
     for mu, nu in itertools.product(sample, repeat=2):
@@ -556,7 +556,7 @@ def test_conjugation_columns_match_conjugate(name, shifts, q):
     field = GF(q)
     ps = parameterize(R, V, field)
     n = len(ps)
-    units = [evaluate(ps, [int(i == j) for i in range(n)], field) for j in range(n)]
+    units = [evaluate(ps, [int(i == j) for i in range(n)]) for j in range(n)]
     for g in _group_generators(V, ps.s_ring):
         assert mat_mul(g.matrix, g.inverse) == mat_identity(ps.s_ring, len(V))
         expected = [
@@ -589,7 +589,7 @@ def test_is_indecomposable_matches_generic_element_oracle_on_census(name, shifts
     ps = parameterize(R, V, field)
     census = orbit_partition(enumerate_points(build_defining_ideal(R, V), q), R, V, q)
     results = [
-        check_is_indecomposable_against_oracle(evaluate(ps, o.representative, field))
+        check_is_indecomposable_against_oracle(evaluate(ps, o.representative))
         for o in census.orbits
     ]
     assert any(r > 1 for _, r in results)
@@ -672,7 +672,7 @@ def test_is_indecomposable_matches_generic_element_oracle_on_conjugates(field):
             tuple((0, 1, -1)[c] for c in v)
             for v in enumerate_points(build_defining_ideal(named_algebra("x2"), V), 3)
         )
-        points = [pt for pt in (evaluate(ps, v, field) for v in lifted) if validate_point(pt)]
+        points = [pt for pt in (evaluate(ps, v) for v in lifted) if validate_point(pt)]
         slots = entry_slots(ps.s_ring, V, V, 0)
         for pt in rng.sample(points, min(5, len(points))):
             while True:

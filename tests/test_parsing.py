@@ -8,6 +8,7 @@ from mcmrep.parsing import (
     AlgebraSyntaxError,
     format_algebra,
     parse_algebra_text,
+    parse_field,
     parse_polynomial,
 )
 from mcmrep.poly import PolynomialRing
@@ -36,6 +37,23 @@ def test_parse_empty_relations_is_polynomial_ring():
 def test_parse_prime_field():
     R = parse_algebra_text("field: Fp:5\nvars: x:1\nnormalization: x\n")
     assert R.ring.field == GF(5)
+
+
+def test_parse_field_specs():
+    assert parse_field("Q") == QQ
+    assert parse_field(" Fp:7 ") == GF(7)
+    for spec in ("F7", "Fp:abc", "Fp:", "GF(7)", "q"):
+        with pytest.raises(ValueError, match=r"^unknown field .* \(use Q or Fp:<p>\)$"):
+            parse_field(spec)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        parse_field("Fp:4")
+
+
+def test_bad_field_line_carries_its_line_number():
+    for spec, message in (("Fp:abc", "unknown field 'Fp:abc'"), ("Fp:9", "9 is not prime")):
+        with pytest.raises(AlgebraSyntaxError, match=message) as exc:
+            parse_algebra_text(f"vars: x:1\nfield: {spec}\nnormalization: x\n")
+        assert exc.value.line == 2
 
 
 def test_inhomogeneous_relation_is_semantic_error():

@@ -8,7 +8,7 @@ from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
 from mcmrep.groebner import ideal, ideal_equal, ideal_membership
 from mcmrep.matops import mat_add, mat_identity, mat_mul, mat_scale, mat_sub
-from mcmrep.parsing import parse_polynomial
+from mcmrep.parsing import parse_algebra_text, parse_polynomial
 from mcmrep.poly import PolynomialRing
 from mcmrep.repvariety import (
     MatrixPoint,
@@ -291,3 +291,32 @@ def test_empty_type(R):
     assert len(ps.unknowns) == 0
     pt = evaluate(ps, [])
     assert validate_point(pt)
+
+
+F3_TEXT = "field: Fp:3\nvars: x:1, y:1\nnormalization: y\nrelations: x^2 + 2*y^2\n"
+
+
+def test_computations_default_to_the_algebras_field():
+    # x = [[0, y], [y, 0]] squares to y^2, a point over F_3 but not over QQ
+    R = parse_algebra_text(F3_TEXT)
+    V = ShiftType((0, 0))
+    ps = parameterize(R, V)
+    assert ps.ring.field == ps.s_ring.field == GF(3)
+    assert build_defining_ideal(R, V).ideal.ring.field == GF(3)
+    pt = evaluate(ps, [0, 1, 1, 0])
+    assert pt.field == GF(3) and validate_point(pt)
+    assert point_from_matrices(R, V, pt.matrices) == (0, 1, 1, 0)
+    for field in (GF(5), QQ):
+        with pytest.raises(ValueError, match=r"GF\(3\)"):
+            parameterize(R, V, field)
+        with pytest.raises(ValueError, match=r"GF\(3\)"):
+            build_defining_ideal(R, V, field)
+
+
+def test_validate_point_refuses_a_point_over_another_field():
+    R = parse_algebra_text(F3_TEXT)
+    s5 = PolynomialRing(GF(5), ("y",))
+    y, zero = s5.variable("y"), s5.zero()
+    pt = MatrixPoint(R, ShiftType((0, 0)), (((zero, y), (y, zero)),))
+    with pytest.raises(ValueError, match=r"GF\(3\) .* GF\(5\)"):
+        validate_point(pt)
