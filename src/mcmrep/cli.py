@@ -48,11 +48,7 @@ EXIT_INTERNAL = 3
 
 
 def _load_algebra(args):
-    if args.family:
-        return example_algebra_x2()
-    if args.algebra:
-        return parse_algebra_file(args.algebra)
-    raise AlgebraSemanticError(["no algebra source given (use --family or --algebra)"])
+    return example_algebra_x2() if args.family else parse_algebra_file(args.algebra)
 
 
 def _field(args):
@@ -62,8 +58,6 @@ def _field(args):
 
 def _shifts(args) -> ShiftType:
     text = args.shifts
-    if text is None:
-        raise AlgebraSemanticError(["--shifts is required for this command"])
     if text.strip() == "":
         return ShiftType(())
     return ShiftType(tuple(int(p) for p in text.split(",")))
@@ -299,15 +293,21 @@ def cmd_family(args):
 # -- argument plumbing -----------------------------------------------------
 
 
+def _add_shifts(p):
+    p.add_argument("--shifts", required=True,
+                   help="comma-separated shift multiset, e.g. 0,1 (\"\" for the empty type)")
+
+
 def _add_algebra(p, points=False):
-    """--family and --algebra; with points, also the field and the type of
-    the parameter space."""
-    p.add_argument("--family", choices=["x2"], help="built-in algebra preset")
-    p.add_argument("--algebra", help="path to an algebra presentation file")
+    """Exactly one of --family and --algebra; with points, also the field
+    and the type of the parameter space."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=["x2"], help="built-in algebra preset")
+    source.add_argument("--algebra", help="path to an algebra presentation file")
     if points:
         p.add_argument("--field", help="field of the computation, Q or Fp:<p> "
                        "(default: the algebra's own field)")
-        p.add_argument("--shifts", help="comma-separated shift multiset, e.g. 0,1")
+        _add_shifts(p)
 
 
 def build_parser():
@@ -354,8 +354,7 @@ def build_parser():
     p.add_argument("--budget", type=int, default=10**7,
                    help="largest number of point tuples to enumerate")
 
-    p = command("spread", cmd_spread, "generator degree spread and rank of a type")
-    p.add_argument("--shifts", help="comma-separated shift multiset, e.g. 0,1")
+    _add_shifts(command("spread", cmd_spread, "generator degree spread and rank of a type"))
 
     p = command("family", cmd_family, "named module presets")
     p.add_argument("--module", required=True, choices=["R", "In"])

@@ -1,8 +1,9 @@
 """Exact base fields: arbitrary-precision rationals and prime fields.
 
-Field elements are plain Python values (Fraction for the rationals,
-canonical int representatives in [0, p) for a prime field); the field
-object supplies the arithmetic so that polynomial code stays generic.
+Field elements are plain Python values: a rational is an int when it is
+integral and a Fraction otherwise, and a prime field element is its
+canonical int representative in [0, p).  The field object supplies the
+arithmetic so that polynomial code stays generic.
 """
 
 from __future__ import annotations
@@ -27,22 +28,36 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x):
+    """x (an int or a Fraction) as an int when it is integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class RationalField:
-    """The field of rational numbers; elements are Fraction."""
+    """The field of rational numbers.
+
+    An integral element is an int and any other element a Fraction, so the
+    small integer coefficients of most ideals cost no gcd.  The two types
+    compare, hash and print alike, so this choice is invisible outside.
+    """
 
     characteristic = 0
 
-    def coerce(self, x) -> Fraction:
-        return Fraction(x)
+    def coerce(self, x):
+        return x if type(x) is int else _rational(Fraction(x))
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
+
+    def submul(self, w, a, b):
+        """w - a * b, one call for the inner step of a reduction."""
+        return _rational(w - a * b)
 
     def neg(self, a):
         return -a
@@ -50,21 +65,16 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _rational(Fraction(1, a))
 
     def div(self, a, b):
-        return Fraction(a) / b
+        return _rational(Fraction(a, b))
 
     def is_zero(self, a) -> bool:
         return a == 0
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = 0
+    one = 1
 
     def elements(self):
         raise TypeError("QQ is not enumerable")
@@ -108,6 +118,10 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def submul(self, w, a, b):
+        """w - a * b, one call for the inner step of a reduction."""
+        return (w - a * b) % self.p
 
     def neg(self, a):
         return (-a) % self.p

@@ -16,6 +16,12 @@ ISSAC 1998).  The search still takes the first divisor in basis order.
 The entries' tail terms carry their weighted degree and support, so the
 heap key and mask of every term a reduction creates come from sums and
 unions, and S-polynomials are built from the tails alone.
+
+The inner step of a normal form is one fused multiply-subtract per term
+(`submul` of the ring's field) rather than two field-method calls.  Every
+reducer that `buchberger`, interreduction and `IdealHandle.contains` pass
+is monic, and a reduction by a monic reducer skips the division by its
+leading coefficient.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 raise RingMismatchError("basis polynomial in a different ring")
             lead.append(g.lead_entry())
     F = ring.field
-    zero, fsub, fmul, fdiv, is_zero = F.zero, F.sub, F.mul, F.div, F.is_zero
+    zero, one, fdiv, submul = F.zero, F.one, F.div, F.submul
     remainder = {}
     work = dict(f.terms)
     # Max-heap of the terms of work, one entry (key, monomial, support) per
@@ -95,11 +101,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
             if m[i] > e:
                 qmask |= 1 << i
         qweight = -key[0] - lweight
-        factor = fdiv(c, lc)
+        factor = c if lc == one else fdiv(c, lc)
         for gm, gc, gweight, gmask in tail:
             mm = tuple(map(add, gm, q))
-            s = fsub(work.get(mm, zero), fmul(gc, factor))
-            if is_zero(s):
+            s = submul(work.get(mm, zero), gc, factor)
+            if not s:
                 work.pop(mm, None)
             else:
                 work[mm] = s

@@ -320,6 +320,43 @@ def test_census_refuses_negative_budget(tmp_path, capsys):
     assert not path.exists()
 
 
+def _without(argv, option):
+    i = argv.index(option)
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("command", [c for c in OPTIONS if "--family" in OPTIONS[c]])
+def test_family_and_algebra_together_are_a_usage_error(tmp_path, capsys, command):
+    # the F_3 file would make the check-point line valid; it must not be ignored
+    path = tmp_path / "f3.alg"
+    path.write_text(F3_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *BASE_ARGS[command], "--algebra", str(path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument --family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [c for c in OPTIONS if "--family" in OPTIONS[c]])
+def test_missing_algebra_source_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_without(BASE_ARGS[command], "--family")])
+    assert exc.value.code == 2
+    assert "one of the arguments --family --algebra is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [c for c in OPTIONS if "--shifts" in OPTIONS[c]])
+def test_missing_shifts_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_without(BASE_ARGS[command], "--shifts")])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --shifts" in capsys.readouterr().err
+
+
+def test_empty_shifts_is_the_empty_type(capsys):
+    assert run(capsys, "repeqs", "--family", "x2", "--shifts", "") == (
+        0, "unknowns: 0\ngenerators: 0\n", "")
+
+
 def _readme_cli_lines():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```", 2)[1]

@@ -1,3 +1,5 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,14 @@ def test_prime_field_canonical_representatives():
     assert F.coerce(15) == 1
     for a in range(1, 7):
         assert F.mul(a, F.inv(a)) == 1
+
+
+def test_prime_field_submul_is_sub_of_mul():
+    F = GF(5)
+    for w in F.elements():
+        for a in F.elements():
+            for b in F.elements():
+                assert F.submul(w, a, b) == F.sub(w, F.mul(a, b))
 
 
 def test_prime_field_coerces_fractions():
@@ -43,3 +53,54 @@ def test_inverse_of_zero_rejected():
         GF(5).inv(0)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
+
+
+def _rational_samples():
+    rng = random.Random(41)
+    samples = [0, 1, -1, 2, -12, Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3)]
+    for _ in range(40):
+        samples.append(Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 6, 9])))
+    # coerce gives the integral values as ints and the others as Fractions
+    return [QQ.coerce(x) for x in samples]
+
+
+def _is_canonical_rational(x):
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def test_rational_field_matches_fraction_arithmetic():
+    samples = _rational_samples()
+    assert any(type(x) is int and x < 0 for x in samples)
+    assert any(type(x) is Fraction for x in samples)
+    for i, a in enumerate(samples):
+        for j, b in enumerate(samples):
+            for op, ref in ((QQ.add, operator.add), (QQ.sub, operator.sub), (QQ.mul, operator.mul)):
+                r = op(a, b)
+                assert r == ref(Fraction(a), Fraction(b)) and _is_canonical_rational(r)
+            w = samples[(i + 3 * j) % len(samples)]
+            r = QQ.submul(w, a, b)
+            assert r == Fraction(w) - Fraction(a) * Fraction(b) and _is_canonical_rational(r)
+            if b != 0:
+                r = QQ.div(a, b)
+                assert r == Fraction(a) / Fraction(b) and _is_canonical_rational(r)
+        r = QQ.neg(a)
+        assert r == -Fraction(a) and _is_canonical_rational(r)
+        if a != 0:
+            r = QQ.inv(a)
+            assert r == 1 / Fraction(a) and _is_canonical_rational(r)
+
+
+def test_rationals_are_ints_exactly_when_integral():
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.div(1, 3)) is Fraction and QQ.div(1, 3) == Fraction(1, 3)
+    assert type(QQ.div(4, 2)) is int and QQ.div(4, 2) == 2
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.mul(Fraction(2, 3), 3)) is int
+    assert type(QQ.sub(Fraction(5, 2), Fraction(1, 2))) is int
+    for x in (Fraction(6, 3), 2.0, "4/2"):
+        assert type(QQ.coerce(x)) is int and QQ.coerce(x) == 2
+    assert type(QQ.coerce(0.5)) is Fraction
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from mcmrep.families import example_algebra_x2
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import ShiftType
+from mcmrep.parsing import parse_algebra_text
 from mcmrep.groebner import (
     IdealHandle,
     buchberger,
@@ -114,16 +116,57 @@ def test_normal_form_takes_first_divisor_in_basis_order(field, degrees):
 
 
 def test_s_polynomial_matches_oracle():
-    ring = PolynomialRing(GF(7), ("x", "y", "z"), (1, 2, 1))
-    rng = random.Random(29)
-    checked = 0
-    for _ in range(40):
-        f, g = random_poly(ring, rng), random_poly(ring, rng)
-        if f.is_zero() or g.is_zero():
-            continue
-        assert s_polynomial(f, g) == naive_spoly(f, g)
-        checked += 1
-    assert checked >= 20
+    for field in (QQ, GF(7)):
+        ring = PolynomialRing(field, ("x", "y", "z"), (1, 2, 1))
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(40):
+            f, g = random_poly(ring, rng), random_poly(ring, rng)
+            if f.is_zero() or g.is_zero():
+                continue
+            for a, b in ((f, g), (f.monic(), g.monic()), (f.monic(), g), (f, g.monic())):
+                assert s_polynomial(a, b) == naive_spoly(a, b)
+            checked += 1
+        assert checked >= 20
+
+
+def _assert_canonical_rationals(polys):
+    # an integral QQ coefficient is held as an int, any other as a Fraction
+    for g in polys:
+        for c in g.terms.values():
+            assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def test_against_oracle_with_non_integral_rational_coefficients():
+    ring = PolynomialRing(QQ, ("x", "y", "z"))
+    rng = random.Random(17)
+    values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3)]
+    fractional = 0
+    for _ in range(12):
+        def draw(n):
+            return ring.from_terms({tuple(rng.randint(0, 2) for _ in range(3)): rng.choice(values)
+                                    for _ in range(n)})
+
+        gens = [draw(rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        basis = buchberger(gens)
+        assert basis == naive_reduced_groebner(gens)
+        f = draw(8)
+        remainder = normal_form(f, gens)
+        assert remainder == naive_normal_form(f, gens)
+        _assert_canonical_rationals(basis + [remainder])
+        fractional += any(type(c) is Fraction for g in basis for c in g.terms.values())
+    assert fractional >= 3
+
+
+def test_x2s2_defining_ideal_with_a_half_matches_oracle():
+    R = parse_algebra_text("vars: x:1, y:1, w:1\nnormalization: y, w\nrelations: x^2\n")
+    gens = list(build_defining_ideal(R, ShiftType((0, 1)), QQ).ideal.generators)
+    basis = buchberger(gens)
+    assert len(basis) == 29
+    assert basis == naive_reduced_groebner(gens)
+    _assert_canonical_rationals(basis)
+    assert Fraction(1, 2) in {c for g in basis for c in g.terms.values()}
+    assert all(normal_form(g, basis).is_zero() for g in gens)
 
 
 def test_support_mask_needs_the_exponent_test(kxy):
