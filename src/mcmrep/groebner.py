@@ -163,7 +163,8 @@ def buchberger(generators) -> list:
         j = len(G)
         e = g.lead_entry()
         for i in range(j):
-            heapq.heappush(queue, (ring.sort_key(monomial_lcm(lead[i].lm, e.lm)), (i, j)))
+            lcm = monomial_lcm(lead[i].lm, e.lm)
+            heapq.heappush(queue, (ring.sort_key(lcm), (i, j), lcm))
             pairs.add((i, j))
         G.append(g)
         lead.append(e)
@@ -174,7 +175,7 @@ def buchberger(generators) -> list:
             add_element(g.monic())
 
     while queue:
-        pair = heapq.heappop(queue)[1]
+        _, pair, lij = heapq.heappop(queue)
         pairs.discard(pair)
         i, j = pair
         a, b = lead[i], lead[j]
@@ -183,7 +184,6 @@ def buchberger(generators) -> list:
             continue
         # chain criterion: some other G[k] whose leading monomial divides
         # the lcm, with neither (i, k) nor (j, k) pending
-        lij = monomial_lcm(a.lm, b.lm)
         outside = ~(a.mask | b.mask)
         chained = False
         for k, entry in enumerate(lead):

@@ -20,7 +20,7 @@ from .fields import GF, QQ, PrimeField
 from .graded import ShiftType
 from .linalg import determinant, kernel_basis, rref, solve
 from .matops import mat_det
-from .poly import PolynomialRing
+from .poly import PolynomialRing, RingMismatchError
 from .repvariety import (
     MatrixPoint,
     RepIdeal,
@@ -235,11 +235,13 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Invertible degree-0 graded S-endomorphism of S (x) V."""
+    """Invertible degree-0 graded S-endomorphism g of S (x) V, held as the
+    coefficient maps of g and g^-1 over k (see repvariety.compose)."""
 
     shifts: ShiftType
-    matrix: tuple
-    inverse: tuple
+    s_ring: PolynomialRing  # None when V is empty
+    map: dict
+    inverse: dict
 
     @staticmethod
     def from_matrix(shifts: ShiftType, matrix) -> "GroupElement":
@@ -248,7 +250,7 @@ class GroupElement:
         if len(matrix) != d or any(len(row) != d for row in matrix):
             raise ValueError("matrix does not match the shift type")
         if d == 0:
-            return GroupElement(shifts, matrix, matrix)
+            return GroupElement(shifts, None, {}, {})
         s_ring = matrix[0][0].ring
         field = s_ring.field
         g = coefficient_map(matrix, s_ring)
@@ -265,13 +267,8 @@ class GroupElement:
         h = solve(rows, _identity_vector(slots, field), len(slots), field)
         if h is None:
             raise ValueError("matrix is not invertible (a block of equal shifts is singular)")
-        return GroupElement(shifts, matrix, matrix_of(s_ring, d, slots, h))
-
-    @staticmethod
-    def identity(shifts: ShiftType, s_ring) -> "GroupElement":
-        slots = entry_slots(s_ring, shifts, shifts, 0)
-        I = matrix_of(s_ring, len(shifts), slots, _identity_vector(slots, s_ring.field))
-        return GroupElement(shifts, I, I)
+        inverse = {slot: c for slot, c in zip(slots, h) if not field.is_zero(c)}
+        return GroupElement(shifts, s_ring, g, inverse)
 
 
 def conjugate(pt: MatrixPoint, g: GroupElement) -> MatrixPoint:
@@ -279,11 +276,12 @@ def conjugate(pt: MatrixPoint, g: GroupElement) -> MatrixPoint:
     if g.shifts != pt.shifts:
         raise ValueError("group element has a different shift type")
     s_ring = pt.s_ring
+    if g.s_ring is not None and g.s_ring is not s_ring and g.s_ring != s_ring:
+        raise RingMismatchError(f"{g.s_ring} vs {s_ring}")
     field = s_ring.field
-    G, G_inv = coefficient_map(g.matrix, s_ring), coefficient_map(g.inverse, s_ring)
     mats = []
     for M in pt.matrices:
-        values = compose(compose(G, coefficient_map(M, s_ring), field), G_inv, field)
+        values = compose(compose(g.map, coefficient_map(M, s_ring), field), g.inverse, field)
         mats.append(matrix_of(s_ring, len(pt.shifts), values.keys(), values.values()))
     return MatrixPoint(pt.algebra, pt.shifts, tuple(mats))
 
@@ -343,16 +341,15 @@ def _group_generators(V: ShiftType, s_ring):
     field = s_ring.field
     root = _primitive_root(field.p)
     slots = entry_slots(s_ring, V, V, 0)
-    identity = _identity_vector(slots, field)
+    identity = {(p, q, m): field.one for p, q, m in slots if p == q}
     gens = []
-    for k, (p, q, _) in enumerate(slots):
-        vector, inverse = list(identity), list(identity)
-        if p == q:
-            vector[k], inverse[k] = root, field.inv(root)
+    for slot in slots:
+        if slot[0] == slot[1]:
+            value, inverse = root, field.inv(root)
         else:
-            vector[k], inverse[k] = field.one, field.neg(field.one)
+            value, inverse = field.one, field.neg(field.one)
         gens.append(GroupElement(
-            V, matrix_of(s_ring, len(V), slots, vector), matrix_of(s_ring, len(V), slots, inverse)
+            V, s_ring, {**identity, slot: value}, {**identity, slot: inverse}
         ))
     return gens
 
@@ -464,14 +461,12 @@ def _conjugation_columns(ps, g: GroupElement):
 
     The unit point of unknown (z, p, q, m) is m E_pq in the matrix of z:
     its column is read off the coefficient map of g (m E_pq) g^-1."""
-    s_ring = ps.s_ring
-    field = s_ring.field
+    field = ps.s_ring.field
     index = {(u.generator, u.row, u.col, u.monomial): k for k, u in enumerate(ps.unknowns)}
-    G, G_inv = coefficient_map(g.matrix, s_ring), coefficient_map(g.inverse, s_ring)
     columns = []
     for u in ps.unknowns:
         unit = {(u.row, u.col, u.monomial): field.one}
-        image = compose(compose(G, unit, field), G_inv, field)
+        image = compose(compose(g.map, unit, field), g.inverse, field)
         columns.append(sorted((index[(u.generator,) + slot], c) for slot, c in image.items()))
     return columns
 

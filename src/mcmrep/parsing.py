@@ -230,27 +230,6 @@ def format_algebra(R: GradedAlgebra) -> str:
 
 def _expr(p: Polynomial) -> str:
     """Polynomial text that the expression grammar accepts."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for m, c in p.sorted_terms():
-        factors = []
-        for name, e in zip(p.ring.names, m):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        neg = c < 0
-        c_abs = -c if neg else c
-        pieces = []
-        if c_abs != 1 or not factors:
-            if getattr(c_abs, "denominator", 1) != 1:
-                raise ValueError("non-integer coefficient has no file representation")
-            pieces.append(str(int(c_abs)))
-        pieces.extend(factors)
-        body = "*".join(pieces)
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+    if any(getattr(c, "denominator", 1) != 1 for c in p.terms.values()):
+        raise ValueError("non-integer coefficient has no file representation")
+    return str(p)

@@ -349,7 +349,7 @@ class Polynomial:
             v = c
             for i, e in enumerate(m):
                 if e:
-                    v = F.mul(v, values[i] ** e if not isinstance(values[i], int) else pow(values[i], e))
+                    v = F.mul(v, pow(values[i], e))
             acc = F.add(acc, v)
         return F.coerce(acc)
 

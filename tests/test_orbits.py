@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -148,8 +149,22 @@ def test_are_isomorphic_reflexive(reps):
         assert are_isomorphic(nm.point, nm.point)
 
 
+def identity_map(V, s_ring):
+    """The coefficient map of the identity of S (x) V."""
+    return {(p, p, (0,) * s_ring.nvars): s_ring.field.one for p in range(len(V))}
+
+
+def assert_inverse_pair(g):
+    """g g^-1 = 1 = g^-1 g, composed on the coefficient maps."""
+    field = g.s_ring.field
+    one = identity_map(g.shifts, g.s_ring)
+    assert compose(g.map, g.inverse, field) == one == compose(g.inverse, g.map, field)
+
+
 def test_conjugate_by_identity(R, reps):
-    g = GroupElement.identity(V01, R.s_ring())
+    s_ring = R.s_ring()
+    g = GroupElement.from_matrix(V01, mat_identity(s_ring, 2))
+    assert g.map == g.inverse == identity_map(V01, s_ring)
     for nm in reps:
         assert conjugate(nm.point, g).matrices == nm.point.matrices
 
@@ -186,7 +201,10 @@ def test_group_element_inverse_exact(R):
     s_ring = R.s_ring()
     y = s_ring.variable("y")
     g = GroupElement.from_matrix(V01, ((s_ring.constant(2), 5 * y), (s_ring.zero(), s_ring.constant(3))))
-    assert mat_mul(g.matrix, g.inverse) == mat_identity(s_ring, 2)
+    assert_inverse_pair(g)
+    # [[2, 5y], [0, 3]]^-1 = [[1/2, -5/6 y], [0, 1/3]]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert g.inverse == {(0, 0, (0,)): half, (0, 1, (1,)): -5 * half * third, (1, 1, (0,)): third}
 
 
 def test_group_element_rejects_singular_and_misshaped(R):
@@ -226,20 +244,20 @@ def test_conjugate_matches_matmul_oracle(field):
         )
         points = [pt for pt in (evaluate(ps, v) for v in lifted) if validate_point(pt)]
         slots = entry_slots(ps.s_ring, V, V, 0)
-        I = mat_identity(ps.s_ring, len(V))
         for pt in rng.sample(points, min(6, len(points))):
             while True:
                 values = [rng.randint(-3, 3) for _ in slots]
+                G = matrix_of(ps.s_ring, len(V), slots, values)
                 try:
-                    g = GroupElement.from_matrix(V, matrix_of(ps.s_ring, len(V), slots, values))
+                    g = GroupElement.from_matrix(V, G)
                     break
                 except ValueError:
                     continue
-            assert mat_mul(g.matrix, g.inverse) == I == mat_mul(g.inverse, g.matrix)
+            assert_inverse_pair(g)
+            G_inv = matrix_of(ps.s_ring, len(V), g.inverse.keys(), g.inverse.values())
+            assert mat_mul(G, G_inv) == mat_identity(ps.s_ring, len(V)) == mat_mul(G_inv, G)
             moved = conjugate(pt, g)
-            assert moved.matrices == tuple(
-                mat_mul(mat_mul(g.matrix, M), g.inverse) for M in pt.matrices
-            )
+            assert moved.matrices == tuple(mat_mul(mat_mul(G, M), G_inv) for M in pt.matrices)
             assert validate_point(moved)
 
 
@@ -558,7 +576,10 @@ def test_conjugation_columns_match_conjugate(name, shifts, q):
     n = len(ps)
     units = [evaluate(ps, [int(i == j) for i in range(n)]) for j in range(n)]
     for g in _group_generators(V, ps.s_ring):
-        assert mat_mul(g.matrix, g.inverse) == mat_identity(ps.s_ring, len(V))
+        assert_inverse_pair(g)
+        # the closed-form inverse is the one from_matrix solves for
+        G = matrix_of(ps.s_ring, len(V), g.map.keys(), g.map.values())
+        assert GroupElement.from_matrix(V, G) == g
         expected = [
             [(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units
         ]

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from mcmrep.families import example_algebra_x2
 from mcmrep.fields import GF, QQ
-from mcmrep.graded import validate_presentation
+from mcmrep.graded import GradedAlgebra, validate_presentation
 from mcmrep.parsing import (
     AlgebraSemanticError,
     AlgebraSyntaxError,
@@ -81,6 +83,31 @@ def test_round_trip():
     ):
         R = parse_algebra_text(text)
         assert parse_algebra_text(format_algebra(R)) == R
+
+
+def test_format_algebra_text_is_pinned():
+    # negative leading terms, +-1 coefficients and constant terms, over QQ
+    # and F_7; relations need not be homogeneous to be printed
+    ring = PolynomialRing(QQ, ("x", "y", "z"), (1, 1, 2))
+    texts = ("-x^3 + 2*x*y^2 - y*z", "x*y - 1", "-3*x + y - 7", "-1", "x^2*z - z^2 + 5")
+    R = GradedAlgebra(ring, [parse_polynomial(ring, t) for t in texts], ("y", "z"))
+    assert format_algebra(R) == (
+        "field: Q\nvars: x:1, y:1, z:2\nnormalization: y, z\n"
+        "relations: -x^3 + 2*x*y^2 - y*z; x*y - 1; -3*x + y - 7; -1; x^2*z - z^2 + 5\n"
+    )
+    f7 = PolynomialRing(GF(7), ("x", "y"))
+    R = GradedAlgebra(f7, [parse_polynomial(f7, t) for t in ("-x^2 + y", "x*y - 1")], ("y",))
+    assert format_algebra(R) == (
+        "field: Fp:7\nvars: x:1, y:1\nnormalization: y\nrelations: 6*x^2 + y; x*y + 6\n"
+    )
+
+
+def test_format_algebra_refuses_non_integer_coefficients():
+    ring = PolynomialRing(QQ, ("x", "y"))
+    x, y = ring.gens()
+    R = GradedAlgebra(ring, (x * x * Fraction(1, 2) + y * y,), ("y",))
+    with pytest.raises(ValueError, match="non-integer coefficient has no file representation"):
+        format_algebra(R)
 
 
 def test_expression_grammar():
