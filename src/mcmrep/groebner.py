@@ -3,58 +3,107 @@
 The term order is the ring's weighted grevlex order.  Buchberger runs with
 the normal selection strategy and both the coprime-leading-term and chain
 criteria; the reduced basis is canonical for a fixed ring.  Both selections
-are heap-ordered: pending pairs sit in a min-heap keyed by the sort key of
-their lcm, computed once when the pair is created, and the terms still to be
-reduced in a normal form sit in a max-heap keyed by their own sort key.
+are heap-ordered: pending pairs sit in a min-heap keyed by their lcm,
+computed once when the pair is created, and the terms still to be reduced
+in a normal form sit in a max-heap.
 
-Every reducer search goes through the polynomials' cached lead entries
-(`Polynomial.lead_entry`): the support bitmask of a leading monomial
-rejects most non-divisors with one integer test before the exact test on
-its sparse exponents (the divisibility pre-filter of Bachmann and
-Schoenemann, "Monomial representations for Groebner bases computations",
-ISSAC 1998).  The search still takes the first divisor in basis order.
-The entries' tail terms carry their weighted degree and support, so the
-heap key and mask of every term a reduction creates come from sums and
-unions, and S-polynomials are built from the tails alone.
+The engine has one monomial representation, the packed int K(m) of
+`mcmrep.poly` (Bachmann and Schoenemann, ISSAC 1998): integer order is the
+term order, a product is one addition, and a divisibility test is one
+subtraction and a guard-bit mask.  Every reducer is a packed lead entry
+(`Polynomial.lead_entry`, cached on the polynomial) whose tail terms are
+stored as offsets K(t) - K(lm), so reducing m by lm adds K(m) to each
+offset.  The reducer search takes the first divisor in basis order.
+Exponent tuples are built only where polynomials enter and leave the
+engine.  A monomial or S-pair lcm of weighted degree above
+`poly.MAX_WEIGHT` is refused with ValueError.
 
 The inner step of a normal form is one fused multiply-subtract per term
-(`submul` of the ring's field) rather than two field-method calls.  Every
-reducer that `buchberger`, interreduction and `IdealHandle.contains` pass
-is monic, and a reduction by a monic reducer skips the division by its
-leading coefficient.
+(`submul` of the ring's field).  Every reducer that `buchberger`,
+interreduction and `IdealHandle.contains` pass is monic, and a reduction by
+a monic reducer skips the division by its leading coefficient.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import add, sub
 
-from .poly import (
-    Polynomial,
-    PolynomialRing,
-    RingMismatchError,
-    monomial_div,
-    monomial_lcm,
-    monomial_support,
-)
+from .poly import MAX_WEIGHT, PackedLead, Polynomial, PolynomialRing, RingMismatchError
 
 
-def _first_divisor(lead, m: tuple, mask: int):
-    """The first lead entry whose leading monomial divides m, or None.
-
-    mask is the support of m: an entry with a variable outside it cannot
-    divide m, and is passed over after one integer test.
-    """
-    outside = ~mask
+def _first_divisor(lead, k: int, ring: PolynomialRing):
+    """The first entry of lead whose leading monomial divides K(m) = k, or None."""
+    s, guard = k & ring.slots, ring.guard
     for entry in lead:
-        if entry.mask & outside:
-            continue
-        for i, e in entry.exps:
-            if m[i] < e:
-                break
-        else:
+        if (entry.divisor - s) & guard == guard:
             return entry
     return None
+
+
+def _lcm(ring: PolynomialRing, a: int, b: int) -> int:
+    """K(lcm) of two packed monomials: the slot-wise minimum of their slots."""
+    slots, guard = ring.slots, ring.guard
+    a, b = a & slots, b & slots
+    # the slots where a's value is at least b's, each all ones
+    ge = ((((a | guard) - b) & guard) >> 15) * MAX_WEIGHT
+    return ring.pack_slots(a ^ (a ^ b) & ge)
+
+
+def _terms(entry: PackedLead) -> dict:
+    key = entry.key
+    terms = {key: entry.lc}
+    for off, c in entry.tail:
+        terms[key + off] = c
+    return terms
+
+
+def _reduce(work: dict, lead, ring: PolynomialRing) -> dict:
+    """Full remainder of the packed terms work on division by the entries
+    lead, as packed terms; work is consumed.
+
+    Each term is reduced by the first entry, in the given order, whose
+    leading monomial divides it.
+    """
+    F = ring.field
+    zero, one, fdiv, submul = F.zero, F.one, F.div, F.submul
+    heappop, heappush = heapq.heappop, heapq.heappush
+    get = work.get
+    remainder = {}
+    # Max-heap of the terms of work, as -K(m).  Reduction only adds terms
+    # below the one it reduces, so a popped monomial never comes back.  A
+    # monomial that cancels leaves its heap entry behind; if it comes back
+    # it is pushed again, and an entry whose term is gone is skipped.
+    queue = [-k for k in work]
+    heapq.heapify(queue)
+    while queue:
+        k = -heappop(queue)
+        c = work.pop(k, None)
+        if c is None:
+            continue
+        entry = _first_divisor(lead, k, ring)
+        if entry is None:
+            remainder[k] = c
+            continue
+        lc = entry.lc
+        factor = c if lc == one else fdiv(c, lc)
+        for off, gc in entry.tail:
+            mm = k + off
+            w = get(mm)
+            if w is None:
+                work[mm] = submul(zero, gc, factor)
+                heappush(queue, -mm)
+            else:
+                w = submul(w, gc, factor)
+                if w:
+                    work[mm] = w
+                else:
+                    del work[mm]
+    return remainder
+
+
+def _polynomial(ring: PolynomialRing, terms: dict) -> Polynomial:
+    unpack = ring.unpack
+    return Polynomial(ring, {unpack(k): c for k, c in terms.items()})
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -71,69 +120,39 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
             if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("basis polynomial in a different ring")
             lead.append(g.lead_entry())
-    F = ring.field
-    zero, one, fdiv, submul = F.zero, F.one, F.div, F.submul
-    remainder = {}
-    work = dict(f.terms)
-    # Max-heap of the terms of work, one entry (key, monomial, support) per
-    # monomial; the key is (-weight, reversed monomial).  Reduction only adds
-    # terms below the one it reduces, so a popped monomial never comes back.
-    # A monomial that cancels keeps its entry: the entry serves it again if
-    # it comes back, and is skipped if it is still gone when popped.
-    weight = ring.monomial_weight
-    queue = [((-weight(m), m[::-1]), m, monomial_support(m)) for m in work]
-    heapq.heapify(queue)
-    queued = set(work)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while queue:
-        key, m, mask = heappop(queue)
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        entry = _first_divisor(lead, m, mask)
-        if entry is None:
-            remainder[m] = c
-            continue
-        lmask, exps, lm, lc, lweight, tail = entry
-        q = tuple(map(sub, m, lm))
-        qmask = mask & ~lmask
-        for i, e in exps:
-            if m[i] > e:
-                qmask |= 1 << i
-        qweight = -key[0] - lweight
-        factor = c if lc == one else fdiv(c, lc)
-        for gm, gc, gweight, gmask in tail:
-            mm = tuple(map(add, gm, q))
-            s = submul(work.get(mm, zero), gc, factor)
-            if not s:
-                work.pop(mm, None)
-            else:
-                work[mm] = s
-                if mm not in queued:
-                    queued.add(mm)
-                    heappush(queue, ((-gweight - qweight, mm[::-1]), mm, gmask | qmask))
-    return Polynomial(ring, remainder)
+    pack = ring.pack
+    return _polynomial(ring, _reduce({pack(m): c for m, c in f.terms.items()}, lead, ring))
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of two nonzero polynomials of one ring.
-
-    The leading terms cancel exactly, so it is built from the two tails.
-    """
-    a, b = f.lead_entry(), g.lead_entry()
-    F = f.ring.field
-    lcm = monomial_lcm(a.lm, b.lm)
-    u, v = monomial_div(lcm, a.lm), monomial_div(lcm, b.lm)
+def _s_pair(a: PackedLead, b: PackedLead, lcm: int, F) -> dict:
+    """Packed terms of the S-polynomial of two entries whose leading
+    monomials have the lcm K = lcm.  The leading terms cancel exactly, so it
+    is built from the two tails."""
     ca, cb = F.inv(a.lc), F.neg(F.inv(b.lc))
-    terms = {tuple(map(add, m, u)): F.mul(c, ca) for m, c, _, _ in a.tail}
-    for m, c, _, _ in b.tail:
-        mm = tuple(map(add, m, v))
+    terms = {lcm + off: F.mul(c, ca) for off, c in a.tail}
+    for off, c in b.tail:
+        mm = lcm + off
         s = F.add(terms.get(mm, F.zero), F.mul(c, cb))
         if F.is_zero(s):
             terms.pop(mm, None)
         else:
             terms[mm] = s
-    return Polynomial(f.ring, terms)
+    return terms
+
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """S-polynomial of two nonzero polynomials of one ring."""
+    ring = f.ring
+    a, b = f.lead_entry(), g.lead_entry()
+    return _polynomial(ring, _s_pair(a, b, _lcm(ring, a.key, b.key), ring.field))
+
+
+def _monic(terms: dict, F) -> dict:
+    lc = terms[max(terms)]
+    if lc == F.one:
+        return terms
+    inv = F.inv(lc)
+    return {k: F.mul(c, inv) for k, c in terms.items()}
 
 
 def buchberger(generators) -> list:
@@ -141,10 +160,11 @@ def buchberger(generators) -> list:
 
     Normal selection strategy: the pending pair with the least lcm goes
     first, ties broken by the pair's indices.  Each pair (i, j) is pushed
-    onto a heap keyed by (sort key of its lcm, (i, j)) once, when G[j]
-    joins the basis; the set of pending pairs answers the chain criterion's
-    membership test.  Pairs are skipped by the coprime and chain criteria.
-    Returns monic polynomials sorted ascending in the term order.
+    onto a heap keyed by (K(lcm), i, j) once, when G[j] joins the basis;
+    the set of pending pairs answers the chain criterion's membership test.
+    Pairs are skipped by the coprime and chain criteria.  The basis is kept
+    as packed lead entries and leaves the engine as monic polynomials
+    sorted ascending in the term order.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -153,70 +173,60 @@ def buchberger(generators) -> list:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators in different rings")
+    F = ring.field
+    slots, guard = ring.slots, ring.guard
 
-    G = []
     lead = []
     pairs = set()
     queue = []
 
-    def add_element(g):
-        j = len(G)
-        e = g.lead_entry()
+    def add_element(terms):
+        j = len(lead)
+        e = PackedLead.of(_monic(terms, F), ring)
         for i in range(j):
-            lcm = monomial_lcm(lead[i].lm, e.lm)
-            heapq.heappush(queue, (ring.sort_key(lcm), (i, j), lcm))
+            heapq.heappush(queue, (_lcm(ring, lead[i].key, e.key), i, j))
             pairs.add((i, j))
-        G.append(g)
         lead.append(e)
 
-    for g in sorted(gens, key=lambda h: ring.sort_key(h.leading_monomial())):
-        g = normal_form(g, G)
-        if not g.is_zero():
-            add_element(g.monic())
+    for g in sorted((g.lead_entry() for g in gens), key=lambda e: e.key):
+        r = _reduce(_terms(g), lead, ring)
+        if r:
+            add_element(r)
 
     while queue:
-        _, pair, lij = heapq.heappop(queue)
-        pairs.discard(pair)
-        i, j = pair
+        lcm, i, j = heapq.heappop(queue)
+        pairs.discard((i, j))
         a, b = lead[i], lead[j]
-        # coprime criterion: lcm == product iff the supports are disjoint
-        if not a.mask & b.mask:
+        # coprime criterion: the lcm is the product
+        if lcm == a.key + b.key - slots:
             continue
         # chain criterion: some other G[k] whose leading monomial divides
         # the lcm, with neither (i, k) nor (j, k) pending
-        outside = ~(a.mask | b.mask)
+        s = lcm & slots
         chained = False
         for k, entry in enumerate(lead):
-            if entry.mask & outside or k == i or k == j:
-                continue
-            for v, e in entry.exps:
-                if lij[v] < e:
-                    break
-            else:
+            if (entry.divisor - s) & guard == guard and k != i and k != j:
                 if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
                     chained = True
                     break
         if chained:
             continue
-        r = normal_form(s_polynomial(G[i], G[j]), G)
-        if not r.is_zero():
-            add_element(r.monic())
+        r = _reduce(_s_pair(a, b, lcm, F), lead, ring)
+        if r:
+            add_element(r)
 
     # minimalize
-    order = sorted(range(len(G)), key=lambda i: ring.sort_key(lead[i].lm))
     minimal = []
-    kept = []
-    for i in order:
-        if _first_divisor(kept, lead[i].lm, lead[i].mask) is None:
-            minimal.append(G[i])
-            kept.append(lead[i])
+    for e in sorted(lead, key=lambda e: e.key):
+        if _first_divisor(minimal, e.key, ring) is None:
+            minimal.append(e)
     # interreduce
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others).monic())
-    reduced.sort(key=lambda g: ring.sort_key(g.leading_monomial()))
-    return reduced
+    reduced = [
+        _monic(_reduce(_terms(e), minimal[:i] + minimal[i + 1 :], ring), F)
+        for i, e in enumerate(minimal)
+    ]
+    reduced.sort(key=max)  # by K of the leading monomial
+    return [_polynomial(ring, r) for r in reduced]
 
 
 class IdealHandle:
@@ -279,14 +289,17 @@ def component_monomials(ring: PolynomialRing, modulus: IdealHandle, d: int):
     if not modulus.is_homogeneous():
         raise ValueError("modulus must be homogeneous")
     lead = [g.lead_entry() for g in modulus.groebner_basis()]
-    return [
-        m
-        for m in ring.monomials_of_weight(d)
-        if _first_divisor(lead, m, monomial_support(m)) is None
-    ]
+    pack = ring.pack
+    return [m for m in ring.monomials_of_weight(d) if _first_divisor(lead, pack(m), ring) is None]
 
 
 def is_zero_dimensional(I: IdealHandle) -> bool:
     """True iff LT(I) contains a pure power of every ring variable."""
-    masks = {g.lead_entry().mask for g in I.groebner_basis()}
-    return all(1 << i in masks for i in range(I.ring.nvars))
+    slots = I.ring.slots
+    powers = set()
+    for g in I.groebner_basis():
+        exps = slots - (g.lead_entry().key & slots)  # the exponents, 16 bits each
+        i = (exps.bit_length() - 1) >> 4
+        if exps and exps >> 16 * i << 16 * i == exps:
+            powers.add(i)
+    return len(powers) == I.ring.nvars

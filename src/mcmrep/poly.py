@@ -3,17 +3,40 @@
 Monomials are exponent tuples, one entry per ring variable.  The term order
 used throughout is weighted graded reverse lexicographic in the declared
 variable order, with the weighted degree taken from the variable degrees.
+
+The Groebner engine works on packed monomials (Bachmann and Schoenemann,
+"Monomial representations for Groebner bases computations", ISSAC 1998).  A
+monomial m of an n-variable ring packs into the int
+
+    K(m) = weight(m) << 16n  |  sum_i (MAX_WEIGHT - m_i) << 16i,
+
+one 16-bit slot per variable below the weighted degree.  Integer order is
+the term order, and K(a*b) = K(a) + K(b) - K(1), so a monomial times the
+quotient of two others is K(m) + K(t) - K(lm).  The top bit of each slot is
+a guard: lm divides m iff ((K(lm) & SLOTS | GUARD) - (K(m) & SLOTS)) & GUARD
+== GUARD, with SLOTS = K(1) the low 15 bits of every slot.  Every variable
+degree is at least 1, so a weighted degree of at most MAX_WEIGHT bounds
+every exponent; a monomial above it is refused with ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, mul, neg, sub
+from struct import Struct
 from typing import NamedTuple
+
+MAX_WEIGHT = (1 << 15) - 1
 
 
 class RingMismatchError(ValueError):
     """Operands live in different polynomial rings."""
+
+
+def _bounded(weight: int) -> int:
+    if weight > MAX_WEIGHT:
+        raise ValueError(f"monomial of weighted degree {weight} above the bound {MAX_WEIGHT}")
+    return weight
 
 
 def monomial_mul(a: tuple, b: tuple) -> tuple:
@@ -30,39 +53,28 @@ def monomial_div(a: tuple, b: tuple) -> tuple:
     return tuple(map(sub, a, b))
 
 
-def monomial_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
-
-
 def monomial_gcd(a: tuple, b: tuple) -> tuple:
     return tuple(map(min, a, b))
 
 
-def monomial_support(m: tuple) -> int:
-    """Bitmask of the variables of m: bit i is set iff m[i] > 0."""
-    mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
-class LeadEntry(NamedTuple):
-    """What a reducer search needs of a nonzero polynomial.
-
-    If m is divisible by lm then mask & ~monomial_support(m) == 0, so one
-    integer test rejects most non-divisors before the exact test on the
-    sparse (index, exponent) pairs in exps.  The tail holds every term but
-    the leading one, in the polynomial's own term order, as
-    (monomial, coefficient, weighted degree, support mask).
+class PackedLead(NamedTuple):
+    """What the Groebner engine needs of a nonzero polynomial, on packed
+    monomials: divisor = K(lm) & SLOTS | GUARD for the divisibility test,
+    key = K(lm), the leading coefficient, and the other terms as
+    (K(t) - K(lm), coefficient) in the polynomial's own term order.
     """
 
-    mask: int
-    exps: tuple
-    lm: tuple
+    divisor: int
+    key: int
     lc: object
-    weight: int
     tail: tuple
+
+    @classmethod
+    def of(cls, terms: dict, ring: "PolynomialRing") -> "PackedLead":
+        """The entry of nonzero packed terms {K(m): coefficient}."""
+        key = max(terms)
+        tail = tuple((k - key, c) for k, c in terms.items() if k != key)
+        return cls(key & ring.slots | ring.guard, key, terms[key], tail)
 
 
 class PolynomialRing:
@@ -71,7 +83,7 @@ class PolynomialRing:
     Immutable; two rings compare equal iff field, names and degrees agree.
     """
 
-    __slots__ = ("field", "names", "degrees", "_index")
+    __slots__ = ("field", "names", "degrees", "_index", "slots", "guard", "_exponents")
 
     def __init__(self, field, names, degrees=None):
         names = tuple(names)
@@ -88,6 +100,12 @@ class PolynomialRing:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        # the packing of monomials (module docstring): SLOTS = K(1), GUARD,
+        # and the exponents as little-endian 16-bit slots
+        n = len(names)
+        object.__setattr__(self, "slots", int.from_bytes(b"\xff\x7f" * n, "little"))
+        object.__setattr__(self, "guard", int.from_bytes(b"\x00\x80" * n, "little"))
+        object.__setattr__(self, "_exponents", Struct(f"<{n}H"))
 
     def __setattr__(self, *args):
         raise AttributeError("PolynomialRing is immutable")
@@ -105,6 +123,22 @@ class PolynomialRing:
     def sort_key(self, m: tuple):
         """Weighted grevlex key: larger key = larger monomial."""
         return (self.monomial_weight(m), tuple(map(neg, reversed(m))))
+
+    def pack(self, m: tuple) -> int:
+        """K(m); ValueError if the weighted degree of m exceeds MAX_WEIGHT."""
+        w = _bounded(self.monomial_weight(m))
+        exps = int.from_bytes(self._exponents.pack(*m), "little")
+        return (w << 16 * len(m) | self.slots) - exps
+
+    def pack_slots(self, s: int) -> int:
+        """K(m) of the monomial m with K(m) & SLOTS = s; ValueError as pack."""
+        exps = self.slots - s
+        w = self.monomial_weight(self._exponents.unpack(exps.to_bytes(2 * self.nvars, "little")))
+        return _bounded(w) << 16 * self.nvars | s
+
+    def unpack(self, k: int) -> tuple:
+        """The exponent tuple m of K(m) = k."""
+        return self._exponents.unpack((self.slots - (k & self.slots)).to_bytes(2 * self.nvars, "little"))
 
     # -- constructors -------------------------------------------------
 
@@ -233,18 +267,13 @@ class Polynomial:
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
 
-    def lead_entry(self) -> LeadEntry:
-        """The reducer data of this polynomial, built on first use and cached
-        like the leading monomial; nonzero polynomials only."""
+    def lead_entry(self) -> PackedLead:
+        """The packed reducer data of this polynomial, built on first use and
+        cached like the leading monomial; nonzero polynomials only."""
         entry = self._lead
         if entry is None:
-            lm = self.leading_monomial()
-            weight = self.ring.monomial_weight
-            tail = tuple(
-                (m, c, weight(m), monomial_support(m)) for m, c in self.terms.items() if m != lm
-            )
-            exps = tuple((i, e) for i, e in enumerate(lm) if e)
-            entry = LeadEntry(monomial_support(lm), exps, lm, self.terms[lm], weight(lm), tail)
+            pack = self.ring.pack
+            entry = PackedLead.of({pack(m): c for m, c in self.terms.items()}, self.ring)
             object.__setattr__(self, "_lead", entry)
         return entry
 

@@ -20,7 +20,7 @@ from mcmrep.groebner import (
     normal_form,
     s_polynomial,
 )
-from mcmrep.poly import PolynomialRing, RingMismatchError, monomial_divides
+from mcmrep.poly import MAX_WEIGHT, PolynomialRing, RingMismatchError, monomial_divides
 from mcmrep.repvariety import build_defining_ideal
 
 from oracles import (
@@ -178,13 +178,44 @@ def test_support_mask_needs_the_exponent_test(kxy):
     assert component_monomials(kxy, ideal([x * x]), 2) == [(1, 1), (0, 2)]
 
 
+def test_weighted_degree_above_the_packing_bound_is_refused():
+    ring = PolynomialRing(GF(32003), ("x", "y", "z"), (1, 2, 1))
+    x, y, z = ring.gens()
+    at_bound = x ** (MAX_WEIGHT - 2) * y
+    above = x ** (MAX_WEIGHT - 1) * y
+    assert above.weighted_degree() == 32768
+    assert normal_form(at_bound + z, [z]) == at_bound
+    assert buchberger([at_bound, x * y]) == [x * y]
+    assert ideal([at_bound, x * y]).contains(at_bound * 2 + x * y * z)
+    # each input is within the bound, but the lcm of a pair is not, also
+    # where the pair is coprime
+    lcm_above = [x**20000 * z, y**7000 * z]
+    calls = [
+        lambda: normal_form(above, [z]),
+        lambda: normal_form(z, [above]),
+        lambda: buchberger([above, z]),
+        lambda: buchberger(lcm_above),
+        lambda: buchberger([at_bound, z]),
+        lambda: ideal([z]).contains(above),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert type(refused.value) is ValueError and "above the bound 32767" in str(refused.value)
+
+
 def test_support_masks_wider_than_a_machine_word():
     # the reductions use only variables 64..69, so a mask cut to 64 bits
     # would be 0 for every monomial in them and could not tell them apart
     names = tuple(f"x{i}" for i in range(70))
     ring = PolynomialRing(GF(32003), names)
     a, b, c, d = (ring.variable(f"x{i}") for i in (64, 66, 68, 69))
-    assert d.lead_entry().mask == 1 << 69
+    # x69 packs to exponent 1 in slot 69 and 0 in every other slot, and its
+    # guard-bit test tells x69 apart from x68
+    slots, guard = ring.slots, ring.guard
+    assert slots - (d.lead_entry().key & slots) == 1 << 16 * 69
+    assert (d.lead_entry().divisor - (ring.pack(d.leading_monomial()) & slots)) & guard == guard
+    assert (d.lead_entry().divisor - (ring.pack(c.leading_monomial()) & slots)) & guard != guard
     assert normal_form(c * d + a, [d * d - b]) == c * d + a
     assert normal_form(c * d * d + a, [d * d - b]) == b * c + a
     gens = [d * d - a * b, c * d - a, b * c * c - d]
@@ -194,7 +225,7 @@ def test_support_masks_wider_than_a_machine_word():
     assert (d * d).leading_monomial() not in standard
     assert (c * d).leading_monomial() not in standard
     assert (b * d).leading_monomial() in standard
-    # a pure power of x69 has the mask 1 << 69
+    # a pure power of x69 has exponents only in slot 69
     squares = [v * v for v in ring.gens()]
     assert is_zero_dimensional(ideal(squares))
     assert not is_zero_dimensional(ideal(squares[:-1] + [c * d]))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mcmrep.fields import GF, QQ
-from mcmrep.poly import PolynomialRing, RingMismatchError
+from mcmrep.poly import MAX_WEIGHT, PolynomialRing, RingMismatchError, monomial_divides, monomial_mul
 
 
 @pytest.fixture
@@ -51,12 +51,96 @@ def test_lead_entry_is_cached_outside_equality(ring):
     g = x * y - 2 * y + 3 * x * x * y
     entry = f.lead_entry()
     assert entry is f.lead_entry()
-    assert entry.mask == 0b11 and entry.exps == ((0, 2), (1, 1))
-    assert (entry.lm, entry.lc, entry.weight) == ((2, 1), 3, 3)
-    assert {t[0]: t[1:] for t in entry.tail} == {(1, 1): (1, 2, 0b11), (0, 1): (-2, 1, 0b10)}
+    lm = ring.pack((2, 1))
+    assert (entry.key, entry.lc) == (lm, 3)
+    assert entry.divisor == lm & ring.slots | ring.guard
+    assert dict(entry.tail) == {ring.pack((1, 1)) - lm: 1, ring.pack((0, 1)) - lm: -2}
     # f carries a cached entry and g does not; they are still equal
     assert f == g and hash(f) == hash(g)
     assert len({f, g}) == 1
+
+
+# -- packed monomials: oracle tests against the exponent tuples ------------
+
+PACKING_RINGS = [
+    PolynomialRing(QQ, ("x", "y", "z"), (1, 1, 1)),
+    PolynomialRing(QQ, ("x", "y", "z"), (1, 2, 1)),
+    PolynomialRing(QQ, ("x", "y", "z"), (2, 1, 1)),
+    PolynomialRing(GF(32003), tuple(f"x{i}" for i in range(70))),
+]
+PACKING_IDS = ["111", "121", "211", "70vars"]
+
+
+def random_monomial(ring, rng):
+    """Small exponents, or one exponent filled up to or near the bound."""
+    n = ring.nvars
+    m = [rng.choice((0, 0, 0, 1, 2)) for _ in range(n)]
+    if rng.random() < 0.5:
+        i = rng.randrange(n)
+        m[i] = 0
+        room = (MAX_WEIGHT - ring.monomial_weight(tuple(m))) // ring.degrees[i]
+        m[i] = max(0, room - rng.choice((0, 0, 1, 2, rng.randint(0, room))))
+    return tuple(m)
+
+
+def monomial_samples(ring, seed, count=200):
+    rng = random.Random(seed)
+    return [random_monomial(ring, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("ring", PACKING_RINGS, ids=PACKING_IDS)
+def test_unpack_inverts_pack(ring):
+    for m in monomial_samples(ring, 1):
+        k = ring.pack(m)
+        assert ring.unpack(k) == m
+        assert ring.pack_slots(k & ring.slots) == k
+    assert ring.pack((0,) * ring.nvars) == ring.slots
+
+
+@pytest.mark.parametrize("ring", PACKING_RINGS, ids=PACKING_IDS)
+def test_packed_order_is_the_term_order(ring):
+    ms = sorted(set(monomial_samples(ring, 2)), key=ring.sort_key)
+    assert sorted(ms, key=ring.pack) == ms
+    for a, b in zip(ms, ms[1:]):
+        assert ring.pack(a) < ring.pack(b)
+
+
+@pytest.mark.parametrize("ring", PACKING_RINGS, ids=PACKING_IDS)
+def test_packed_addition_is_the_product(ring):
+    rng = random.Random(3)
+    checked = 0
+    for a in monomial_samples(ring, 3):
+        b = rng.choice((random_monomial(ring, rng), tuple(rng.randint(0, 2) for _ in a)))
+        ab = monomial_mul(a, b)
+        if ring.monomial_weight(ab) <= MAX_WEIGHT:
+            assert ring.pack(a) + ring.pack(b) - ring.slots == ring.pack(ab)
+            checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("ring", PACKING_RINGS, ids=PACKING_IDS)
+def test_guard_bit_test_is_divisibility(ring):
+    rng = random.Random(4)
+    slots, guard = ring.slots, ring.guard
+    divides = 0
+    for a in monomial_samples(ring, 4):
+        # a multiple of a, a itself, the pure power at the bound, and a random monomial
+        c = tuple(rng.randint(0, 1) for _ in a)
+        top = tuple(MAX_WEIGHT // ring.degrees[0] if i == 0 else 0 for i in range(ring.nvars))
+        for b in (monomial_mul(a, c), a, top, random_monomial(ring, rng)):
+            if ring.monomial_weight(b) > MAX_WEIGHT:
+                continue
+            packed = ((ring.pack(a) & slots | guard) - (ring.pack(b) & slots)) & guard == guard
+            assert packed == monomial_divides(a, b)
+            divides += packed
+    assert divides >= 200
+
+
+def test_weighted_degree_above_the_bound_is_refused():
+    ring = PACKING_RINGS[1]
+    assert ring.pack((MAX_WEIGHT - 2, 1, 0)) > 0
+    with pytest.raises(ValueError, match="weighted degree 32768"):
+        ring.pack((MAX_WEIGHT - 1, 1, 0))
 
 
 def test_weighted_grevlex_leading_monomial():
