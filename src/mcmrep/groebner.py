@@ -5,7 +5,12 @@ the normal selection strategy and both the coprime-leading-term and chain
 criteria; the reduced basis is canonical for a fixed ring.  Both selections
 are heap-ordered: pending pairs sit in a min-heap keyed by their lcm,
 computed once when the pair is created, and the terms still to be reduced
-in a normal form sit in a max-heap.
+in a normal form sit in a max-heap.  A pair with coprime leading monomials
+is settled when it is created (Gebauer and Moeller 1988) and never queued.
+The minimal basis is interreduced in ascending order, each element against
+the ones already reduced, and every polynomial of the returned basis
+carries its packed lead entry, so a later normal form, membership test or
+standard-monomial count repacks nothing.
 
 The engine has one monomial representation, the packed int K(m) of
 `mcmrep.poly` (Bachmann and Schoenemann, ISSAC 1998): integer order is the
@@ -16,19 +21,22 @@ stored as offsets K(t) - K(lm), so reducing m by lm adds K(m) to each
 offset.  The reducer search takes the first divisor in basis order.
 Exponent tuples are built only where polynomials enter and leave the
 engine.  A monomial or S-pair lcm of weighted degree above
-`poly.MAX_WEIGHT` is refused with ValueError.
+`poly.MAX_WEIGHT` is refused with ValueError, also where the pair is
+coprime.
 
 The inner step of a normal form is one fused multiply-subtract per term
 (`submul` of the ring's field).  Every reducer that `buchberger`,
 interreduction and `IdealHandle.contains` pass is monic, and a reduction by
-a monic reducer skips the division by its leading coefficient.
+a monic reducer skips the division by its leading coefficient.  The
+S-polynomial of two monic entries is the difference of their shifted
+tails.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .poly import MAX_WEIGHT, PackedLead, Polynomial, PolynomialRing, RingMismatchError
+from .poly import MAX_WEIGHT, PackedLead, Polynomial, PolynomialRing, RingMismatchError, bounded_weight
 
 
 def _first_divisor(lead, k: int, ring: PolynomialRing):
@@ -41,12 +49,26 @@ def _first_divisor(lead, k: int, ring: PolynomialRing):
 
 
 def _lcm(ring: PolynomialRing, a: int, b: int) -> int:
-    """K(lcm) of two packed monomials: the slot-wise minimum of their slots."""
-    slots, guard = ring.slots, ring.guard
-    a, b = a & slots, b & slots
+    """K(lcm) of two packed monomials: the slot-wise minimum of their slots.
+
+    Its weight is w(a) + w(b) - w(gcd).  The gcd's exponents sit in 16-bit
+    slots and 2^16 = 1 (mod 0xFFFF), so the sum over the variable degrees d
+    of d times the slots of degree d is w(gcd) modulo 0xFFFF, and w(gcd) is
+    at most MAX_WEIGHT.
+    """
+    slots, guard, shift = ring.slots, ring.guard, ring.weight_shift
+    sa, sb = a & slots, b & slots
     # the slots where a's value is at least b's, each all ones
-    ge = ((((a | guard) - b) & guard) >> 15) * MAX_WEIGHT
-    return ring.pack_slots(a ^ (a ^ b) & ge)
+    ge = ((((sa | guard) - sb) & guard) >> 15) * MAX_WEIGHT
+    low = sa ^ (sa ^ sb) & ge
+    gcd = slots - (sa ^ sb ^ low)  # the gcd's exponents: the slot-wise maximum
+    w = (a >> shift) + (b >> shift)
+    if gcd:
+        t = 0
+        for d, mask in ring.degree_masks:
+            t += d * (gcd & mask)
+        w -= t % 0xFFFF
+    return bounded_weight(w) << shift | low
 
 
 def _terms(entry: PackedLead) -> dict:
@@ -101,9 +123,9 @@ def _reduce(work: dict, lead, ring: PolynomialRing) -> dict:
     return remainder
 
 
-def _polynomial(ring: PolynomialRing, terms: dict) -> Polynomial:
+def _polynomial(ring: PolynomialRing, terms: dict, entry: PackedLead = None) -> Polynomial:
     unpack = ring.unpack
-    return Polynomial(ring, {unpack(k): c for k, c in terms.items()})
+    return Polynomial(ring, {unpack(k): c for k, c in terms.items()}, entry)
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -125,25 +147,30 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def _s_pair(a: PackedLead, b: PackedLead, lcm: int, F) -> dict:
-    """Packed terms of the S-polynomial of two entries whose leading
-    monomials have the lcm K = lcm.  The leading terms cancel exactly, so it
-    is built from the two tails."""
-    ca, cb = F.inv(a.lc), F.neg(F.inv(b.lc))
-    terms = {lcm + off: F.mul(c, ca) for off, c in a.tail}
+    """Packed terms of the S-polynomial of two monic entries whose leading
+    monomials have the lcm K = lcm: the leading terms cancel exactly, so it
+    is tail(a) - tail(b), each shifted up to the lcm."""
+    zero, one, submul = F.zero, F.one, F.submul
+    terms = {lcm + off: c for off, c in a.tail}
+    get = terms.get
     for off, c in b.tail:
         mm = lcm + off
-        s = F.add(terms.get(mm, F.zero), F.mul(c, cb))
-        if F.is_zero(s):
-            terms.pop(mm, None)
+        w = get(mm)
+        if w is None:
+            terms[mm] = submul(zero, c, one)
         else:
-            terms[mm] = s
+            w = submul(w, c, one)
+            if w:
+                terms[mm] = w
+            else:
+                del terms[mm]
     return terms
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of two nonzero polynomials of one ring."""
     ring = f.ring
-    a, b = f.lead_entry(), g.lead_entry()
+    a, b = f.monic().lead_entry(), g.monic().lead_entry()
     return _polynomial(ring, _s_pair(a, b, _lcm(ring, a.key, b.key), ring.field))
 
 
@@ -159,12 +186,15 @@ def buchberger(generators) -> list:
     """Reduced Groebner basis of the given generators.
 
     Normal selection strategy: the pending pair with the least lcm goes
-    first, ties broken by the pair's indices.  Each pair (i, j) is pushed
-    onto a heap keyed by (K(lcm), i, j) once, when G[j] joins the basis;
-    the set of pending pairs answers the chain criterion's membership test.
-    Pairs are skipped by the coprime and chain criteria.  The basis is kept
-    as packed lead entries and leaves the engine as monic polynomials
-    sorted ascending in the term order.
+    first, ties broken by the pair's indices.  A pair (i, j) is made once,
+    when G[j] joins the basis.  A pair whose lcm is the product of its
+    leading monomials (coprime criterion) is settled there and never
+    queued; any other is pushed onto a heap keyed by (K(lcm), i, j) and
+    recorded in the set of pending pair keys i << 32 | j, which answers the
+    chain criterion's membership test at the pair's pop.  The basis is kept
+    as monic packed lead entries.  The minimal basis is interreduced in
+    ascending order, and leaves the engine as monic polynomials sorted
+    ascending in the term order, each carrying its packed entry.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -175,18 +205,27 @@ def buchberger(generators) -> list:
             raise RingMismatchError("generators in different rings")
     F = ring.field
     slots, guard = ring.slots, ring.guard
+    heappush = heapq.heappush
 
     lead = []
-    pairs = set()
+    divisors = []  # lead[k].divisor, for the chain criterion
+    pending = set()
     queue = []
 
     def add_element(terms):
         j = len(lead)
         e = PackedLead.of(_monic(terms, F), ring)
-        for i in range(j):
-            heapq.heappush(queue, (_lcm(ring, lead[i].key, e.key), i, j))
-            pairs.add((i, j))
+        key = e.key
+        product = key - slots  # K(lm(a) * lm(e)) = K(lm(a)) + product
+        for i, a in enumerate(lead):
+            # the lcm of a coprime pair is built too, so that its weight is
+            # checked against the bound, but the pair is settled here
+            lcm = _lcm(ring, a.key, key)
+            if lcm != a.key + product:
+                heappush(queue, (lcm, i, j))
+                pending.add(i << 32 | j)
         lead.append(e)
+        divisors.append(e.divisor)
 
     for g in sorted((g.lead_entry() for g in gens), key=lambda e: e.key):
         r = _reduce(_terms(g), lead, ring)
@@ -195,38 +234,37 @@ def buchberger(generators) -> list:
 
     while queue:
         lcm, i, j = heapq.heappop(queue)
-        pairs.discard((i, j))
-        a, b = lead[i], lead[j]
-        # coprime criterion: the lcm is the product
-        if lcm == a.key + b.key - slots:
-            continue
+        pending.discard(i << 32 | j)
         # chain criterion: some other G[k] whose leading monomial divides
         # the lcm, with neither (i, k) nor (j, k) pending
         s = lcm & slots
-        chained = False
-        for k, entry in enumerate(lead):
-            if (entry.divisor - s) & guard == guard and k != i and k != j:
-                if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
-                    chained = True
-                    break
-        if chained:
-            continue
-        r = _reduce(_s_pair(a, b, lcm, F), lead, ring)
-        if r:
-            add_element(r)
+        for k, d in enumerate(divisors):
+            if (
+                (d - s) & guard == guard
+                and k != i
+                and k != j
+                and (k << 32 | i if k < i else i << 32 | k) not in pending
+                and (k << 32 | j if k < j else j << 32 | k) not in pending
+            ):
+                break
+        else:  # no G[k] chains the pair
+            r = _reduce(_s_pair(lead[i], lead[j], lcm, F), lead, ring)
+            if r:
+                add_element(r)
 
     # minimalize
     minimal = []
     for e in sorted(lead, key=lambda e: e.key):
         if _first_divisor(minimal, e.key, ring) is None:
             minimal.append(e)
-    # interreduce
-    reduced = [
-        _monic(_reduce(_terms(e), minimal[:i] + minimal[i + 1 :], ring), F)
-        for i, e in enumerate(minimal)
-    ]
-    reduced.sort(key=max)  # by K of the leading monomial
-    return [_polynomial(ring, r) for r in reduced]
+    # interreduce in ascending order: a tail term of e lies below lm(e), so
+    # only the entries before e, already reduced, can divide it
+    reduced = []
+    for e in minimal:
+        key = e.key
+        tail = _reduce({key + off: c for off, c in e.tail}, reduced, ring)
+        reduced.append(PackedLead(e.divisor, key, e.lc, tuple((k - key, c) for k, c in tail.items())))
+    return [_polynomial(ring, _terms(e), e) for e in reduced]
 
 
 class IdealHandle:

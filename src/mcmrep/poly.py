@@ -33,7 +33,8 @@ class RingMismatchError(ValueError):
     """Operands live in different polynomial rings."""
 
 
-def _bounded(weight: int) -> int:
+def bounded_weight(weight: int) -> int:
+    """weight, or ValueError if it exceeds MAX_WEIGHT."""
     if weight > MAX_WEIGHT:
         raise ValueError(f"monomial of weighted degree {weight} above the bound {MAX_WEIGHT}")
     return weight
@@ -83,7 +84,10 @@ class PolynomialRing:
     Immutable; two rings compare equal iff field, names and degrees agree.
     """
 
-    __slots__ = ("field", "names", "degrees", "_index", "slots", "guard", "_exponents")
+    __slots__ = (
+        "field", "names", "degrees", "_index",
+        "slots", "guard", "weight_shift", "degree_masks", "_exponents",
+    )
 
     def __init__(self, field, names, degrees=None):
         names = tuple(names)
@@ -101,10 +105,17 @@ class PolynomialRing:
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         # the packing of monomials (module docstring): SLOTS = K(1), GUARD,
-        # and the exponents as little-endian 16-bit slots
+        # K(m) >> weight_shift = weight(m), for each variable degree d the
+        # mask of the slots of degree d, and the exponents as little-endian
+        # 16-bit slots
         n = len(names)
         object.__setattr__(self, "slots", int.from_bytes(b"\xff\x7f" * n, "little"))
         object.__setattr__(self, "guard", int.from_bytes(b"\x00\x80" * n, "little"))
+        object.__setattr__(self, "weight_shift", 16 * n)
+        masks = {}
+        for i, d in enumerate(degrees):
+            masks[d] = masks.get(d, 0) | 0xFFFF << 16 * i
+        object.__setattr__(self, "degree_masks", tuple(sorted(masks.items())))
         object.__setattr__(self, "_exponents", Struct(f"<{n}H"))
 
     def __setattr__(self, *args):
@@ -126,15 +137,9 @@ class PolynomialRing:
 
     def pack(self, m: tuple) -> int:
         """K(m); ValueError if the weighted degree of m exceeds MAX_WEIGHT."""
-        w = _bounded(self.monomial_weight(m))
+        w = bounded_weight(self.monomial_weight(m))
         exps = int.from_bytes(self._exponents.pack(*m), "little")
         return (w << 16 * len(m) | self.slots) - exps
-
-    def pack_slots(self, s: int) -> int:
-        """K(m) of the monomial m with K(m) & SLOTS = s; ValueError as pack."""
-        exps = self.slots - s
-        w = self.monomial_weight(self._exponents.unpack(exps.to_bytes(2 * self.nvars, "little")))
-        return _bounded(w) << 16 * self.nvars | s
 
     def unpack(self, k: int) -> tuple:
         """The exponent tuple m of K(m) = k."""
@@ -206,7 +211,7 @@ class PolynomialRing:
         return out
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolynomialRing)
             and self.field == other.field
             and self.names == other.names
@@ -226,11 +231,14 @@ class Polynomial:
 
     __slots__ = ("ring", "terms", "_lm", "_lead")
 
-    def __init__(self, ring: PolynomialRing, terms: dict):
+    def __init__(self, ring: PolynomialRing, terms: dict, entry: PackedLead = None):
+        """entry, if given, is cached as lead_entry(): the caller that
+        already holds the packed terms must pass the entry that lead_entry()
+        would build from terms."""
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", dict(terms))
         object.__setattr__(self, "_lm", None)
-        object.__setattr__(self, "_lead", None)
+        object.__setattr__(self, "_lead", entry)
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")

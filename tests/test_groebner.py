@@ -20,7 +20,7 @@ from mcmrep.groebner import (
     normal_form,
     s_polynomial,
 )
-from mcmrep.poly import MAX_WEIGHT, PolynomialRing, RingMismatchError, monomial_divides
+from mcmrep.poly import MAX_WEIGHT, Polynomial, PolynomialRing, RingMismatchError, monomial_divides
 from mcmrep.repvariety import build_defining_ideal
 
 from oracles import (
@@ -81,6 +81,94 @@ def test_against_oracle_random_systems_in_three_variables(field, degrees):
     for _ in range(12):
         gens = [random_poly(ring, rng, max_exp=2) for _ in range(rng.randint(1, 3))]
         assert buchberger(gens) == naive_reduced_groebner(gens)
+
+
+def _coprime_led_system(ring, rng, homogeneous):
+    """Generators led by squares of distinct variables, which are pairwise
+    coprime, and one or two random polynomials of degree at most 2.  A
+    square-led generator of x_i has its other terms in x_i..x_n only, so
+    x_i^2 leads it in grevlex; the non-homogeneous ones also get terms of
+    degree 0 and 1 in every variable."""
+    n = ring.nvars
+    F = ring.field
+    gens = []
+    for i in sorted(rng.sample(range(n), rng.randint(2, n))):
+        terms = {tuple(2 if v == i else 0 for v in range(n)): F.coerce(rng.randint(1, 5))}
+        for _ in range(rng.randint(1, 3)):
+            m = [0] * n
+            m[rng.randrange(i, n)] += 1
+            m[rng.randrange(i + 1, n) if i + 1 < n else i] += 1
+            if tuple(m) not in terms:
+                terms[tuple(m)] = rng.randint(-3, 3)
+        if not homogeneous:
+            for _ in range(rng.randint(1, 2)):
+                m = [0] * n
+                if rng.random() < 0.7:
+                    m[rng.randrange(n)] = 1
+                terms[tuple(m)] = rng.randint(-3, 3)
+        gens.append(ring.from_terms(terms))
+    for _ in range(rng.randint(1, 2)):
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            m = [0] * n
+            for _ in range(2 if homogeneous else rng.randint(0, 2)):
+                m[rng.randrange(n)] += 1
+            terms[tuple(m)] = rng.randint(-3, 3)
+        gens.append(ring.from_terms(terms))
+    return [g for g in gens if not g.is_zero()]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+def test_coprime_led_systems_match_oracles(field, homogeneous):
+    pytest.importorskip("sympy")
+    ring = PolynomialRing(field, ("w", "x", "y", "z"))
+    rng = random.Random(41 + homogeneous)
+    coprime = 0
+    for _ in range(10):
+        gens = _coprime_led_system(ring, rng, homogeneous)
+        lms = [g.leading_monomial() for g in gens]
+        coprime += sum(
+            not any(map(min, a, b)) for a, b in itertools.combinations(lms, 2)
+        )
+        assert all(g.is_homogeneous() for g in gens) == homogeneous
+        basis = buchberger(gens)
+        assert basis == naive_reduced_groebner(gens)
+        assert basis == sympy_reduced_groebner(gens)
+    assert coprime >= 30
+
+
+def test_returned_basis_carries_its_lead_entries(kxy, monkeypatch):
+    x, y = kxy.gens()
+    gens = x2_defining_generators((0, 1, 2), QQ)
+    ring = gens[0].ring
+    rng = random.Random(43)
+    # interreduction rewrites the tail of x^2 + y to x^2 + 1
+    assert buchberger([x * x + y, x * x + 1]) == [y - 1, x * x + 1]
+    systems = [gens, [x * x + y, x * x + 1], [x * x - y, x * y - x], [x**3 - 2 * y, x * y * y + 3]]
+    systems += [[random_poly(kxy, rng) for _ in range(3)] for _ in range(5)]
+    for system in systems:
+        for g in buchberger(system):
+            assert g.lead_entry() == Polynomial(g.ring, g.terms).lead_entry()
+    # with the basis computed, a membership test packs only the terms of its
+    # argument, and the standard monomials and the zero-dimension test pack
+    # only the candidate monomials
+    I = ideal(gens)
+    basis = I.groebner_basis()
+    packed = []
+    pack = PolynomialRing.pack
+    monkeypatch.setattr(PolynomialRing, "pack", lambda r, m: packed.append(m) or pack(r, m))
+    f = basis[-1] * ring.variable(ring.names[0]) + basis[0]
+    assert I.contains(f)
+    assert len(packed) == len(f.terms)
+    packed.clear()
+    assert not is_zero_dimensional(I)
+    assert packed == []
+    J = ideal([g for g in gens if g.is_homogeneous()])
+    J.groebner_basis()
+    packed.clear()
+    standard = component_monomials(ring, J, 2)
+    assert len(packed) == len(ring.monomials_of_weight(2)) > len(standard)
 
 
 def test_normal_form_term_cancels_then_returns(kxy):

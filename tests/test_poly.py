@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mcmrep.fields import GF, QQ
+from mcmrep.groebner import _lcm
 from mcmrep.poly import MAX_WEIGHT, PolynomialRing, RingMismatchError, monomial_divides, monomial_mul
 
 
@@ -93,7 +94,6 @@ def test_unpack_inverts_pack(ring):
     for m in monomial_samples(ring, 1):
         k = ring.pack(m)
         assert ring.unpack(k) == m
-        assert ring.pack_slots(k & ring.slots) == k
     assert ring.pack((0,) * ring.nvars) == ring.slots
 
 
@@ -134,6 +134,46 @@ def test_guard_bit_test_is_divisibility(ring):
             assert packed == monomial_divides(a, b)
             divides += packed
     assert divides >= 200
+
+
+@pytest.mark.parametrize("ring", PACKING_RINGS, ids=PACKING_IDS)
+def test_lcm_is_the_slot_wise_maximum(ring):
+    rng = random.Random(5)
+    accepted = refused = 0
+    for a in monomial_samples(ring, 5):
+        k = ring.pack(a)
+        assert _lcm(ring, k, k) == k
+        assert _lcm(ring, k, ring.slots) == k == _lcm(ring, ring.slots, k)
+        b = rng.choice((random_monomial(ring, rng), tuple(rng.randint(0, 2) for _ in a)))
+        lcm = tuple(map(max, a, b))
+        w = ring.monomial_weight(lcm)
+        if w <= MAX_WEIGHT:
+            assert _lcm(ring, k, ring.pack(b)) == ring.pack(lcm) == _lcm(ring, ring.pack(b), k)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match=f"weighted degree {w} above"):
+                _lcm(ring, k, ring.pack(b))
+            refused += 1
+    assert accepted >= 100 and refused >= 10
+
+
+@pytest.mark.parametrize("ring", PACKING_RINGS, ids=PACKING_IDS)
+def test_lcm_at_the_weight_bound(ring):
+    # x_0^e z^c and z^(weight - e*d_0), with z the last variable (degree 1):
+    # the gcd is z^c, or 1 where c = 0, and the lcm weighs weight
+    n, d0 = ring.nvars, ring.degrees[0]
+    assert ring.degrees[-1] == 1
+    e = (MAX_WEIGHT - 40) // d0
+    for c in (0, 1, 7):
+        for weight in (MAX_WEIGHT, MAX_WEIGHT + 1):
+            a = (e,) + (0,) * (n - 2) + (c,)
+            b = (0,) * (n - 1) + (weight - e * d0,)
+            ka, kb = ring.pack(a), ring.pack(b)
+            if weight == MAX_WEIGHT:
+                assert _lcm(ring, ka, kb) == ring.pack(tuple(map(max, a, b)))
+            else:
+                with pytest.raises(ValueError, match="weighted degree 32768 above the bound 32767"):
+                    _lcm(ring, ka, kb)
 
 
 def test_weighted_degree_above_the_bound_is_refused():
@@ -202,6 +242,25 @@ def test_monomials_of_weight():
     assert set(ring.monomials_of_weight(4)) == {(4, 0), (2, 1), (0, 2)}
     assert ring.monomials_of_weight(0) == [(0, 0)]
     assert ring.monomials_of_weight(-1) == []
+
+
+def test_monomials_of_weight_order_and_support():
+    ring = PolynomialRing(QQ, ("x", "y", "z"), (1, 2, 1))
+    assert ring.monomials_of_weight(3) == [(3, 0, 0), (1, 1, 0), (2, 0, 1), (0, 1, 1), (1, 0, 2), (0, 0, 3)]
+    assert ring.monomials_of_weight(4, var_indices=(1, 2)) == [(0, 2, 0), (0, 1, 2), (0, 0, 4)]
+    assert ring.monomials_of_weight(4, var_indices=(2, 0)) == [
+        (4, 0, 0), (3, 0, 1), (2, 0, 2), (1, 0, 3), (0, 0, 4)
+    ]
+
+
+def test_ring_equality():
+    ring = PolynomialRing(QQ, ("x", "y"), (1, 2))
+    assert ring == ring and not ring != ring
+    assert ring == PolynomialRing(QQ, ("x", "y"), (1, 2))
+    assert ring != PolynomialRing(QQ, ("x", "y"))
+    assert ring != PolynomialRing(GF(7), ("x", "y"), (1, 2))
+    assert ring != PolynomialRing(QQ, ("x", "z"), (1, 2))
+    assert ring != ("x", "y")
 
 
 def test_zero_variable_ring():
