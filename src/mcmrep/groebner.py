@@ -236,15 +236,20 @@ def buchberger(generators) -> list:
         lcm, i, j = heapq.heappop(queue)
         pending.discard(i << 32 | j)
         # chain criterion: some other G[k] whose leading monomial divides
-        # the lcm, with neither (i, k) nor (j, k) pending
+        # the lcm, with neither (i, k) nor (j, k) pending.  For k < i both
+        # pairs have an lcm dividing this one and win the index tie-break,
+        # so they were popped before (i, j) and are not looked up.
         s = lcm & slots
         for k, d in enumerate(divisors):
             if (
                 (d - s) & guard == guard
                 and k != i
                 and k != j
-                and (k << 32 | i if k < i else i << 32 | k) not in pending
-                and (k << 32 | j if k < j else j << 32 | k) not in pending
+                and (
+                    k < i
+                    or (i << 32 | k) not in pending
+                    and (k << 32 | j if k < j else j << 32 | k) not in pending
+                )
             ):
                 break
         else:  # no G[k] chains the pair

@@ -20,7 +20,7 @@ from .fields import GF, QQ, PrimeField
 from .graded import ShiftType
 from .linalg import determinant, kernel_basis, rref, solve
 from .matops import mat_det
-from .poly import PolynomialRing, RingMismatchError
+from .poly import PolynomialRing, RingMismatchError, monomial_mul
 from .repvariety import (
     MatrixPoint,
     RepIdeal,
@@ -102,24 +102,32 @@ def hom_component(mu: MatrixPoint, nu: MatrixPoint, e: int) -> HomComponentBasis
     return a kernel basis.
 
     Column k of the system is alpha mu - nu alpha for the unit map alpha of
-    slot k, one row per (generator, entry, S-monomial)."""
+    slot k, one row per (generator, entry, S-monomial).  For the slot
+    (a, b, m), alpha mu is m times row b of mu moved to row a, and
+    -nu alpha is m times column a of -nu moved to column b; multiplying by
+    m moves monomials injectively, so no two terms of one product meet."""
     _check_compatible(mu, nu)
     s_ring = mu.s_ring
     field = s_ring.field
     V = mu.shifts
     slots = entry_slots(s_ring, V, V, e)
+    width = len(slots)
     rows_by_key = {}
     for gi, (M, N) in enumerate(zip(mu.matrices, nu.matrices)):
-        M = coefficient_map(M, s_ring)
-        minus_N = {key: field.neg(c) for key, c in coefficient_map(N, s_ring).items()}
-        for k, slot in enumerate(slots):
-            unit = {slot: field.one}
-            for values in (compose(unit, M, field), compose(minus_N, unit, field)):
-                for (a, b, m), c in values.items():
-                    row = rows_by_key.setdefault((gi, a, b, m), [field.zero] * len(slots))
-                    row[k] = field.add(row[k], c)
+        M_rows, minus_N_cols = {}, {}
+        for (a, b, m), c in coefficient_map(M, s_ring).items():
+            M_rows.setdefault(a, []).append((b, m, c))
+        for (a, b, m), c in coefficient_map(N, s_ring).items():
+            minus_N_cols.setdefault(b, []).append((a, m, field.neg(c)))
+        for k, (a, b, m) in enumerate(slots):
+            for q, m2, c in M_rows.get(b, ()):
+                row = rows_by_key.setdefault((gi, a, q, monomial_mul(m, m2)), [field.zero] * width)
+                row[k] = field.add(row[k], c)
+            for p, m2, c in minus_N_cols.get(a, ()):
+                row = rows_by_key.setdefault((gi, p, b, monomial_mul(m2, m)), [field.zero] * width)
+                row[k] = field.add(row[k], c)
     rows = [rows_by_key[k] for k in sorted(rows_by_key)]
-    vectors = kernel_basis(rows, len(slots), field)
+    vectors = kernel_basis(rows, width, field)
     return HomComponentBasis(e, mu, nu, tuple(slots), tuple(tuple(v) for v in vectors))
 
 
@@ -169,6 +177,39 @@ def _block_projection(E: HomComponentBasis):
     return [E.slots[k] for k in block_slots], [[v[k] for k in block_slots] for v in E.vectors]
 
 
+def _gray_scan(rows, n, blocks, field) -> bool:
+    """True iff some F_p-combination of the rows, vectors of length n over
+    F_p, has nonsingular blocks; each block is a square array of positions
+    in the vector.
+
+    The p^k combinations of k rows are visited in the modular Gray order:
+    step t adds row j to the vector, where p^j is the largest power of p
+    dividing t (Knuth, TAOCP 4A, 7.2.1.1), so the vector is one sparse row
+    update from the last.  The scan stops at the first combination with
+    nonsingular blocks and returns False only after all of them."""
+    p = field.p
+    sparse = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
+    ones = [blk[0][0] for blk in blocks if len(blk) == 1]
+    twos = [(blk[0][0], blk[0][1], blk[1][0], blk[1][1]) for blk in blocks if len(blk) == 2]
+    larger = [blk for blk in blocks if len(blk) > 2]
+    vec = [0] * n
+    for t in range(p ** len(rows)):
+        if t:
+            j, s = 0, t
+            while not s % p:
+                s //= p
+                j += 1
+            for i, c in sparse[j]:
+                vec[i] = (vec[i] + c) % p
+        if (
+            all(vec[i] for i in ones)
+            and all((vec[a] * vec[d] - vec[b] * vec[c]) % p for a, b, c, d in twos)
+            and all(determinant([[vec[i] for i in row] for row in blk], field) for blk in larger)
+        ):
+            return True
+    return False
+
+
 def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
     """True iff the degree-0 hom space from mu to nu contains an invertible
     matrix.
@@ -180,8 +221,9 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
     Hom_0.  The branch is chosen by r = dim Hom_0:
 
     - over F_p with p^r <= EXHAUSTIVE_ISOM_CAP, every element of the
-      projection is tried, as an F_p-combination of an echelon basis of it.
-      The search covers all of Hom_0, so both answers are certified.
+      projection is tried, as an F_p-combination of an echelon basis of it,
+      in the modular Gray order (_gray_scan).  The search covers all of
+      Hom_0, so both answers are certified.
     - for r <= SYMBOLIC_DET_CAP, the blocks' determinants of the generic
       element sum c_i alpha_i are expanded in k[c_1..c_r].  Their product
       is the determinant of the generic element and is nonzero iff each of
@@ -210,10 +252,8 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
 
     if isinstance(field, PrimeField) and field.p**r <= EXHAUSTIVE_ISOM_CAP:
         echelon, _ = rref(projected, n, field)
-        return any(
-            invertible(_combine(field, coeffs, echelon, n))
-            for coeffs in itertools.product(field.elements(), repeat=len(echelon))
-        )
+        blocks = [[[pos[p, q] for q in block] for p in block] for block in _shift_blocks(V)]
+        return _gray_scan(echelon, n, blocks, field)
     if r <= SYMBOLIC_DET_CAP:
         c_ring = PolynomialRing(field, tuple(f"c{i + 1}" for i in range(r)))
         c_vars = [tuple(int(i == j) for j in range(r)) for i in range(r)]
@@ -445,14 +485,33 @@ class OrbitCensus:
         return len(self.orbits)
 
 
-def _act(columns, vec, q):
-    """The image of vec under the linear map with the given sparse columns."""
-    out = [0] * len(columns)
-    for v, column in zip(vec, columns):
-        if v:
-            for i, c in column:
-                out[i] += v * c
-    return tuple(x % q for x in out)
+def _moved_rows(columns, q):
+    """The nonzero rows of A - 1 over F_q, for the linear map A with the
+    given sparse columns: (i, ((j, c), ...)) for each coordinate i that A
+    moves, in order, with the nonzero entries of row i by column."""
+    rows = [{} for _ in columns]
+    for j, column in enumerate(columns):
+        for i, c in column:
+            rows[i][j] = c
+    moved = []
+    for i, row in enumerate(rows):
+        row[i] = (row.get(i, 0) - 1) % q
+        entries = tuple((j, c) for j, c in sorted(row.items()) if c)
+        if entries:
+            moved.append((i, entries))
+    return moved
+
+
+def _act(moved, vec, q):
+    """The image A vec = vec + (A - 1) vec of vec, for the moved rows of A
+    (see _moved_rows): only the moved coordinates are rewritten."""
+    out = list(vec)
+    for i, row in moved:
+        acc = vec[i]
+        for j, c in row:
+            acc += c * vec[j]
+        out[i] = acc % q
+    return tuple(out)
 
 
 def _conjugation_columns(ps, g: GroupElement):
@@ -487,7 +546,8 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     if len(point_set) != len(points):
         raise ValueError("duplicate points")
     n_group = group_order(V, q, R.normalization_degrees)
-    actions = [_conjugation_columns(ps, g) for g in _group_generators(V, ps.s_ring)]
+    gens = _group_generators(V, ps.s_ring)
+    actions = [_moved_rows(_conjugation_columns(ps, g), q) for g in gens]
 
     records = []
     placed = set()
@@ -497,8 +557,8 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
         orbit = {pt_vec}
         queue = [pt_vec]
         for vec in queue:  # the queue grows while it is read
-            for columns in actions:
-                image = _act(columns, vec, q)
+            for moved in actions:
+                image = _act(moved, vec, q)
                 if image not in orbit:
                     if image not in point_set:
                         raise InvariantViolationError("orbit leaves the enumerated point set")

@@ -334,6 +334,41 @@ def sweep_orbit_partition(points, R, V, q):
     return len(group), records
 
 
+def column_product(columns, vec, q):
+    """The image of vec over F_q under the linear map with the given sparse
+    columns of (index, value) pairs: every column times its coordinate."""
+    out = [0] * len(columns)
+    for v, column in zip(vec, columns):
+        for i, c in column:
+            out[i] += v * c
+    return tuple(x % q for x in out)
+
+
+# -- isomorphism by a scan over every coefficient tuple ------------------
+
+
+def leibniz_det(matrix, p):
+    """Determinant over F_p as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[j] for row, j in zip(matrix, perm))
+    return total % p
+
+
+def product_scan(rows, n, blocks, field):
+    """True iff some F_p-combination of the rows, vectors of length n, has
+    nonsingular blocks (square arrays of positions in the vector): every
+    coefficient tuple in itertools.product order, each combination summed
+    afresh."""
+    p = field.p
+    for coeffs in itertools.product(range(p), repeat=len(rows)):
+        vec = [sum(c * row[i] for c, row in zip(coeffs, rows)) % p for i in range(n)]
+        if all(leibniz_det([[vec[i] for i in r] for r in blk], p) for blk in blocks):
+            return True
+    return False
+
+
 # -- graded Hom components through Polynomial matrix products ------------
 
 

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -14,10 +15,13 @@ from mcmrep.orbits import (
     SYMBOLIC_DET_CAP,
     BudgetExceededError,
     GroupElement,
+    _act,
     _block_det,
     _conjugation_columns,
+    _gray_scan,
     _group_generators,
     _is_split_local,
+    _moved_rows,
     are_isomorphic,
     conjugate,
     enumerate_group,
@@ -46,8 +50,10 @@ from oracles import (
     brute_force_points,
     brute_force_x2_points,
     cofactor_are_isomorphic,
+    column_product,
     generic_element_is_indecomposable,
     matmul_hom_component,
+    product_scan,
     sweep_orbit_partition,
 )
 
@@ -353,6 +359,7 @@ def named_algebra(name, field=QQ):
     ("x2y2", (0, 0), 3), ("x2y2", (0, 0), 5),  # a GL_2 block; x^2 + y^2 splits at q = 5
     ("xz", (0, 1), 3),  # two algebra generators
     ("x2s2", (0, 1), 3),  # a two-variable S
+    ("x2", (0, 0, 0), 3),  # one GL_3 block
 ])
 def test_orbit_partition_matches_full_sweep(name, shifts, q):
     R = named_algebra(name)
@@ -380,12 +387,15 @@ def test_enumerate_points_reduces_rational_denominators():
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
-@pytest.mark.parametrize("name", ["x2", "xz", "x2s2"])
-def test_hom_component_matches_matmul_oracle(name, field):
+@pytest.mark.parametrize("name,shifts", [
+    ("x2", (0, 1)), ("xz", (0, 1)), ("x2s2", (0, 1)),
+    ("x2", (0, 0, 1)),  # a repeated shift
+], ids=["x2", "xz", "x2s2", "x2-001"])
+def test_hom_component_matches_matmul_oracle(name, shifts, field):
     # points over F_3 with coordinates read as 0, 1, -1 that are points over
     # QQ, and so over F_5 too
     R = named_algebra(name, field)
-    V = ShiftType((0, 1))
+    V = ShiftType(shifts)
     ps = parameterize(R, V, field)
     lifted = (
         tuple((0, 1, -1)[c] for c in v)
@@ -395,7 +405,7 @@ def test_hom_component_matches_matmul_oracle(name, field):
     sample = [points[0]] + random.Random(7).sample(points[1:], 4)
     dimensions = set()
     for mu, nu in itertools.permutations(sample, 2):
-        for e in (0, 1, 2):
+        for e in (-1, 0, 1, 2):
             E = hom_component(mu, nu, e)
             slots, vectors = matmul_hom_component(mu, nu, e)
             assert list(E.slots) == slots
@@ -519,6 +529,7 @@ def random_group_element(V, s_ring, rng):
 @pytest.mark.parametrize("name,shifts,q", [
     ("x2", (0, 1), 5), ("x2", (0, 1, 2), 3), ("x2", (0, 0, 1), 3),
     ("x2y2", (0, 0), 5), ("xz", (0, 1), 3), ("x2s2", (0, 1), 3),
+    ("x2", (0, 0, 0), 2), ("x2", (0, 0, 0), 3),  # one 3 x 3 block
 ])
 def test_are_isomorphic_matches_cofactor_oracle_on_census(name, shifts, q):
     # every ordered pair of orbit representatives, and each representative
@@ -537,6 +548,71 @@ def test_are_isomorphic_matches_cofactor_oracle_on_census(name, shifts, q):
         assert answer == cofactor_are_isomorphic(mu, nu)
         answers.append(answer)
     assert answers.count(True) == 2 * census.isomorphism_class_count == 2 * len(reps)
+
+
+def block_layout(sizes):
+    """Blocks of the given sizes laid out one after another in a vector,
+    each row-major: (length, blocks as square arrays of positions)."""
+    blocks, n = [], 0
+    for m in sizes:
+        blocks.append([[n + m * r + c for c in range(m)] for r in range(m)])
+        n += m * m
+    return n, blocks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gray_scan_matches_product_scan(p):
+    field = GF(p)
+    rng = random.Random(p)
+    answers = []
+    for sizes in [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 1, 3), (4, 1), (1, 1, 1, 2)]:
+        n, blocks = block_layout(sizes)
+        k_max = max(k for k in range(6) if p**k <= 400)
+        for k in range(k_max + 1):
+            for density in (0.3, 0.7):
+                rows = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(k)]
+                answer = _gray_scan(rows, n, blocks, field)
+                assert answer == product_scan(rows, n, blocks, field)
+                answers.append(answer)
+                # a zero first column in the last block leaves no invertible element
+                for row in rows:
+                    for r in blocks[-1]:
+                        row[r[0]] = 0
+                assert not _gray_scan(rows, n, blocks, field)
+                assert not product_scan(rows, n, blocks, field)
+        assert not _gray_scan([], n, blocks, field)  # rank 0
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_gray_scan_finds_the_last_invertible_combination(p, k):
+    # diagonal blocks of sizes 4, 3, 2 and 1: the last row w is the identity
+    # and row i < k - 1 is (0, 1, .., p - 1) on its own p diagonal places,
+    # so c w + sum a_i row_i has a zero on the diagonal unless every a_i is
+    # 0: the invertible combinations are the c w with c != 0.  The modular
+    # Gray order reaches c w at step c (p^k - 1) / (p - 1), so over F_2 the
+    # only invertible combination is the last one it visits.
+    field = GF(p)
+    n, blocks = block_layout((4, 3, 2, 1))
+    diagonal = [blk[i][i] for blk in blocks for i in range(len(blk))]
+    w = [int(i in diagonal) for i in range(n)]
+    rows = []
+    for r in range(k - 1):
+        row = [0] * n
+        for c, i in enumerate(diagonal[r * p:(r + 1) * p]):
+            row[i] = c
+        rows.append(row)
+    assert _gray_scan(rows + [w], n, blocks, field)
+    assert product_scan(rows + [w], n, blocks, field)
+    assert not _gray_scan(rows, n, blocks, field)
+    assert not product_scan(rows, n, blocks, field)
+    invertible = [
+        coeffs for coeffs in itertools.product(range(p), repeat=k)
+        if product_scan([[sum(map(operator.mul, coeffs, col)) % p for col in zip(*rows, w)]],
+                        n, blocks, field)
+    ]
+    assert invertible == [(0,) * (k - 1) + (c,) for c in range(1, p)]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
@@ -566,8 +642,11 @@ def test_are_isomorphic_matches_cofactor_oracle_symbolic(shifts, field):
     assert answers == {True, False}
 
 
+CONJUGATION_CASES = [("x2", (0, 1, 2)), ("xz", (0, 1)), ("x2s2", (0, 1))]
+
+
 @pytest.mark.parametrize("q", [3, 5])
-@pytest.mark.parametrize("name,shifts", [("x2", (0, 1, 2)), ("xz", (0, 1)), ("x2s2", (0, 1))])
+@pytest.mark.parametrize("name,shifts", CONJUGATION_CASES)
 def test_conjugation_columns_match_conjugate(name, shifts, q):
     R = named_algebra(name)
     V = ShiftType(shifts)
@@ -584,6 +663,23 @@ def test_conjugation_columns_match_conjugate(name, shifts, q):
             [(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units
         ]
         assert _conjugation_columns(ps, g) == expected
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("name,shifts", CONJUGATION_CASES)
+def test_moved_rows_act_as_the_column_product(name, shifts, q):
+    V = ShiftType(shifts)
+    ps = parameterize(named_algebra(name), V, GF(q))
+    n = len(ps)
+    rng = random.Random(q)
+    vectors = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    vectors += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(50)]
+    for g in _group_generators(V, ps.s_ring):
+        columns = _conjugation_columns(ps, g)
+        moved = _moved_rows(columns, q)
+        assert 0 < len(moved) < n
+        for vec in vectors:
+            assert _act(moved, vec, q) == column_product(columns, vec, q)
 
 
 def check_is_indecomposable_against_oracle(pt):
