@@ -403,15 +403,40 @@ def _primitive(g):
     return g.scale(Fraction(den, num))
 
 
-def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
-    """All F_q-points of the variety, in lexicographic assignment order.
+def _torus_weight(factors, entries, d):
+    """The weight of a term for the diagonal torus of G_V: the sum of
+    e_row - e_col over its factors, the unknowns at the given entries."""
+    weight = [0] * d
+    for i in factors:
+        p, r = entries[i]
+        weight[p] += 1
+        weight[r] -= 1
+    return tuple(weight)
+
+
+def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
+    """The torus normal forms among the F_q-points, each with its row
+    components, as (point, labels) pairs in search order.
+
+    The diagonal torus T = (F_q^*)^d of G_V scales the unknown at entry
+    (p, r) by t_p / t_r.  Draw an edge p - r for each nonzero coordinate
+    off the diagonal; labels gives each row the label of its component.
+    A T-orbit keeps the support, and its lexicographic least point, its
+    normal form, has a 1 at each coordinate that first joins two
+    components, read in coordinate order: each later coordinate of one
+    component is then fixed by those.  So the search gives a coordinate
+    whose rows lie in different components only the values 0 and 1, and
+    1 merges the two components.
 
     Depth-first with early rejection: a generator is tested as soon as all
     unknowns in its support are assigned.  An ideal over QQ is reduced
     modulo q through primitive integer generators; one over a prime field
-    must be over F_q."""
+    must be over F_q.  Normal forms are sound only for a T-stable ideal, so
+    a generator that is not homogeneous for the torus weight (see
+    _torus_weight) raises ValueError."""
     ps = rep.parameter_space
     n = len(ps.unknowns)
+    d = len(ps.shifts)
     field = GF(q)
     gens = rep.ideal.generators
     if rep.ideal.ring.field == QQ:
@@ -423,6 +448,7 @@ def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
         raise BudgetExceededError(
             f"point enumeration needs {total} tuples (budget {budget})", total
         )
+    entries = [(u.row, u.col) for u in ps.unknowns]
     # each generator as (coefficient, unknowns with multiplicity) terms over
     # F_q, bucketed by the last unknown in its support
     buckets = [[] for _ in range(n + 1)]
@@ -431,6 +457,8 @@ def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
             (c, tuple(i for i, e in enumerate(m) for _ in range(e)))
             for m, c in g.change_field(field).terms.items()
         ]
+        if len({_torus_weight(factors, entries, d) for _, factors in terms}) > 1:
+            raise ValueError(f"generator {g} is not homogeneous for the diagonal torus of G_V")
         buckets[max((i + 1 for _, factors in terms for i in factors), default=0)].append(terms)
     if any(buckets[0]):  # a nonzero constant
         return []
@@ -448,18 +476,53 @@ def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
                 return False
         return True
 
-    def rec(depth):
+    def rec(depth, labels):
         if depth == n:
-            out.append(tuple(values))
+            out.append((tuple(values), labels))
             return
         checks = buckets[depth + 1]
-        for v in range(q):
+        p, r = entries[depth]
+        a, b = labels[p], labels[r]
+        merged = labels if a == b else tuple(a if c == b else c for c in labels)
+        for v in range(q) if a == b else (0, 1):
             values[depth] = v
             if not checks or admissible(checks):
-                rec(depth + 1)
+                rec(depth + 1, merged if v else labels)
         values[depth] = 0
 
-    rec(0)
+    rec(0, tuple(range(d)))
+    return out
+
+
+def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
+    """All F_q-points of the variety, in lexicographic assignment order.
+
+    The search lists one normal form per orbit of the diagonal torus T of
+    G_V (_normal_forms), and each is expanded to its T-orbit: t = 1 on the
+    first row of each component and any value of F_q^* on every other
+    row, so the orbit of a point with c components has (q - 1)^(d - c)
+    points.  The image coordinate at (p, r) is x t_p / t_r.
+
+    Precondition: the ideal is T-stable, every generator homogeneous for
+    the torus weight, else ValueError; build_defining_ideal's always is.
+    Reduction modulo q and the budget on the q^n tuples are as in
+    _normal_forms."""
+    leaves = _normal_forms(rep, q, budget)
+    entries = [(u.row, u.col) for u in rep.parameter_space.unknowns]
+    inverse = [0] + [pow(t, -1, q) for t in range(1, q)]
+    out = []
+    for x, labels in leaves:
+        free = [p for p, c in enumerate(labels) if labels.index(c) != p]
+        moved = [(k, p, r) for k, (p, r) in enumerate(entries) if x[k] and p != r]
+        t = [1] * len(labels)
+        image = list(x)
+        for scales in itertools.product(range(1, q), repeat=len(free)):
+            for p, s in zip(free, scales):
+                t[p] = s
+            for k, p, r in moved:
+                image[k] = x[k] * t[p] * inverse[t[r]] % q
+            out.append(tuple(image))
+    out.sort()
     return out
 
 
@@ -518,15 +581,26 @@ def _conjugation_columns(ps, g: GroupElement):
     """Conjugation by g as a linear map on the coordinates F_q^n, one
     sparse column of sorted (index, value) pairs per unknown.
 
-    The unit point of unknown (z, p, q, m) is m E_pq in the matrix of z:
-    its column is read off the coefficient map of g (m E_pq) g^-1."""
+    The unit point of unknown (z, p, r, m) is m E_pr in the matrix of z,
+    and g (m E_pr) g^-1 holds the sum of g[a, p] m g^-1[r, b] at (a, b):
+    m times column p of g times row r of g^-1.  So the coefficient map of
+    g is indexed by column and that of g^-1 by row once."""
     field = ps.s_ring.field
     index = {(u.generator, u.row, u.col, u.monomial): k for k, u in enumerate(ps.unknowns)}
+    g_cols, inverse_rows = {}, {}
+    for (a, p, m), c in g.map.items():
+        g_cols.setdefault(p, []).append((a, m, c))
+    for (r, b, m), c in g.inverse.items():
+        inverse_rows.setdefault(r, []).append((b, m, c))
     columns = []
     for u in ps.unknowns:
-        unit = {(u.row, u.col, u.monomial): field.one}
-        image = compose(compose(g.map, unit, field), g.inverse, field)
-        columns.append(sorted((index[(u.generator,) + slot], c) for slot, c in image.items()))
+        image = {}
+        for a, m1, x in g_cols.get(u.row, ()):
+            m1 = monomial_mul(m1, u.monomial)
+            for b, m2, y in inverse_rows.get(u.col, ()):
+                k = index[u.generator, a, b, monomial_mul(m1, m2)]
+                image[k] = field.add(image.get(k, field.zero), field.mul(x, y))
+        columns.append(sorted((k, c) for k, c in image.items() if not field.is_zero(c)))
     return columns
 
 
@@ -537,8 +611,13 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     G_V(F_q), each a linear map on the coordinates F_q^n: an orbit of a
     finite group closes under its generators alone.  A stabilizer has order
     |G_V| / |orbit|.  Checks that each orbit stays in the point set, that
-    its size divides |G_V| and that the sizes sum to the point count; labels
-    orbits against named representatives."""
+    its size divides |G_V| and that the sizes sum to the point count.
+
+    Isomorphism classes among the representatives, and labels against the
+    named representatives of type V, come from are_isomorphic, called only
+    on pairs whose End_0 have equal dimension: isomorphic points have equal
+    dim End_0, so unequal dims are a certified "not isomorphic".  dim End_0
+    is computed once per representative and per named representative."""
     field = GF(q)
     ps = parameterize(R, V, field)
     points = sorted(points)
@@ -573,6 +652,7 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
 
     # isomorphism classes among the orbit representatives
     rep_points = [evaluate(ps, r[0]) for r in records]
+    dims = [hom_component(pt, pt, 0).dimension for pt in rep_points]
     class_of = [-1] * len(rep_points)
     n_classes = 0
     for i in range(len(rep_points)):
@@ -580,19 +660,23 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
             continue
         class_of[i] = n_classes
         for j in range(i + 1, len(rep_points)):
-            if class_of[j] < 0 and are_isomorphic(rep_points[i], rep_points[j]):
+            if class_of[j] >= 0 or dims[j] != dims[i]:
+                continue
+            if are_isomorphic(rep_points[i], rep_points[j]):
                 class_of[j] = n_classes
         n_classes += 1
 
     labels = [""] * len(records)
     if named_reps:
+        named = []
+        for nm in named_reps:
+            if nm.point.shifts == V:
+                reduced = _reduce_point(nm.point, field)
+                named.append((nm.label, reduced, hom_component(reduced, reduced, 0).dimension))
         for i, rp in enumerate(rep_points):
-            for named in named_reps:
-                if named.point.shifts != V:
-                    continue
-                reduced = _reduce_point(named.point, field)
-                if are_isomorphic(rp, reduced):
-                    labels[i] = named.label
+            for label, reduced, dim in named:
+                if dim == dims[i] and are_isomorphic(rp, reduced):
+                    labels[i] = label
                     break
 
     orbits = tuple(

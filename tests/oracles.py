@@ -11,12 +11,17 @@ from mcmrep.groebner import buchberger
 from mcmrep.linalg import kernel_basis
 from mcmrep.matops import mat_add, mat_det, mat_identity, mat_mul, mat_scale, mat_sub, mat_zero
 from mcmrep.orbits import (
+    DEFAULT_BUDGET,
     EXHAUSTIVE_ISOM_CAP,
     SAMPLING_TRIALS,
     SYMBOLIC_DET_CAP,
+    BudgetExceededError,
     HomComponentBasis,
     InvariantViolationError,
     _check_compatible,
+    _primitive,
+    _reduce_point,
+    are_isomorphic,
     conjugate,
     enumerate_group,
     hom_component,
@@ -310,6 +315,77 @@ def brute_force_points(rep, q):
     ]
 
 
+def lexicographic_points(rep, q, budget=DEFAULT_BUDGET):
+    """All F_q-points of the variety, in lexicographic assignment order.
+
+    Depth-first with early rejection: a generator is tested as soon as all
+    unknowns in its support are assigned.  An ideal over QQ is reduced
+    modulo q through primitive integer generators; one over a prime field
+    must be over F_q."""
+    ps = rep.parameter_space
+    n = len(ps.unknowns)
+    field = GF(q)
+    gens = rep.ideal.generators
+    if rep.ideal.ring.field == QQ:
+        gens = [_primitive(g) for g in gens if not g.is_zero()]
+    elif rep.ideal.ring.field != field:
+        raise ValueError(f"an ideal over F_{rep.ideal.ring.field.p} has no reduction to F_{q}")
+    total = q**n
+    if total > budget:
+        raise BudgetExceededError(
+            f"point enumeration needs {total} tuples (budget {budget})", total
+        )
+    # each generator as (coefficient, unknowns with multiplicity) terms over
+    # F_q, bucketed by the last unknown in its support
+    buckets = [[] for _ in range(n + 1)]
+    for g in gens:
+        terms = [
+            (c, tuple(i for i, e in enumerate(m) for _ in range(e)))
+            for m, c in g.change_field(field).terms.items()
+        ]
+        buckets[max((i + 1 for _, factors in terms for i in factors), default=0)].append(terms)
+    if any(buckets[0]):  # a nonzero constant
+        return []
+    out = []
+    values = [0] * n
+
+    def admissible(checks):
+        for terms in checks:
+            acc = 0
+            for c, factors in terms:
+                for i in factors:
+                    c *= values[i]
+                acc += c
+            if acc % q:
+                return False
+        return True
+
+    def rec(depth):
+        if depth == n:
+            out.append(tuple(values))
+            return
+        checks = buckets[depth + 1]
+        for v in range(q):
+            values[depth] = v
+            if not checks or admissible(checks):
+                rec(depth + 1)
+        values[depth] = 0
+
+    rec(0)
+    return out
+
+
+def brute_force_torus_orbit(x, ps, q):
+    """The set of images of the coordinate vector x under every element t
+    of the diagonal torus (F_q^*)^d, which scales the unknown at entry
+    (p, r) by t_p / t_r."""
+    d = len(ps.shifts)
+    return {
+        tuple(c * t[u.row] * pow(t[u.col], q - 2, q) % q for c, u in zip(x, ps.unknowns))
+        for t in itertools.product(range(1, q), repeat=d)
+    }
+
+
 # -- orbit census by a sweep over the whole group ------------------------
 
 
@@ -332,6 +408,39 @@ def sweep_orbit_partition(points, R, V, q):
         remaining -= orbit
         records.append((min(orbit), len(orbit), images.count(vec)))
     return len(group), records
+
+
+def all_pairs_classes(R, V, q, representatives, named_reps=None, isomorphic=are_isomorphic):
+    """The isomorphism class count of the orbit representatives (coordinate
+    vectors over F_q) and their labels against the named representatives
+    of type V, from `isomorphic` on every pair the greedy class loop meets
+    and on every (representative, named representative) pair until a
+    label is found."""
+    field = GF(q)
+    ps = parameterize(R, V, field)
+    rep_points = [evaluate(ps, r) for r in representatives]
+    class_of = [-1] * len(rep_points)
+    n_classes = 0
+    for i in range(len(rep_points)):
+        if class_of[i] >= 0:
+            continue
+        class_of[i] = n_classes
+        for j in range(i + 1, len(rep_points)):
+            if class_of[j] < 0 and isomorphic(rep_points[i], rep_points[j]):
+                class_of[j] = n_classes
+        n_classes += 1
+
+    labels = [""] * len(rep_points)
+    if named_reps:
+        for i, rp in enumerate(rep_points):
+            for named in named_reps:
+                if named.point.shifts != V:
+                    continue
+                reduced = _reduce_point(named.point, field)
+                if isomorphic(rp, reduced):
+                    labels[i] = named.label
+                    break
+    return n_classes, labels
 
 
 def column_product(columns, vec, q):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -186,6 +187,22 @@ def test_census_over_matching_prime_field(tmp_path, capsys):
                        "--q", "5")
     assert code == 0
     assert "25 points" in out and "orbits: 3" in out
+
+
+def test_census_at_scale_is_pinned(tmp_path, capsys):
+    # x2 (0, 0, 1, 1) q = 3: 7 281 points in 9 orbits, enumerated through
+    # 993 torus normal forms; the digests were taken from the plain
+    # lexicographic enumeration of every point
+    report = tmp_path / "census.json"
+    code, out, _ = run(capsys, "census", "--family", "x2", "--shifts", "0,0,1,1", "--q", "3",
+                       "--budget", "100000000", "--json", str(report))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fd0ec2e184b71c3c0f41b57396893fa0f8770affea666b115b87c3367c0ee95f"
+    )
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "7e5c6a4e484fa16d0d7d2d69f7b276b7b7104e64f4c98ebe445e6f0e1340251c"
+    )
 
 
 def test_census_refuses_field_mismatch(tmp_path, capsys):

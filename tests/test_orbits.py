@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import mcmrep.orbits
 from mcmrep.families import example_algebra_x2, three_orbit_representatives
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
+from mcmrep.groebner import IdealHandle
 from mcmrep.linalg import rref, solve
 from mcmrep.matops import mat_det, mat_identity, mat_is_zero, mat_mul, mat_sub, mat_zero
 from mcmrep.orbits import (
@@ -22,6 +24,7 @@ from mcmrep.orbits import (
     _group_generators,
     _is_split_local,
     _moved_rows,
+    _normal_forms,
     are_isomorphic,
     conjugate,
     enumerate_group,
@@ -36,6 +39,7 @@ from mcmrep.parsing import parse_polynomial
 from mcmrep.poly import PolynomialRing, RingMismatchError
 from mcmrep.repvariety import (
     MatrixPoint,
+    RepIdeal,
     assignment_of,
     build_defining_ideal,
     compose,
@@ -47,11 +51,14 @@ from mcmrep.repvariety import (
 )
 
 from oracles import (
+    all_pairs_classes,
     brute_force_points,
+    brute_force_torus_orbit,
     brute_force_x2_points,
     cofactor_are_isomorphic,
     column_product,
     generic_element_is_indecomposable,
+    lexicographic_points,
     matmul_hom_component,
     product_scan,
     sweep_orbit_partition,
@@ -289,7 +296,7 @@ def test_enumerate_points_matches_brute_force_points(name, shifts, q, field):
     rep = build_defining_ideal(named_algebra(name, field), ShiftType(shifts), field)
     points = enumerate_points(rep, q)
     assert points
-    assert points == brute_force_points(rep, q)
+    assert points == brute_force_points(rep, q) == lexicographic_points(rep, q)
 
 
 def test_enumerate_points_trivial_cases(R):
@@ -353,14 +360,18 @@ def named_algebra(name, field=QQ):
     return GradedAlgebra(ring, tuple(parse_polynomial(ring, r) for r in relations), normalization)
 
 
-@pytest.mark.parametrize("name,shifts,q", [
+# the census comparison cases
+CENSUS_CASES = [
     ("x2", (0, 1), 2), ("x2", (0, 1), 3), ("x2", (0, 1), 5),
     ("x2", (0, 1, 2), 2), ("x2", (0, 1, 2), 3),
     ("x2y2", (0, 0), 3), ("x2y2", (0, 0), 5),  # a GL_2 block; x^2 + y^2 splits at q = 5
     ("xz", (0, 1), 3),  # two algebra generators
     ("x2s2", (0, 1), 3),  # a two-variable S
     ("x2", (0, 0, 0), 3),  # one GL_3 block
-])
+]
+
+
+@pytest.mark.parametrize("name,shifts,q", CENSUS_CASES)
 def test_orbit_partition_matches_full_sweep(name, shifts, q):
     R = named_algebra(name)
     V = ShiftType(shifts)
@@ -371,6 +382,104 @@ def test_orbit_partition_matches_full_sweep(name, shifts, q):
     assert [(o.representative, o.size, o.stabilizer_order) for o in census.orbits] == records
     for _, size, stabilizer_order in records:
         assert size * stabilizer_order == n_group
+
+
+@pytest.mark.parametrize("name,shifts,q,field", [
+    (name, shifts, q, QQ) for name, shifts, q in CENSUS_CASES
+] + [
+    ("x2", (0, 0, 1, 1), 3, QQ),  # 7 281 points from 993 normal forms
+    ("xz", (0, 1), 5, QQ), ("x2s2", (0, 1), 5, QQ),  # two algebra generators, a two-variable S
+    ("x2", (0, 1, 2), 3, GF(3)), ("x2y2", (0, 0), 7, GF(7)),  # ideals over F_p
+])
+def test_enumerate_points_matches_lexicographic_search(name, shifts, q, field):
+    rep = build_defining_ideal(named_algebra(name, field), ShiftType(shifts), field)
+    budget = 10**8  # x2 (0, 0, 1, 1) has 3^16 tuples
+    assert enumerate_points(rep, q, budget) == lexicographic_points(rep, q, budget)
+
+
+@pytest.mark.parametrize("name,shifts,q", [
+    ("x2", (0, 1), 2), ("x2", (0, 1), 5), ("x2", (0, 1, 2), 2), ("x2", (0, 1, 2), 3),
+    ("x2", (0, 0, 1), 3), ("x2y2", (0, 0), 5), ("xz", (0, 1), 3), ("x2s2", (0, 1), 2),
+    ("x2s2", (0, 1), 3),
+])
+def test_normal_forms_are_the_least_points_of_the_torus_orbits(name, shifts, q):
+    rep = build_defining_ideal(named_algebra(name), ShiftType(shifts))
+    points = brute_force_points(rep, q)
+    covered = set()
+    sizes = []
+    for x, labels in _normal_forms(rep, q):
+        orbit = brute_force_torus_orbit(x, rep.parameter_space, q)
+        assert min(orbit) == x
+        assert len(orbit) == (q - 1) ** (len(shifts) - len(set(labels)))
+        covered |= orbit
+        sizes.append(len(orbit))
+    assert sum(sizes) == len(points)
+    assert covered == set(points)
+    if q > 2:
+        assert len(sizes) < len(points)
+
+
+def test_enumerate_points_refuses_an_ideal_that_is_not_torus_stable(R):
+    # x2 at type (0, 1): u1 is the diagonal entry (1, 1) and u2 the entry
+    # (1, 2), so u1 + u2 mixes the torus weights 0 and e_1 - e_2
+    ps = parameterize(R, V01)
+    u1, u2, u3, u4 = ps.ring.gens()
+    assert [(u.row, u.col) for u in ps.unknowns] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    stable = RepIdeal(ps, IdealHandle(ps.ring, [u1 * u1 + u2 * u3, u1 * u4]))
+    assert enumerate_points(stable, 5) == lexicographic_points(stable, 5)
+    unstable = RepIdeal(ps, IdealHandle(ps.ring, [u1 * u1 + u2 * u3, u1 + u2]))
+    with pytest.raises(ValueError, match="not homogeneous for the diagonal torus"):
+        enumerate_points(unstable, 5)
+
+
+@pytest.mark.parametrize("name,shifts,q", CENSUS_CASES)
+def test_orbit_partition_classes_match_all_pairs_oracle(name, shifts, q, monkeypatch):
+    # the named representatives are of type (0, 1); other types skip them
+    R = named_algebra(name)
+    V = ShiftType(shifts)
+    named = three_orbit_representatives() if name == "x2" else None
+    points = enumerate_points(build_defining_ideal(R, V), q)
+    tested = []
+
+    def recording(mu, nu):
+        tested.append((hom_component(mu, mu, 0).dimension, hom_component(nu, nu, 0).dimension))
+        return are_isomorphic(mu, nu)
+
+    monkeypatch.setattr(mcmrep.orbits, "are_isomorphic", recording)
+    census = orbit_partition(points, R, V, q, named_reps=named)
+    assert all(a == b for a, b in tested)  # unequal dims of End_0 are settled
+    representatives = [o.representative for o in census.orbits]
+    n_classes, labels = all_pairs_classes(R, V, q, representatives, named)
+    assert census.isomorphism_class_count == n_classes
+    assert [o.label for o in census.orbits] == labels
+    assert census.counts_diverge == (n_classes != len(representatives))
+
+
+def test_orbit_partition_takes_no_sampled_isomorphism_test(monkeypatch):
+    # on x2 (0, 1, 2, 3) q = 5, 8 of the all-pairs loop's tests have
+    # 5^r > EXHAUSTIVE_ISOM_CAP and r > SYMBOLIC_DET_CAP for r = dim Hom_0:
+    # the sampled branch, whose False is not certified.  Unequal dims of
+    # End_0 settle all 8.
+    R = named_algebra("x2")
+    V = ShiftType((0, 1, 2, 3))
+    q = 5
+    points = enumerate_points(build_defining_ideal(R, V), q, budget=q**13)
+    sampled = []
+
+    def counting(mu, nu):
+        r = hom_component(mu, nu, 0).dimension
+        if q**r > EXHAUSTIVE_ISOM_CAP and r > SYMBOLIC_DET_CAP:
+            sampled.append((mu, nu))
+        return are_isomorphic(mu, nu)
+
+    monkeypatch.setattr(mcmrep.orbits, "are_isomorphic", counting)
+    census = orbit_partition(points, R, V, q)
+    assert census.orbit_count == 17
+    assert sampled == []
+    representatives = [o.representative for o in census.orbits]
+    oracle = all_pairs_classes(R, V, q, representatives, isomorphic=counting)
+    assert len(sampled) == 8
+    assert oracle == (census.isomorphism_class_count, [""] * 17)
 
 
 def test_enumerate_points_reduces_rational_denominators():
@@ -654,15 +763,22 @@ def test_conjugation_columns_match_conjugate(name, shifts, q):
     ps = parameterize(R, V, field)
     n = len(ps)
     units = [evaluate(ps, [int(i == j) for i in range(n)]) for j in range(n)]
+
+    def expected(g):
+        return [
+            [(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units
+        ]
+
     for g in _group_generators(V, ps.s_ring):
         assert_inverse_pair(g)
         # the closed-form inverse is the one from_matrix solves for
         G = matrix_of(ps.s_ring, len(V), g.map.keys(), g.map.values())
         assert GroupElement.from_matrix(V, G) == g
-        expected = [
-            [(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units
-        ]
-        assert _conjugation_columns(ps, g) == expected
+        assert _conjugation_columns(ps, g) == expected(g)
+    # a dense element: over k[y, w], several products g[a, p] m g^-1[r, b]
+    # add into one coefficient
+    g = random_group_element(V, ps.s_ring, random.Random(q))
+    assert _conjugation_columns(ps, g) == expected(g)
 
 
 @pytest.mark.parametrize("q", [3, 5])
