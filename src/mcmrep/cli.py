@@ -31,6 +31,7 @@ from .graded import (
 )
 from .groebner import component_monomials
 from .orbits import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     InvariantViolationError,
     are_isomorphic,
@@ -351,7 +352,7 @@ def build_parser():
     p = command("census", cmd_census, "enumerate F_q points and orbits")
     _add_algebra(p, points=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**7,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="largest number of point tuples to enumerate")
 
     _add_shifts(command("spread", cmd_spread, "generator degree spread and rank of a type"))

@@ -167,13 +167,6 @@ def _s_pair(a: PackedLead, b: PackedLead, lcm: int, F) -> dict:
     return terms
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of two nonzero polynomials of one ring."""
-    ring = f.ring
-    a, b = f.monic().lead_entry(), g.monic().lead_entry()
-    return _polynomial(ring, _s_pair(a, b, _lcm(ring, a.key, b.key), ring.field))
-
-
 def _monic(terms: dict, F) -> dict:
     lc = terms[max(terms)]
     if lc == F.one:

@@ -3,29 +3,6 @@
 from __future__ import annotations
 
 
-def mat_zero(ring, rows, cols=None):
-    cols = rows if cols is None else cols
-    z = ring.zero()
-    return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
-
-
-def mat_identity(ring, n):
-    one, zero = ring.one(), ring.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_add(A, B):
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_sub(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(A, s):
-    return tuple(tuple(a * s for a in row) for row in A)
-
-
 def mat_mul(A, B):
     if not A:
         return A
@@ -42,10 +19,6 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_is_zero(A):
-    return all(e.is_zero() for row in A for e in row)
 
 
 def mat_det(A, ring):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import GF, QQ, PrimeField
-from .graded import ShiftType
+from .graded import ShiftType, hom_entry_degrees
 from .linalg import determinant, kernel_basis, rref, solve
 from .matops import mat_det
 from .poly import PolynomialRing, RingMismatchError, monomial_mul
@@ -30,6 +30,7 @@ from .repvariety import (
     evaluate,
     matrix_of,
     parameterize,
+    shaped_map,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -293,12 +294,11 @@ class GroupElement:
             return GroupElement(shifts, None, {}, {})
         s_ring = matrix[0][0].ring
         field = s_ring.field
-        g = coefficient_map(matrix, s_ring)
+        g, problems = shaped_map("g", matrix, hom_entry_degrees(shifts, shifts, 0), s_ring)
+        if problems:
+            raise ValueError("degree-0 shape mismatch: " + "; ".join(problems))
         slots = entry_slots(s_ring, shifts, shifts, 0)
         index = {slot: k for k, slot in enumerate(slots)}
-        for p, q, m in g:
-            if (p, q, m) not in index:
-                raise ValueError(f"entry ({p + 1},{q + 1}) violates the degree-0 shape")
         # the inverse h solves g h = 1; column k is g times the unit map of slot k
         rows = [[field.zero] * len(slots) for _ in slots]
         for k, slot in enumerate(slots):
@@ -368,30 +368,6 @@ def _primitive_root(p: int) -> int:
     small = [f for f in range(1, math.isqrt(n) + 1) if n % f == 0]
     proper = [e for f in small for e in (f, n // f) if e < n]
     return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in proper))
-
-
-def _group_generators(V: ShiftType, s_ring):
-    """One element of G_V(F_q) per degree-0 coefficient slot (p, q, m):
-    I + m E_pq off the diagonal, I with a primitive root at (p, p) on it.
-
-    Over a prime field the powers of I + m E_pq are all I + c m E_pq, since
-    E_pq^2 = 0.  These generate the unipotent radical and SL of each block
-    of equal shifts, and the diagonal roots supply every determinant.  The
-    inverses are I - m E_pq and I with the inverse root at (p, p)."""
-    field = s_ring.field
-    root = _primitive_root(field.p)
-    slots = entry_slots(s_ring, V, V, 0)
-    identity = {(p, q, m): field.one for p, q, m in slots if p == q}
-    gens = []
-    for slot in slots:
-        if slot[0] == slot[1]:
-            value, inverse = root, field.inv(root)
-        else:
-            value, inverse = field.one, field.neg(field.one)
-        gens.append(GroupElement(
-            V, s_ring, {**identity, slot: value}, {**identity, slot: inverse}
-        ))
-    return gens
 
 
 def _primitive(g):
@@ -548,26 +524,9 @@ class OrbitCensus:
         return len(self.orbits)
 
 
-def _moved_rows(columns, q):
-    """The nonzero rows of A - 1 over F_q, for the linear map A with the
-    given sparse columns: (i, ((j, c), ...)) for each coordinate i that A
-    moves, in order, with the nonzero entries of row i by column."""
-    rows = [{} for _ in columns]
-    for j, column in enumerate(columns):
-        for i, c in column:
-            rows[i][j] = c
-    moved = []
-    for i, row in enumerate(rows):
-        row[i] = (row.get(i, 0) - 1) % q
-        entries = tuple((j, c) for j, c in sorted(row.items()) if c)
-        if entries:
-            moved.append((i, entries))
-    return moved
-
-
 def _act(moved, vec, q):
-    """The image A vec = vec + (A - 1) vec of vec, for the moved rows of A
-    (see _moved_rows): only the moved coordinates are rewritten."""
+    """The image A vec = vec + (A - 1) vec, for the nonzero rows of A - 1
+    (see _generator_actions): only the moved coordinates are rewritten."""
     out = list(vec)
     for i, row in moved:
         acc = vec[i]
@@ -577,31 +536,43 @@ def _act(moved, vec, q):
     return tuple(out)
 
 
-def _conjugation_columns(ps, g: GroupElement):
-    """Conjugation by g as a linear map on the coordinates F_q^n, one
-    sparse column of sorted (index, value) pairs per unknown.
+def _generator_actions(ps, q):
+    """Conjugation by each generator of G_V(F_q) as the moved rows of A - 1
+    (see _act): one generator per degree-0 coefficient slot (p, r, m), in
+    entry_slots order, each row a coordinate with its nonzero entries by
+    column.
 
-    The unit point of unknown (z, p, r, m) is m E_pr in the matrix of z,
-    and g (m E_pr) g^-1 holds the sum of g[a, p] m g^-1[r, b] at (a, b):
-    m times column p of g times row r of g^-1.  So the coefficient map of
-    g is indexed by column and that of g^-1 by row once."""
-    field = ps.s_ring.field
-    index = {(u.generator, u.row, u.col, u.monomial): k for k, u in enumerate(ps.unknowns)}
-    g_cols, inverse_rows = {}, {}
-    for (a, p, m), c in g.map.items():
-        g_cols.setdefault(p, []).append((a, m, c))
-    for (r, b, m), c in g.inverse.items():
-        inverse_rows.setdefault(r, []).append((b, m, c))
-    columns = []
-    for u in ps.unknowns:
-        image = {}
-        for a, m1, x in g_cols.get(u.row, ()):
-            m1 = monomial_mul(m1, u.monomial)
-            for b, m2, y in inverse_rows.get(u.col, ()):
-                k = index[u.generator, a, b, monomial_mul(m1, m2)]
-                image[k] = field.add(image.get(k, field.zero), field.mul(x, y))
-        columns.append(sorted((k, c) for k, c in image.items() if not field.is_zero(c)))
-    return columns
+    Off the diagonal the generator is g = I + m E_pr with g^-1 = I - m E_pr,
+    since E_pr^2 = 0, so g X g^-1 - X = m E_pr X - X E_pr m - m^2 X[r, p] E_pr:
+    the unknown (z, r, b, mu) adds 1 at (z, p, b, mu m), (z, a, p, mu) adds
+    -1 at (z, a, r, mu m), and (z, r, p, mu) adds -1 at (z, p, r, mu m^2).
+    On it, g is I with a primitive root t at (p, p), which scales row p by t
+    and column p by t^-1.  Over a prime field the powers of I + m E_pr are
+    all I + c m E_pr.  These generate the unipotent radical and SL of each
+    block of equal shifts, and the diagonal roots supply every
+    determinant."""
+    keys = [(u.generator, u.row, u.col, u.monomial) for u in ps.unknowns]
+    index = {key: k for k, key in enumerate(keys)}
+    t = _primitive_root(q)
+    actions = []
+    for p, r, m in entry_slots(ps.s_ring, ps.shifts, ps.shifts, 0):
+        rows = {}
+        for j, (z, a, b, mu) in enumerate(keys):
+            if p == r:
+                terms = [(j, pow(t, (a == p) - (b == p), q) - 1)]
+            else:
+                mu_m = monomial_mul(mu, m)
+                terms = [(index[z, p, b, mu_m], 1)] if a == r else []
+                if b == p:
+                    terms.append((index[z, a, r, mu_m], -1))
+                    if a == r:
+                        terms.append((index[z, p, r, monomial_mul(mu_m, m)], -1))
+            for i, c in terms:
+                row = rows.setdefault(i, {})
+                row[j] = (row.get(j, 0) + c) % q
+        moved = ((i, tuple((j, c) for j, c in row.items() if c)) for i, row in sorted(rows.items()))
+        actions.append([(i, entries) for i, entries in moved if entries])
+    return actions
 
 
 def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCensus:
@@ -625,8 +596,7 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     if len(point_set) != len(points):
         raise ValueError("duplicate points")
     n_group = group_order(V, q, R.normalization_degrees)
-    gens = _group_generators(V, ps.s_ring)
-    actions = [_moved_rows(_conjugation_columns(ps, g), q) for g in gens]
+    actions = _generator_actions(ps, q)
 
     records = []
     placed = set()
@@ -646,7 +616,7 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
         if n_group % len(orbit) != 0:
             raise InvariantViolationError("orbit size does not divide the group order")
         placed |= orbit
-        records.append((min(orbit), len(orbit), n_group // len(orbit)))
+        records.append((pt_vec, len(orbit), n_group // len(orbit)))
     if sum(r[1] for r in records) != len(points):
         raise InvariantViolationError("orbit sizes do not sum to the point count")
 

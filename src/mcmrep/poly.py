@@ -44,11 +44,6 @@ def monomial_mul(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
 
 
-def monomial_divides(a: tuple, b: tuple) -> bool:
-    """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def monomial_div(a: tuple, b: tuple) -> tuple:
     """a / b, assuming b divides a."""
     return tuple(map(sub, a, b))
@@ -248,18 +243,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
-
     def is_homogeneous(self) -> bool:
         weights = {self.ring.monomial_weight(m) for m in self.terms}
         return len(weights) <= 1
-
-    def weighted_degree(self) -> int:
-        """Max weighted degree of the terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(self.ring.monomial_weight(m) for m in self.terms)
 
     # -- leading data --------------------------------------------------
 
@@ -290,9 +276,6 @@ class Polynomial:
             return self
         inv = self.ring.field.inv(self.leading_coefficient())
         return self.scale(inv)
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -366,15 +349,6 @@ class Polynomial:
             base = base * base
             n >>= 1
         return result
-
-    def mul_term(self, m: tuple, c) -> "Polynomial":
-        F = self.ring.field
-        c = F.coerce(c)
-        if F.is_zero(c):
-            return self.ring.zero()
-        return Polynomial(
-            self.ring, {monomial_mul(m0, m): F.mul(c0, c) for m0, c0 in self.terms.items()}
-        )
 
     # -- evaluation / mapping -------------------------------------------
 

@@ -246,42 +246,47 @@ def build_defining_ideal(R: GradedAlgebra, V: ShiftType, field=None) -> RepIdeal
     return RepIdeal(ps, IdealHandle(ps.ring, gens))
 
 
-def check_point_shape(pt: MatrixPoint):
-    """Raise ValueError listing every entry whose degree violates the
-    mandated shape."""
+def shaped_map(name, matrix, table, s_ring):
+    """(coefficient map over s_ring, problems) of the matrix of `name`,
+    whose entry (p, q) must be homogeneous of degree table[p][q]: an entry
+    is out of shape iff one of its monomials has another weight.  A matrix
+    of the wrong size has no map and one problem."""
+    d = len(table)
+    if len(matrix) != d or any(len(row) != d for row in matrix):
+        return None, [f"matrix of {name} is not {d}x{d}"]
+    values = coefficient_map(matrix, s_ring)
+    bad = dict.fromkeys((p, q) for p, q, m in values if s_ring.monomial_weight(m) != table[p][q])
+    problems = []
+    for p, q in bad:
+        need = table[p][q]
+        wanted = f"zero (degree {need})" if need < 0 else f"homogeneous of degree {need}"
+        problems.append(f"{name}[{p + 1},{q + 1}] must be {wanted}")
+    return values, problems
+
+
+def point_maps(pt: MatrixPoint, s_ring):
+    """The coefficient maps of pt's matrices over s_ring; ValueError lists
+    every entry whose degree violates the mandated shape."""
     R, V = pt.algebra, pt.shifts
     gen_names = R.generator_names
     if len(pt.matrices) != len(gen_names):
         raise ValueError(
             f"expected {len(gen_names)} generator matrices, got {len(pt.matrices)}"
         )
-    problems = []
+    maps, problems = [], []
     for z, mat in zip(gen_names, pt.matrices):
-        table = hom_entry_degrees(V, V, R.generator_degree(z))
-        if len(mat) != V.dimension or any(len(row) != V.dimension for row in mat):
-            problems.append(f"matrix of {z} is not {V.dimension}x{V.dimension}")
-            continue
-        for p in range(V.dimension):
-            for q in range(V.dimension):
-                e = mat[p][q]
-                need = table[p][q]
-                if e.is_zero():
-                    continue
-                if need < 0:
-                    problems.append(f"{z}[{p + 1},{q + 1}] must be zero (degree {need})")
-                elif not e.is_homogeneous() or e.weighted_degree() != need:
-                    problems.append(
-                        f"{z}[{p + 1},{q + 1}] must be homogeneous of degree {need}"
-                    )
+        values, found = shaped_map(z, mat, hom_entry_degrees(V, V, R.generator_degree(z)), s_ring)
+        maps.append(values)
+        problems += found
     if problems:
         raise ValueError("shape mismatch: " + "; ".join(problems))
+    return maps
 
 
 def validate_point(pt: MatrixPoint) -> bool:
     """True iff every relation matrix and every commutator vanishes at pt."""
-    check_point_shape(pt)
     s_ring = pt.algebra.s_ring(pt.field)
-    maps = [coefficient_map(M, s_ring) for M in pt.matrices]
+    maps = point_maps(pt, s_ring)
     return not any(_relation_maps(pt.algebra, pt.shifts.dimension, maps, s_ring.field, ()))
 
 
@@ -314,21 +319,14 @@ def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
 
 
 def assignment_of(ps: ParameterSpace, pt: MatrixPoint):
-    """Read a conforming point's coefficients back in ParameterSpace order."""
-    check_point_shape(pt)
-    s_ring = pt.s_ring
-    if s_ring.names != tuple(ps.algebra.normalization):
-        raise ValueError("matrix entries are not polynomials over S")
+    """Read a conforming point's coefficients back in ParameterSpace order.
+    An entry outside ps.s_ring raises RingMismatchError."""
     values = {}
-    for z, mat in zip(ps.algebra.generator_names, pt.matrices):
-        for (p, q, mono), c in coefficient_map(mat, s_ring).items():
+    for z, M in zip(ps.algebra.generator_names, point_maps(pt, ps.s_ring)):
+        for (p, q, mono), c in M.items():
             values[z, p, q, mono] = c
-    slots = [(u.generator, u.row, u.col, u.monomial) for u in ps.unknowns]
-    known = set(slots)
-    for z, p, q, mono in values:
-        if (z, p, q, mono) not in known:
-            raise ValueError(f"entry {z}[{p + 1},{q + 1}] uses S-monomial outside the slot set")
-    return tuple(values.get(slot, s_ring.field.zero) for slot in slots)
+    zero = ps.s_ring.field.zero
+    return tuple(values.get((u.generator, u.row, u.col, u.monomial), zero) for u in ps.unknowns)
 
 
 def point_from_matrices(R: GradedAlgebra, V: ShiftType, matrices, field=None):

@@ -7,9 +7,9 @@ import random
 from fractions import Fraction
 
 from mcmrep.fields import GF, QQ, PrimeField
-from mcmrep.groebner import buchberger
+from mcmrep.groebner import _lcm, _polynomial, _s_pair, buchberger
 from mcmrep.linalg import kernel_basis
-from mcmrep.matops import mat_add, mat_det, mat_identity, mat_mul, mat_scale, mat_sub, mat_zero
+from mcmrep.matops import mat_det, mat_mul
 from mcmrep.orbits import (
     DEFAULT_BUDGET,
     EXHAUSTIVE_ISOM_CAP,
@@ -28,7 +28,7 @@ from mcmrep.orbits import (
     identity_coefficients,
 )
 from mcmrep.groebner import IdealHandle
-from mcmrep.poly import PolynomialRing
+from mcmrep.poly import Polynomial, PolynomialRing, monomial_mul
 from mcmrep.repvariety import (
     RepIdeal,
     _split_term,
@@ -37,6 +37,66 @@ from mcmrep.repvariety import (
     evaluate,
     parameterize,
 )
+
+
+# -- small helpers on monomials, polynomials and Polynomial matrices -------
+
+
+def monomial_divides(a, b):
+    """True iff monomial a divides monomial b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def is_constant(f):
+    return all(sum(m) == 0 for m in f.terms)
+
+
+def constant_coefficient(f):
+    return f.terms.get((0,) * f.ring.nvars, f.ring.field.zero)
+
+
+def mul_term(f, m, c):
+    """f times the term c m."""
+    F = f.ring.field
+    c = F.coerce(c)
+    if F.is_zero(c):
+        return f.ring.zero()
+    return Polynomial(f.ring, {monomial_mul(m0, m): F.mul(c0, c) for m0, c0 in f.terms.items()})
+
+
+def s_polynomial(f, g):
+    """S-polynomial of two nonzero polynomials of one ring, through the
+    Groebner engine's own pair step."""
+    ring = f.ring
+    a, b = f.monic().lead_entry(), g.monic().lead_entry()
+    return _polynomial(ring, _s_pair(a, b, _lcm(ring, a.key, b.key), ring.field))
+
+
+def mat_zero(ring, rows, cols=None):
+    cols = rows if cols is None else cols
+    z = ring.zero()
+    return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
+
+
+def mat_identity(ring, n):
+    one, zero = ring.one(), ring.zero()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def mat_add(A, B):
+    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def mat_sub(A, B):
+    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def mat_scale(A, s):
+    return tuple(tuple(a * s for a in row) for row in A)
+
+
+def mat_is_zero(A):
+    return all(e.is_zero() for row in A for e in row)
 
 
 # -- Gauss-Jordan elimination on whole rows -------------------------------
@@ -71,10 +131,6 @@ def dense_rref(rows, ncols, field):
 # -- naive Buchberger, no selection strategy, no criteria ----------------
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 def naive_normal_form(f, basis):
     """Repeated top reduction followed by tail recursion; public API only."""
     ring = f.ring
@@ -87,10 +143,10 @@ def naive_normal_form(f, basis):
         lm = f.leading_monomial()
         for g in reducers:
             glm = g.leading_monomial()
-            if _divides(glm, lm):
+            if monomial_divides(glm, lm):
                 quot = tuple(x - y for x, y in zip(lm, glm))
                 factor = ring.field.div(f.leading_coefficient(), g.leading_coefficient())
-                f = f - g.mul_term(quot, factor)
+                f = f - mul_term(g, quot, factor)
                 changed = True
                 break
     if f.is_zero():
@@ -105,8 +161,8 @@ def naive_spoly(f, g):
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
     F = f.ring.field
-    t1 = f.mul_term(tuple(a - b for a, b in zip(lcm, lmf)), F.inv(f.leading_coefficient()))
-    t2 = g.mul_term(tuple(a - b for a, b in zip(lcm, lmg)), F.inv(g.leading_coefficient()))
+    t1 = mul_term(f, tuple(a - b for a, b in zip(lcm, lmf)), F.inv(f.leading_coefficient()))
+    t2 = mul_term(g, tuple(a - b for a, b in zip(lcm, lmg)), F.inv(g.leading_coefficient()))
     return t1 - t2
 
 
@@ -126,7 +182,7 @@ def naive_reduced_groebner(gens):
     ring = G[0].ring if G else None
     minimal = []
     for g in sorted(G, key=lambda h: ring.sort_key(h.leading_monomial())):
-        if not any(_divides(h.leading_monomial(), g.leading_monomial()) for h in minimal):
+        if not any(monomial_divides(h.leading_monomial(), g.leading_monomial()) for h in minimal):
             minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used in its module."""
+"""Every module-level import in the package is used in its module, and every
+module-level private function is referenced in the package."""
 
 import ast
 import importlib
@@ -31,6 +32,47 @@ def test_unused_imports_are_found():
 def test_no_unused_module_level_imports():
     found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def unreferenced_helpers(sources):
+    """(module, name) of each module-level function whose name starts with
+    an underscore and that no code in sources, a {module: text} map,
+    references outside its own body."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+
+    def referenced(node):
+        return [
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        ]
+
+    counts = {}
+    for tree in trees.values():
+        for name in referenced(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and counts.get(node.name, 0) == referenced(node).count(node.name)
+    ]
+
+
+def test_unreferenced_helpers_are_found():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): return _dead()\n",
+        "b": "from a import _used\n_used()\n",
+    }
+    assert unreferenced_helpers(sources) == [("a", "_dead")]
+
+
+def test_no_unreferenced_private_helpers():
+    # a helper that a rewrite replaced would otherwise linger in src
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced_helpers(sources) == []
 
 
 TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"

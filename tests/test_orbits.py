@@ -11,7 +11,7 @@ from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
 from mcmrep.groebner import IdealHandle
 from mcmrep.linalg import rref, solve
-from mcmrep.matops import mat_det, mat_identity, mat_is_zero, mat_mul, mat_sub, mat_zero
+from mcmrep.matops import mat_det, mat_mul
 from mcmrep.orbits import (
     EXHAUSTIVE_ISOM_CAP,
     SYMBOLIC_DET_CAP,
@@ -19,12 +19,11 @@ from mcmrep.orbits import (
     GroupElement,
     _act,
     _block_det,
-    _conjugation_columns,
+    _generator_actions,
     _gray_scan,
-    _group_generators,
     _is_split_local,
-    _moved_rows,
     _normal_forms,
+    _primitive_root,
     are_isomorphic,
     conjugate,
     enumerate_group,
@@ -57,8 +56,14 @@ from oracles import (
     brute_force_x2_points,
     cofactor_are_isomorphic,
     column_product,
+    constant_coefficient,
     generic_element_is_indecomposable,
+    is_constant,
     lexicographic_points,
+    mat_identity,
+    mat_is_zero,
+    mat_sub,
+    mat_zero,
     matmul_hom_component,
     product_scan,
     sweep_orbit_partition,
@@ -86,7 +91,7 @@ def test_end0_of_R_point_is_scalars(reps):
     assert E.dimension == 1
     s_ring = pt.s_ring
     alpha = E.basis[0]
-    c = alpha[0][0].constant_coefficient()
+    c = constant_coefficient(alpha[0][0])
     assert not s_ring.field.is_zero(c)
     assert alpha == tuple(tuple(e.scale(c) for e in row) for row in mat_identity(s_ring, 2))
 
@@ -227,6 +232,27 @@ def test_group_element_rejects_singular_and_misshaped(R):
         GroupElement.from_matrix(V01, ((s_ring.zero(), y), (s_ring.zero(), s_ring.constant(1))))
     with pytest.raises(ValueError, match="degree-0 shape"):
         GroupElement.from_matrix(V01, ((y, s_ring.zero()), (s_ring.zero(), s_ring.constant(1))))
+
+
+def test_wrong_degree_entries_are_reported_alike(R):
+    # validate_point, assignment_of and from_matrix read shapes through one
+    # check, so they name a wrong-degree entry in the same words
+    s_ring = R.s_ring()
+    one, zero, y = s_ring.one(), s_ring.zero(), s_ring.variable("y")
+    pt = MatrixPoint(R, V01, (((one, zero), (zero, zero)),))
+    text = "shape mismatch: x[1,1] must be homogeneous of degree 1"
+    with pytest.raises(ValueError) as found:
+        validate_point(pt)
+    assert str(found.value) == text
+    with pytest.raises(ValueError) as found:
+        assignment_of(parameterize(R, V01), pt)
+    assert str(found.value) == text
+    with pytest.raises(ValueError) as found:
+        GroupElement.from_matrix(V01, ((y, zero), (one, one)))
+    assert str(found.value) == (
+        "degree-0 shape mismatch: g[1,1] must be homogeneous of degree 0; "
+        "g[2,1] must be zero (degree -1)"
+    )
 
 
 def test_mixed_rings_are_refused(R):
@@ -616,9 +642,9 @@ def test_block_det_matches_cofactor_det(field):
         for _ in range(40):
             M = matrix_of(s_ring, len(V), slots, [rng.choice((0, 0, 1, -1, 2)) for _ in slots])
             det = mat_det(M, s_ring)
-            assert det.is_constant()
-            block = _block_det(V, lambda p, q: M[p][q].constant_coefficient(), field)
-            assert block == det.constant_coefficient()
+            assert is_constant(det)
+            block = _block_det(V, lambda p, q: constant_coefficient(M[p][q]), field)
+            assert block == constant_coefficient(det)
             singular.add(det.is_zero())
         assert singular == {True, False}
 
@@ -754,48 +780,63 @@ def test_are_isomorphic_matches_cofactor_oracle_symbolic(shifts, field):
 CONJUGATION_CASES = [("x2", (0, 1, 2)), ("xz", (0, 1)), ("x2s2", (0, 1))]
 
 
-@pytest.mark.parametrize("q", [3, 5])
-@pytest.mark.parametrize("name,shifts", CONJUGATION_CASES)
-def test_conjugation_columns_match_conjugate(name, shifts, q):
-    R = named_algebra(name)
-    V = ShiftType(shifts)
-    field = GF(q)
-    ps = parameterize(R, V, field)
+def generator_elements(ps, q):
+    """The census generators of G_V(F_q) as group elements, in entry_slots
+    order: I + m E_pr off the diagonal, and I with a primitive root at
+    (p, p) on it."""
+    V = ps.shifts
+    slots = entry_slots(ps.s_ring, V, V, 0)
+    identity = {(p, p, m): 1 for p, r, m in slots if p == r}
+    root = _primitive_root(q)
+    elements = []
+    for p, r, m in slots:
+        gen = {**identity, (p, r, m): root if p == r else 1}
+        matrix = matrix_of(ps.s_ring, len(V), gen.keys(), gen.values())
+        elements.append(GroupElement.from_matrix(V, matrix))
+    return elements
+
+
+def conjugation_columns(ps, g):
+    """Conjugation by g on the coordinates as sparse columns of (index,
+    value) pairs: the image of each unit vector through conjugate."""
     n = len(ps)
     units = [evaluate(ps, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [[(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units]
 
-    def expected(g):
-        return [
-            [(i, c) for i, c in enumerate(assignment_of(ps, conjugate(u, g))) if c] for u in units
-        ]
 
-    for g in _group_generators(V, ps.s_ring):
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("name,shifts", CONJUGATION_CASES)
+def test_conjugation_columns_match_conjugate(name, shifts, q):
+    # one action per degree-0 slot, read column by column on the unit
+    # vectors, against conjugation by its elementary matrix
+    V = ShiftType(shifts)
+    ps = parameterize(named_algebra(name), V, GF(q))
+    n = len(ps)
+    actions = _generator_actions(ps, q)
+    elements = generator_elements(ps, q)
+    assert len(actions) == len(elements) == len(entry_slots(ps.s_ring, V, V, 0))
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for action, g in zip(actions, elements):
         assert_inverse_pair(g)
-        # the closed-form inverse is the one from_matrix solves for
-        G = matrix_of(ps.s_ring, len(V), g.map.keys(), g.map.values())
-        assert GroupElement.from_matrix(V, G) == g
-        assert _conjugation_columns(ps, g) == expected(g)
-    # a dense element: over k[y, w], several products g[a, p] m g^-1[r, b]
-    # add into one coefficient
-    g = random_group_element(V, ps.s_ring, random.Random(q))
-    assert _conjugation_columns(ps, g) == expected(g)
+        columns = [[(i, c) for i, c in enumerate(_act(action, u, q)) if c] for u in units]
+        assert columns == conjugation_columns(ps, g)
 
 
 @pytest.mark.parametrize("q", [3, 5])
 @pytest.mark.parametrize("name,shifts", CONJUGATION_CASES)
 def test_moved_rows_act_as_the_column_product(name, shifts, q):
+    # each action rewrites some but not all coordinates, and agrees with
+    # the full column product of conjugation on any vector
     V = ShiftType(shifts)
     ps = parameterize(named_algebra(name), V, GF(q))
     n = len(ps)
     rng = random.Random(q)
-    vectors = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    vectors += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(50)]
-    for g in _group_generators(V, ps.s_ring):
-        columns = _conjugation_columns(ps, g)
-        moved = _moved_rows(columns, q)
-        assert 0 < len(moved) < n
+    vectors = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(50)]
+    for action, g in zip(_generator_actions(ps, q), generator_elements(ps, q)):
+        assert 0 < len(action) < n
+        columns = conjugation_columns(ps, g)
         for vec in vectors:
-            assert _act(moved, vec, q) == column_product(columns, vec, q)
+            assert _act(action, vec, q) == column_product(columns, vec, q)
 
 
 def check_is_indecomposable_against_oracle(pt):

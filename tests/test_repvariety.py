@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,12 +8,13 @@ from mcmrep.families import example_algebra_x2
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
 from mcmrep.groebner import ideal, ideal_equal, ideal_membership
-from mcmrep.matops import mat_add, mat_identity, mat_mul, mat_scale, mat_sub
+from mcmrep.matops import mat_mul
 from mcmrep.parsing import parse_algebra_text, parse_polynomial
-from mcmrep.poly import PolynomialRing
+from mcmrep.poly import PolynomialRing, RingMismatchError
 from mcmrep.repvariety import (
     MatrixPoint,
     _relation_maps,
+    assignment_of,
     build_defining_ideal,
     coefficient_map,
     evaluate,
@@ -21,7 +23,14 @@ from mcmrep.repvariety import (
     validate_point,
 )
 
-from oracles import square_generic_matrix_ideal, substitution_defining_ideal
+from oracles import (
+    mat_add,
+    mat_identity,
+    mat_scale,
+    mat_sub,
+    square_generic_matrix_ideal,
+    substitution_defining_ideal,
+)
 
 V01 = ShiftType((0, 1))
 
@@ -320,3 +329,18 @@ def test_validate_point_refuses_a_point_over_another_field():
     pt = MatrixPoint(R, ShiftType((0, 0)), (((zero, y), (y, zero)),))
     with pytest.raises(ValueError, match=r"GF\(3\) .* GF\(5\)"):
         validate_point(pt)
+
+
+def test_assignment_of_refuses_a_point_over_another_field(R):
+    # the point [0, 0, 1/2, 0] over QQ and over GF(5), where 1/2 = 3, read
+    # into the other field's parameter space
+    ps_qq, ps_f5 = parameterize(R, V01), parameterize(R, V01, GF(5))
+    vec = [0, 0, Fraction(1, 2), 0]
+    pt_qq, pt_f5 = evaluate(ps_qq, vec), evaluate(ps_f5, vec)
+    with pytest.raises(RingMismatchError):
+        assignment_of(ps_f5, pt_qq)
+    with pytest.raises(RingMismatchError):
+        assignment_of(ps_qq, pt_f5)
+    # each point read over its own field
+    assert point_from_matrices(R, V01, pt_qq.matrices) == (0, 0, Fraction(1, 2), 0)
+    assert point_from_matrices(R, V01, pt_f5.matrices) == (0, 0, 3, 0)
