@@ -25,6 +25,7 @@ class GradedAlgebra:
     normalization: tuple
     _relation_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
     _normalization_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
+    _s_rings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "relations", tuple(self.relations))
@@ -47,15 +48,20 @@ class GradedAlgebra:
         """The normalization ring S = k[y_1..y_n] over R's own field, or over
         `field`: the one place a computation's field is checked.  A field
         other than R's own must be a prime field, for R over Q reduced
-        modulo p."""
+        modulo p.  One ring per field, built on the first call."""
         own = self.ring.field
         if field is None:
             field = own
-        elif field != own and own.characteristic:
-            raise ValueError(
-                f"an algebra over {own} is computed over {own} only, not over {field}"
+        ring = self._s_rings.get(field)
+        if ring is None:
+            if field != own and own.characteristic:
+                raise ValueError(
+                    f"an algebra over {own} is computed over {own} only, not over {field}"
+                )
+            ring = self._s_rings[field] = PolynomialRing(
+                field, self.normalization, self.normalization_degrees
             )
-        return PolynomialRing(field, self.normalization, self.normalization_degrees)
+        return ring
 
     def relation_ideal(self) -> IdealHandle:
         """The ideal of the relations in R.ring, one handle per algebra, so

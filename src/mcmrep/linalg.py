@@ -1,41 +1,115 @@
-"""Exact dense linear algebra over a field object (see fields.py)."""
+"""Exact dense linear algebra over QQ and F_p (see fields.py).
+
+Elimination runs on plain ints, in one kernel per field: fraction-free on
+integer rows over QQ, and modulo p over F_p.  rref is the one elimination
+that kernel_basis and solve go through; determinant still runs on the
+field object's arithmetic.
+"""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 
 def rref(rows, ncols, field):
     """Reduced row echelon form; returns (rows, pivot column list).
 
-    Rows r and below are zero left of column c when column c is reached,
-    so the pivot row is scaled, and subtracted from the other rows, only on
-    its nonzero columns from c on."""
-    rows = [list(r) for r in rows]
+    One kernel per field, chosen by field.characteristic: integer rows
+    eliminated fraction-free over QQ (_rref_rational), and ints reduced
+    modulo p inline over F_p (_rref_modular).  The reduced row echelon form
+    of a matrix is unique, so each kernel returns the same rows and pivots,
+    with the same entry types as the field's own arithmetic gives: over QQ
+    an int for an integral entry and a Fraction otherwise, over F_p an int
+    in [0, p).  The input is left as it was."""
+    p = field.characteristic
+    if p:
+        return _rref_modular([[x % p for x in row] for row in rows], ncols, p)
+    return _rref_rational(rows, ncols)
+
+
+def _rref_modular(rows, ncols, p):
+    """rref over F_p of rows of ints in [0, p), in place.  The pivot row
+    is scaled, and subtracted from the other rows, only on its nonzero
+    entries."""
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                pivot = i
+        for i in range(r, nrows):
+            if rows[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r], rows[i] = rows[i], rows[r]
         row = rows[r]
-        inv = field.inv(row[c])
-        support = [j for j in range(c, ncols) if not field.is_zero(row[j])]
-        for j in support:
-            row[j] = field.mul(row[j], inv)
+        inv = pow(row[c], p - 2, p)
+        terms = [(j, x * inv % p) for j, x in enumerate(row) if x]
+        for j, x in terms:
+            row[j] = x
         for i, other in enumerate(rows):
-            if i != r and not field.is_zero(other[c]):
-                factor = other[c]
-                for j in support:
-                    other[j] = field.sub(other[j], field.mul(factor, row[j]))
+            factor = other[c]
+            if factor and i != r:
+                for j, x in terms:
+                    other[j] = (other[j] - factor * x) % p
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows[:r], pivots
+
+
+def _rref_rational(rows, ncols):
+    """rref over QQ of rows of ints and Fractions, fraction-free.
+
+    A row and its nonzero multiples span the same line, so each row is
+    first scaled to an integer row by the lcm of its denominators.  A pivot
+    row with pivot a clears column c of another row, whose entry there is
+    b, as (a/g) other - (b/g) row with g = gcd(a, b); the result is divided
+    by its content, which keeps the entries small (the integer-preserving
+    elimination of Bareiss 1968 with content division in place of his
+    exact divisors).  Each pivot row is divided by its pivot once, at the
+    end."""
+    ints = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row if type(x) is not int))
+        ints.append(
+            [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row]
+        )
+    rows = ints
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        row = rows[r]
+        a = row[c]
+        terms = [(j, x) for j, x in enumerate(row) if x]
+        for i, other in enumerate(rows):
+            b = other[c]
+            if b and i != r:
+                g = math.gcd(a, b)
+                scale, b = a // g, b // g
+                if scale != 1:
+                    other = rows[i] = [x * scale for x in other]
+                for j, x in terms:
+                    other[j] -= b * x
+                content = math.gcd(*other)
+                if content > 1:
+                    rows[i] = [x // content for x in other]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [
+        [x // a if x % a == 0 else Fraction(x, a) for x in row]
+        for row, a in ((row, row[c]) for row, c in zip(rows, pivots))
+    ], pivots
 
 
 def kernel_basis(rows, ncols, field):

@@ -232,8 +232,13 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
       exact over QQ; over F_p it is certified when d < p, since the
       determinant has degree at most d in each c_i and a nonzero polynomial
       of degree below p in each variable has a nonzero value on F_p^r.
+    - otherwise, if dim End_0(mu) or dim End_0(nu) differs from r, the
+      answer is a certified False, since isomorphic points have isomorphic
+      Hom_0 and End_0 spaces.  The check runs only here: the branches
+      above answer without drawing, and it costs two more Hom_0 systems.
     - otherwise SAMPLING_TRIALS seeded draws of the c_i: a draw with
-      nonsingular blocks is a witness, so True is certified; False is not.
+      nonsingular blocks is a witness, so True is certified; False is not,
+      and it is returned only when the three dimensions agree.
     """
     _check_compatible(mu, nu)
     V = mu.shifts
@@ -265,6 +270,9 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
             not mat_det([[generic[pos[p, q]] for q in block] for p in block], c_ring).is_zero()
             for block in _shift_blocks(V)
         )
+    # mu ~ nu implies dim End_0(mu) = dim Hom_0(mu, nu) = dim End_0(nu)
+    if hom_component(mu, mu, 0).dimension != r or hom_component(nu, nu, 0).dimension != r:
+        return False
     sample_bound = max(2 * V.dimension, 97)  # det has degree <= d in the c's
     rng = random.Random(0)
     for _ in range(SAMPLING_TRIALS):

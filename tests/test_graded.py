@@ -73,6 +73,26 @@ def test_s_ring_takes_the_algebras_field_or_a_prime_field_over_Q():
         R3.s_ring(GF(5))
 
 
+def test_s_ring_is_one_ring_per_field_cached_outside_equality():
+    R = example_algebra_x2()
+    fresh = example_algebra_x2()
+    S = R.s_ring()
+    assert R.s_ring() is S and R.s_ring(QQ) is S
+    assert R.s_ring(GF(7)) is R.s_ring(GF(7)) is not S
+    assert R.s_ring(GF(5)) is not R.s_ring(GF(7))
+    assert R.s_ring(GF(7)) == fresh.s_ring(GF(7))
+    assert R.s_ring(GF(5)).field == GF(5) and R.s_ring(GF(7)).names == S.names == ("y",)
+    assert R == fresh and hash(R) == hash(fresh) and repr(R) == repr(fresh)
+    assert "PolynomialRing" not in repr(R) and "GF" not in repr(R)
+    R3 = example_algebra_x2(GF(3))
+    assert R3.s_ring() is R3.s_ring(GF(3))
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError, match=r"GF\(3\) .* QQ"):
+            R3.s_ring(QQ)
+        with pytest.raises(ValueError, match=r"GF\(3\) .* GF\(5\)"):
+            R3.s_ring(GF(5))
+
+
 def test_relation_ideal_is_cached_outside_equality():
     R = example_algebra_x2()
     fresh = example_algebra_x2()

@@ -594,25 +594,39 @@ def test_are_isomorphic_properties_sampled(R):
             assert are_isomorphic(a, c)
 
 
-def test_are_isomorphic_sampled_branch(R):
-    # over QQ with a degree-0 Hom space above SYMBOLIC_DET_CAP, the answer
-    # comes from determinants at sampled coefficients: End_0 of the zero
-    # point of type (0, 0, 1, 1), R/(x)^2 (+) R/(x)(-1)^2, has dimension 12,
-    # and its Hom_0 into R (+) R/(x) (+) R/(x)(-1) has dimension 8
+def test_are_isomorphic_sampled_branch(R, monkeypatch):
+    # with a degree-0 Hom space above SYMBOLIC_DET_CAP (and, over F_p, with
+    # p^8 above EXHAUSTIVE_ISOM_CAP), the answer comes after the symbolic
+    # branch: End_0 of the zero point of type (0, 0, 1, 1),
+    # R/(x)^2 (+) R/(x)(-1)^2, has dimension 12, and its Hom_0 into
+    # R (+) R/(x) (+) R/(x)(-1) has dimension 8, so 8 != 12 certifies the
+    # False before any draw; zero ~ zero reaches the draws, and the first
+    # one is a witness
+    draws = []
+    combine = mcmrep.orbits._combine
+    monkeypatch.setattr(mcmrep.orbits, "_combine", lambda *args: draws.append(1) or combine(*args))
+
+    def decide(a, b):
+        draws.clear()
+        return are_isomorphic(a, b), len(draws)
+
     V = ShiftType((0, 0, 1, 1))
-    s_ring = R.s_ring()
-    zero = MatrixPoint(R, V, (mat_zero(s_ring, 4),))
-    rows = [list(row) for row in mat_zero(s_ring, 4)]
-    rows[2][0] = s_ring.one()  # x sends the generator 1 of R to x
-    mixed = MatrixPoint(R, V, (rows,))
-    assert validate_point(mixed)
-    assert hom_component(zero, zero, 0).dimension == 12
-    assert hom_component(zero, mixed, 0).dimension == 8
-    assert SYMBOLIC_DET_CAP < 8
-    assert are_isomorphic(zero, zero)
-    assert not are_isomorphic(zero, mixed)
-    for a, b in itertools.product((zero, mixed), repeat=2):
-        assert are_isomorphic(a, b) == cofactor_are_isomorphic(a, b)
+    for field in (QQ, GF(7), GF(32003)):
+        s_ring = R.s_ring(field)
+        zero = MatrixPoint(R, V, (mat_zero(s_ring, 4),))
+        rows = [list(row) for row in mat_zero(s_ring, 4)]
+        rows[2][0] = s_ring.one()  # x sends the generator 1 of R to x
+        mixed = MatrixPoint(R, V, (rows,))
+        assert validate_point(mixed)
+        assert hom_component(zero, zero, 0).dimension == 12
+        assert hom_component(zero, mixed, 0).dimension == 8
+        assert SYMBOLIC_DET_CAP < 8
+        assert field == QQ or field.p**8 > EXHAUSTIVE_ISOM_CAP
+        assert decide(zero, zero) == (True, 1)
+        assert decide(zero, mixed) == (False, 0)
+        assert decide(mixed, zero) == (False, 0)
+        for a, b in itertools.product((zero, mixed), repeat=2):
+            assert are_isomorphic(a, b) == cofactor_are_isomorphic(a, b)
 
 
 def test_conjugation_invariance_random_over_f5(R):
