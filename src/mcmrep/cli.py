@@ -68,7 +68,7 @@ def _points(args, *texts):
     """The points of R's parameter space of type --shifts, over the
     computation's field, whose coordinates each text lists comma-separated."""
     ps = parameterize(_load_algebra(args), _shifts(args), _field(args))
-    field = ps.ring.field
+    field = ps.s_ring.field
     points = []
     for text in texts:
         values = []

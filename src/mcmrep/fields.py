@@ -44,7 +44,9 @@ class RationalField:
     characteristic = 0
 
     def coerce(self, x):
-        return x if type(x) is int else _rational(Fraction(x))
+        if type(x) is int:
+            return x
+        return _rational(x if type(x) is Fraction else Fraction(x))
 
     def add(self, a, b):
         return _rational(a + b)

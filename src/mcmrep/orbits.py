@@ -30,6 +30,7 @@ from .repvariety import (
     evaluate,
     matrix_of,
     parameterize,
+    point_maps,
     shaped_map,
 )
 
@@ -106,7 +107,9 @@ def hom_component(mu: MatrixPoint, nu: MatrixPoint, e: int) -> HomComponentBasis
     slot k, one row per (generator, entry, S-monomial).  For the slot
     (a, b, m), alpha mu is m times row b of mu moved to row a, and
     -nu alpha is m times column a of -nu moved to column b; multiplying by
-    m moves monomials injectively, so no two terms of one product meet."""
+    m moves monomials injectively, so no two terms of one product meet.
+    mu and nu are read through their checked maps (point_maps), so a
+    point of the wrong shape raises its ValueError here too."""
     _check_compatible(mu, nu)
     s_ring = mu.s_ring
     field = s_ring.field
@@ -114,11 +117,11 @@ def hom_component(mu: MatrixPoint, nu: MatrixPoint, e: int) -> HomComponentBasis
     slots = entry_slots(s_ring, V, V, e)
     width = len(slots)
     rows_by_key = {}
-    for gi, (M, N) in enumerate(zip(mu.matrices, nu.matrices)):
+    for gi, (M, N) in enumerate(zip(point_maps(mu, s_ring), point_maps(nu, s_ring))):
         M_rows, minus_N_cols = {}, {}
-        for (a, b, m), c in coefficient_map(M, s_ring).items():
+        for (a, b, m), c in M.items():
             M_rows.setdefault(a, []).append((b, m, c))
-        for (a, b, m), c in coefficient_map(N, s_ring).items():
+        for (a, b, m), c in N.items():
             minus_N_cols.setdefault(b, []).append((a, m, field.neg(c)))
         for k, (a, b, m) in enumerate(slots):
             for q, m2, c in M_rows.get(b, ()):

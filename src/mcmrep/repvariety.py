@@ -7,12 +7,15 @@ S-monomial coefficients yields the defining ideal of the variety in the
 affine space of unknown coefficients.
 
 Graded maps are handled as coefficient maps {(row, col, monomial): c} over
-k, and a product of maps is `compose`.
+k, and a product of maps is `compose`.  A point carries its checked maps:
+`evaluate` builds them with the matrices, and `point_maps` keeps them on
+the point once they pass its shape check, so each point's matrices are
+read at most once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graded import GradedAlgebra, ShiftType, hom_entry_degrees, validate_presentation, verify_normalization
 from .groebner import IdealHandle
@@ -40,26 +43,45 @@ class Unknown:
 class ParameterSpace:
     """Coordinates of the affine space containing the representation variety."""
 
-    __slots__ = ("algebra", "shifts", "unknowns", "ring", "s_ring")
+    __slots__ = ("algebra", "shifts", "unknowns", "s_ring", "_ring")
 
-    def __init__(self, algebra, shifts, unknowns, ring, s_ring):
+    def __init__(self, algebra, shifts, unknowns, s_ring):
         self.algebra = algebra
         self.shifts = shifts
         self.unknowns = tuple(unknowns)
-        self.ring = ring
         self.s_ring = s_ring
+        self._ring = None
 
     def __len__(self):
         return len(self.unknowns)
 
+    @property
+    def ring(self) -> PolynomialRing:
+        """The polynomial ring of the unknowns over the field of s_ring, each
+        of its generator's degree; built on first use."""
+        if self._ring is None:
+            degree = self.algebra.generator_degree
+            self._ring = PolynomialRing(
+                self.s_ring.field,
+                [u.name for u in self.unknowns],
+                [degree(u.generator) for u in self.unknowns],
+            )
+        return self._ring
+
 
 @dataclass(frozen=True)
 class MatrixPoint:
-    """A concrete point: one matrix over S per algebra generator."""
+    """A concrete point: one matrix over S per algebra generator.
+
+    _maps holds the coefficient maps of the matrices over the point's own S
+    ring, one per generator, and only checked ones: those `evaluate` builds
+    the matrices from, or those that passed the shape check of
+    `point_maps`.  It is None until then, and kept out of equality."""
 
     algebra: GradedAlgebra
     shifts: ShiftType
     matrices: tuple  # per generator: tuple of row tuples of Polynomial over S
+    _maps: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -130,18 +152,37 @@ def coefficient_map(matrix, ring):
     return out
 
 
-def compose(A, B, field):
-    """The product A . B of two coefficient maps over k: slot (p, t, m) of A
-    times slot (t, q, m') of B adds to slot (p, q, m m')."""
+def _add_products(out, A, B, negate=False):
+    """Add the products of compose(A, B), or their negatives, to the raw
+    sums in out, unnormalised, and return out."""
     rows = {}
     for (t, q, m), y in B.items():
         rows.setdefault(t, []).append((q, m, y))
-    out = {}
     for (p, t, m), x in A.items():
+        if negate:
+            x = -x
         for q, m2, y in rows.get(t, ()):
             key = (p, q, monomial_mul(m, m2))
-            out[key] = field.add(out.get(key, field.zero), field.mul(x, y))
-    return {key: c for key, c in out.items() if not field.is_zero(c)}
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def _normalised(raw, field):
+    """The nonzero slots of a map of raw sums, each value normalised once
+    into k."""
+    coerce, is_zero = field.coerce, field.is_zero
+    out = {}
+    for key, c in raw.items():
+        c = coerce(c)
+        if not is_zero(c):
+            out[key] = c
+    return out
+
+
+def compose(A, B, field):
+    """The product A . B of two coefficient maps over k: slot (p, t, m) of A
+    times slot (t, q, m') of B adds to slot (p, q, m m')."""
+    return _normalised(_add_products({}, A, B), field)
 
 
 def by_s_monomial(values, n):
@@ -161,12 +202,9 @@ def parameterize(R: GradedAlgebra, V: ShiftType, field=None) -> ParameterSpace:
     _require_valid(R)
     s_ring = R.s_ring(field)
     unknowns = []
-    degrees = []
     for z in R.generator_names:
-        dz = R.generator_degree(z)
-        for p, q, mono in entry_slots(s_ring, V, V, dz):
+        for p, q, mono in entry_slots(s_ring, V, V, R.generator_degree(z)):
             unknowns.append(Unknown(f"u{len(unknowns) + 1}", z, p, q, mono))
-            degrees.append(dz)
     prefix = "u"
     if any(u.name in R.ring._index for u in unknowns):
         prefix = "u_"
@@ -174,8 +212,7 @@ def parameterize(R: GradedAlgebra, V: ShiftType, field=None) -> ParameterSpace:
             Unknown(f"{prefix}{i + 1}", u.generator, u.row, u.col, u.monomial)
             for i, u in enumerate(unknowns)
         ]
-    ring = PolynomialRing(s_ring.field, [u.name for u in unknowns], degrees)
-    return ParameterSpace(R, V, unknowns, ring, s_ring)
+    return ParameterSpace(R, V, unknowns, s_ring)
 
 
 def _split_term(R: GradedAlgebra, monomial):
@@ -200,27 +237,34 @@ def _relation_maps(R: GradedAlgebra, d: int, maps, field, pad):
     """The coefficient maps of every relation of R, and of every commutator
     of two generators, at the generator maps `maps` of d x d matrices.
 
-    A relation term c y^b z^beta is the scalar map c y^b times one generator
-    map per factor of z^beta, left to right in the fixed generator order;
-    the scalar's monomial is b followed by the exponents `pad`."""
+    A relation term c y^b z^beta is the map of the first factor of z^beta,
+    its monomials times y^b and its values times c, times the map of each
+    further factor, left to right in the fixed generator order; a term
+    without a generator factor is c y^b times the identity.  The monomial
+    of y^b is b followed by the exponents `pad`."""
     out = []
     for rel in R.relations:
         acc = {}
         for mono, coeff in rel.sorted_terms():
+            c = field.coerce(coeff)
+            if field.is_zero(c):
+                continue
             z_exps, y_exps = _split_term(R, mono)
-            term = {(p, p, y_exps + pad): field.coerce(coeff) for p in range(d)}
-            for M, e in zip(maps, z_exps):
-                for _ in range(e):
-                    term = compose(term, M, field)
-            for key, c in term.items():
-                acc[key] = field.add(acc.get(key, field.zero), c)
-        out.append({key: c for key, c in acc.items() if not field.is_zero(c)})
+            y_b = y_exps + pad
+            factors = [M for M, e in zip(maps, z_exps) for _ in range(e)]
+            if factors:
+                term = {(p, q, monomial_mul(m, y_b)): c * x for (p, q, m), x in factors[0].items()}
+            else:
+                term = {(p, p, y_b): c for p in range(d)}
+            for M in factors[1:]:
+                term = compose(term, M, field)
+            for key, x in term.items():
+                acc[key] = acc.get(key, 0) + x
+        out.append(_normalised(acc, field))
     for i, A in enumerate(maps):
         for B in maps[i + 1:]:
-            acc = compose(A, B, field)
-            for key, c in compose(B, A, field).items():
-                acc[key] = field.sub(acc.get(key, field.zero), c)
-            out.append({key: c for key, c in acc.items() if not field.is_zero(c)})
+            commutator = _add_products(_add_products({}, A, B), B, A, negate=True)
+            out.append(_normalised(commutator, field))
     return out
 
 
@@ -233,7 +277,7 @@ def build_defining_ideal(R: GradedAlgebra, V: ShiftType, field=None) -> RepIdeal
     of the unknowns, and each (row, col, S-monomial) of a relation's map
     holds one generator."""
     ps = parameterize(R, V, field)
-    field = ps.ring.field
+    field = ps.s_ring.field
     n_s, n_u = ps.s_ring.nvars, len(ps.unknowns)
     generic = {z: {} for z in R.generator_names}
     for k, u in enumerate(ps.unknowns):
@@ -266,7 +310,11 @@ def shaped_map(name, matrix, table, s_ring):
 
 def point_maps(pt: MatrixPoint, s_ring):
     """The coefficient maps of pt's matrices over s_ring; ValueError lists
-    every entry whose degree violates the mandated shape."""
+    every entry whose degree violates the mandated shape.  Maps over pt's
+    own S ring are read once and kept on pt (MatrixPoint._maps)."""
+    own = s_ring is pt.s_ring or s_ring == pt.s_ring
+    if own and pt._maps is not None:
+        return pt._maps
     R, V = pt.algebra, pt.shifts
     gen_names = R.generator_names
     if len(pt.matrices) != len(gen_names):
@@ -280,6 +328,9 @@ def point_maps(pt: MatrixPoint, s_ring):
         problems += found
     if problems:
         raise ValueError("shape mismatch: " + "; ".join(problems))
+    maps = tuple(maps)
+    if own:
+        object.__setattr__(pt, "_maps", maps)
     return maps
 
 
@@ -296,8 +347,10 @@ def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
 
     assignment is a sequence aligned with ps.unknowns or a dict keyed by
     unknown name.  Inverse to point_from_matrices on conforming points.
+    Each generator's coefficient map is read off the unknowns' slots, and
+    the point keeps those maps.
     """
-    field = ps.ring.field
+    field = ps.s_ring.field
     if isinstance(assignment, dict):
         missing = [u.name for u in ps.unknowns if u.name not in assignment]
         if missing:
@@ -310,12 +363,15 @@ def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
                 f"assignment has {len(values)} entries, expected {len(ps.unknowns)}"
             )
     R, V, s_ring = ps.algebra, ps.shifts, ps.s_ring
-    mats = []
-    for z in R.generator_names:
-        slots = entry_slots(s_ring, V, V, R.generator_degree(z))
-        mats.append(matrix_of(s_ring, V.dimension, slots, values[:len(slots)]))
-        values = values[len(slots):]
-    return MatrixPoint(R, V, tuple(mats))
+    index = {z: i for i, z in enumerate(R.generator_names)}
+    maps = tuple({} for _ in index)
+    for u, c in zip(ps.unknowns, values):
+        if not field.is_zero(c):
+            maps[index[u.generator]][u.row, u.col, u.monomial] = c
+    mats = tuple(matrix_of(s_ring, V.dimension, M.keys(), M.values()) for M in maps)
+    pt = MatrixPoint(R, V, mats)
+    object.__setattr__(pt, "_maps", maps)
+    return pt
 
 
 def assignment_of(ps: ParameterSpace, pt: MatrixPoint):

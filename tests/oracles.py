@@ -260,6 +260,45 @@ def matmul_relation_matrices(R, d, matrices, ring, y_embed):
     return out
 
 
+def compose_by_steps(A, B, field):
+    """The product of two coefficient maps {(row, col, monomial): c} over
+    k, each product and sum taken in the field as it is formed."""
+    out = {}
+    for (p, t, m), x in A.items():
+        for (t2, q, m2), y in B.items():
+            if t2 == t:
+                key = (p, q, monomial_mul(m, m2))
+                out[key] = field.add(out.get(key, field.zero), field.mul(x, y))
+    return {key: c for key, c in out.items() if not field.is_zero(c)}
+
+
+def relation_maps_by_compose(R, d, maps, field, pad):
+    """The coefficient maps of every relation of R, and of every commutator
+    of two generators, at the generator maps `maps`: a relation term
+    c y^b z^beta is the scalar map c y^b 1 composed with one generator map
+    per factor of z^beta, left to right in the fixed generator order; the
+    scalar's monomial is b followed by the exponents `pad`."""
+    out = []
+    for rel in R.relations:
+        acc = {}
+        for mono, coeff in rel.sorted_terms():
+            z_exps, y_exps = _split_term(R, mono)
+            term = {(p, p, y_exps + pad): field.coerce(coeff) for p in range(d)}
+            for M, e in zip(maps, z_exps):
+                for _ in range(e):
+                    term = compose_by_steps(term, M, field)
+            for key, c in term.items():
+                acc[key] = field.add(acc.get(key, field.zero), c)
+        out.append({key: c for key, c in acc.items() if not field.is_zero(c)})
+    for i, A in enumerate(maps):
+        for B in maps[i + 1:]:
+            acc = compose_by_steps(A, B, field)
+            for key, c in compose_by_steps(B, A, field).items():
+                acc[key] = field.sub(acc.get(key, field.zero), c)
+            out.append({key: c for key, c in acc.items() if not field.is_zero(c)})
+    return out
+
+
 def substitution_defining_ideal(R, V, field=QQ):
     """The defining ideal from generic matrices over k[u_1..u_n, y], the
     unknowns first: the S-monomial coefficients of every relation matrix,

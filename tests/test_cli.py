@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import mcmrep
 import mcmrep.groebner
 from mcmrep.cli import build_parser, main
 
@@ -392,3 +393,66 @@ def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
                          or [declared])
         argv = [str(ROOT / a) if (ROOT / a).is_file() else a for a in argv]
         assert run(capsys, *argv)[0] == 0, argv
+
+
+# indec / isom / check-point runs and their answers, taken before the decide
+# path moved to the points' own coefficient maps: x2 over QQ (Fraction
+# coordinates) at ranks 2-4, x2 over F_7, and the point mu(x) = [[0, -y],
+# [y, 0]] of x2y2 = k[x,y]/(x^2 + y^2), conjugated; "X2Y2" names its file
+X2Y2_TEXT = "vars: x:1, y:1\nnormalization: y\nrelations: x^2 + y^2\n"
+DECIDE_PINS = [
+    (["indec", "--family", "x2", "--shifts", "0,1", "--point=-1/2,-1/2,1/2,1/2"], True),
+    (["isom", "--family", "x2", "--shifts", "0,1", "--point1=-1/2,-1/2,1/2,1/2",
+      "--point2=0,-1/2,0,0"], False),
+    (["indec", "--family", "x2", "--shifts", "0,1", "--point=0,0,0,0"], False),
+    (["isom", "--family", "x2", "--shifts", "0,1", "--point1=0,0,0,0",
+      "--point2=1/2,-1/2,1/2,-1/2"], False),
+    (["indec", "--family", "x2", "--shifts", "0,1,2", "--point=0,1/2,1/4,0,-1/2,-1/4,1,1/2"],
+     False),
+    (["isom", "--family", "x2", "--shifts", "0,1,2", "--point1=0,1/2,1/4,0,-1/2,-1/4,1,1/2",
+      "--point2=-1,2,3/2,-1/2,1,3/4,0,0"], False),
+    (["indec", "--family", "x2", "--shifts", "0,1,1,2",
+      "--point=-1,0,-1,1/2,1/2,0,1/2,-1/4,1,-1/2,5/4,-5/8,-1,1/2,-1/4"], False),
+    (["isom", "--family", "x2", "--shifts", "0,1,1,2",
+      "--point1=-1,0,-1,1/2,1/2,0,1/2,-1/4,1,-1/2,5/4,-5/8,-1,1/2,-1/4",
+      "--point2=-1,3/2,1/4,5/4,-1/2,1/2,1/4,3/4,-1,1/2,3/4,7/4,1/2,-1/4,-1/4"], True),
+    (["indec", "--family", "x2", "--field", "Fp:7", "--shifts", "0,1", "--point=4,5,1,3"], True),
+    (["isom", "--family", "x2", "--field", "Fp:7", "--shifts", "0,1", "--point1=4,5,1,3",
+      "--point2=0,0,0,0"], False),
+    (["indec", "--family", "x2", "--field", "Fp:7", "--shifts", "1,1", "--point=0,0,0,0"],
+     False),
+    (["isom", "--family", "x2", "--field", "Fp:7", "--shifts", "1,1", "--point1=0,0,0,0",
+      "--point2=1,4,5,6"], False),
+    (["indec", "--algebra", "X2Y2", "--shifts", "0,0", "--point=1,-4,1/2,-1"], False),
+    (["isom", "--algebra", "X2Y2", "--shifts", "0,0", "--point1=1,-4,1/2,-1",
+      "--point2=0,-1,1,0"], True),
+    (["indec", "--algebra", "X2Y2", "--field", "Fp:7", "--shifts", "0,0", "--point=3,5,5,4"],
+     False),
+    (["isom", "--algebra", "X2Y2", "--field", "Fp:7", "--shifts", "0,0", "--point1=3,5,5,4",
+      "--point2=0,-1,1,0"], True),
+]
+DECIDE_KEYS = {"indec": "indecomposable", "isom": "isomorphic"}
+
+
+def _pinned_report(command, key, answer):
+    value = "true" if answer else "false"
+    return (f'{{\n  "version": "{mcmrep.__version__}",\n  "command": "{command}",\n'
+            f'  "{key}": {value}\n}}\n')
+
+
+@pytest.mark.parametrize("argv,answer", DECIDE_PINS)
+def test_decide_output_is_pinned(tmp_path, capsys, argv, answer):
+    alg = tmp_path / "x2y2.alg"
+    alg.write_text(X2Y2_TEXT)
+    report = tmp_path / "report.json"
+    argv = [str(alg) if a == "X2Y2" else a for a in argv]
+    key = DECIDE_KEYS[argv[0]]
+    assert run(capsys, *argv, "--json", str(report)) == (0, f"{key}: {answer}\n", "")
+    assert report.read_text() == _pinned_report(argv[0], key, answer)
+
+
+def test_failing_check_point_output_is_pinned(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["check-point", "--family", "x2", "--shifts", "0,1", "--point=1,1/3,0,0"]
+    assert run(capsys, *argv, "--json", str(report)) == (1, "valid point: False\n", "")
+    assert report.read_text() == _pinned_report("check-point", "valid", False)

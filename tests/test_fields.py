@@ -104,3 +104,17 @@ def test_rationals_are_ints_exactly_when_integral():
     assert type(QQ.zero) is int and type(QQ.one) is int
     with pytest.raises(ZeroDivisionError):
         QQ.div(1, 0)
+
+
+def test_rational_coerce_normalises_each_input_type():
+    # an integral value comes back as an int, any other as a Fraction in
+    # lowest terms that compares and hashes like the input
+    for x in (Fraction(6, 3), Fraction(-4, 1), Fraction(0), 5, -7, "8/4", 3.0):
+        c = QQ.coerce(x)
+        assert type(c) is int and c == Fraction(x)
+    for x in (Fraction(2, 6), Fraction(-7, 4), "-7/4", 0.5, "1/3"):
+        c = QQ.coerce(x)
+        assert type(c) is Fraction and c == Fraction(x) and hash(c) == hash(Fraction(x))
+    assert QQ.coerce(Fraction(10, 4)) == Fraction(5, 2)
+    assert (QQ.coerce(Fraction(10, 4)).numerator, QQ.coerce(Fraction(10, 4)).denominator) == (5, 2)
+    assert QQ.coerce(True) == 1

@@ -41,6 +41,7 @@ from mcmrep.repvariety import (
     RepIdeal,
     assignment_of,
     build_defining_ideal,
+    coefficient_map,
     compose,
     entry_slots,
     evaluate,
@@ -253,6 +254,31 @@ def test_wrong_degree_entries_are_reported_alike(R):
         "degree-0 shape mismatch: g[1,1] must be homogeneous of degree 0; "
         "g[2,1] must be zero (degree -1)"
     )
+
+
+@pytest.mark.parametrize("read", [
+    lambda pt: hom_component(pt, pt, 0),
+    lambda pt: are_isomorphic(pt, pt),
+    is_indecomposable,
+], ids=["hom_component", "are_isomorphic", "is_indecomposable"])
+def test_unchecked_maps_are_never_kept(R, read):
+    # the decision procedures read a point through the shape check of
+    # validate_point: a wrong-degree entry raises the same words wherever it
+    # is read first, and no map is kept on the point
+    s_ring = R.s_ring()
+    one, zero = s_ring.one(), s_ring.zero()
+    text = "shape mismatch: x[1,1] must be homogeneous of degree 1"
+    pt = MatrixPoint(R, V01, (((one, zero), (zero, zero)),))
+    for check in (read, validate_point, read, validate_point):
+        with pytest.raises(ValueError) as found:
+            check(pt)
+        assert str(found.value) == text
+        assert pt._maps is None
+    # a hand-built point of the right shape keeps its maps once read
+    good = MatrixPoint(R, V01, (((zero, zero), (one, zero)),))
+    assert good._maps is None
+    read(good)
+    assert good._maps == (coefficient_map(good.matrices[0], s_ring),)
 
 
 def test_mixed_rings_are_refused(R):

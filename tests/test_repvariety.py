@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import mcmrep.groebner
+import mcmrep.repvariety
 from mcmrep.families import example_algebra_x2
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
@@ -20,6 +22,7 @@ from mcmrep.repvariety import (
     evaluate,
     parameterize,
     point_from_matrices,
+    point_maps,
     validate_point,
 )
 
@@ -28,6 +31,7 @@ from oracles import (
     mat_identity,
     mat_scale,
     mat_sub,
+    relation_maps_by_compose,
     square_generic_matrix_ideal,
     substitution_defining_ideal,
 )
@@ -344,3 +348,108 @@ def test_assignment_of_refuses_a_point_over_another_field(R):
     # each point read over its own field
     assert point_from_matrices(R, V01, pt_qq.matrices) == (0, 0, Fraction(1, 2), 0)
     assert point_from_matrices(R, V01, pt_f5.matrices) == (0, 0, 3, 0)
+
+
+# algebras for the relation maps: three generators (so commutators), two S
+# variables, a term with a y-factor, and coefficients other than +-1
+RELATION_ALGEBRAS = {
+    "x2": (("x", "y"), ("x^2",), ("y",)),
+    "x3": (("x", "y"), ("x^3",), ("y",)),
+    "xz": (("x", "z", "y"), ("x^2", "x*z", "z^2"), ("y",)),
+    "x2s2": (("x", "y", "w"), ("x^2",), ("y", "w")),
+    "dinf": (("x", "y"), ("x^3 - x^2*y",), ("y",)),
+    "x2c": (("x", "y"), ("x^2 - 5*x*y + 6*y^2",), ("y",)),
+}
+
+
+def _relation_algebra(name):
+    names, relations, normalization = RELATION_ALGEBRAS[name]
+    ring = PolynomialRing(QQ, names)
+    return GradedAlgebra(ring, tuple(parse_polynomial(ring, r) for r in relations), normalization)
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_ALGEBRAS))
+def test_relation_maps_match_compose_oracle(name):
+    # valid and invalid points of type (0, 1) over QQ, conjugated by
+    # diag(1, 2) for Fraction coordinates, and the same points over GF(7);
+    # then the generic maps of build_defining_ideal
+    R = _relation_algebra(name)
+    ps = parameterize(R, V01)
+    n = len(ps.unknowns)
+
+    def oracle_valid(pt):
+        return not any(relation_maps_by_compose(R, 2, point_maps(pt, pt.s_ring), pt.field, ()))
+
+    pool = (-1, 0, 1, 2, 3) if n <= 4 else (-1, 0, 1)
+    valid, invalid = [], []
+    for vec in itertools.product(pool, repeat=n):
+        (valid if oracle_valid(evaluate(ps, vec)) else invalid).append(vec)
+    assert valid and invalid
+    t = (1, 2)
+    chosen = valid[:3] + valid[-2:] + random.Random(7).sample(invalid, 5)
+    vectors = [[v * Fraction(t[u.row], t[u.col]) for v, u in zip(vec, ps.unknowns)]
+               for vec in chosen]
+    assert any(type(v) is Fraction for vec in vectors for v in vec)
+    for field in (QQ, GF(7)):
+        ps_k = parameterize(R, V01, field)
+        answers = set()
+        for vec in vectors:
+            pt = evaluate(ps_k, vec)
+            maps = point_maps(pt, pt.s_ring)
+            expected = relation_maps_by_compose(R, 2, maps, field, ())
+            assert _relation_maps(R, 2, maps, field, ()) == expected
+            assert validate_point(pt) == (not any(expected))
+            answers.add(validate_point(pt))
+        assert answers == {True, False}
+        generic = [{} for _ in R.generator_names]
+        for k, u in enumerate(ps_k.unknowns):
+            u_k = tuple(int(i == k) for i in range(n))
+            generic[R.generator_names.index(u.generator)][u.row, u.col, u.monomial + u_k] = 1
+        pad = (0,) * n
+        symbolic = _relation_maps(R, 2, generic, field, pad)
+        assert symbolic == relation_maps_by_compose(R, 2, generic, field, pad)
+        assert all(symbolic)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("shifts,vector", [
+    ((0, 1), [Fraction(1, 2), -3, Fraction(2, 3), 0]),
+    ((0, 1), [0, 0, 0, 0]),
+    ((0, 1, 2), [1, Fraction(-1, 2), 5, 7, 0, 0, 2, Fraction(3, 4)]),
+    ((), []),
+], ids=["point", "zero", "rank3", "empty"])
+def test_evaluate_keeps_the_maps_of_its_matrices(R, field, shifts, vector):
+    ps = parameterize(R, ShiftType(shifts), field)
+    pt = evaluate(ps, vector)
+    assert pt._maps == tuple(coefficient_map(M, pt.s_ring) for M in pt.matrices)
+    assert point_maps(pt, pt.s_ring) is pt._maps
+    assert evaluate(ps, vector) == pt  # the maps stay out of equality
+
+
+def test_evaluate_reads_the_unknowns_not_the_slot_layout(R, monkeypatch):
+    ps = parameterize(R, ShiftType((0, 1, 1, 2)), GF(7))
+    calls = []
+    entry_slots = mcmrep.repvariety.entry_slots
+    monkeypatch.setattr(mcmrep.repvariety, "entry_slots",
+                        lambda *a: calls.append(a) or entry_slots(*a))
+    pt = evaluate(ps, range(len(ps.unknowns)))
+    assert calls == []
+    assert assignment_of(ps, pt) == tuple(GF(7).coerce(i) for i in range(len(ps.unknowns)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_unknowns_ring_is_built_on_first_use(R, field, monkeypatch):
+    V = ShiftType((0, 1, 2))
+    R.s_ring(field)  # S itself is built once per algebra and field
+    built = []
+    init = PolynomialRing.__init__
+    monkeypatch.setattr(PolynomialRing, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    ps = parameterize(R, V, field)
+    evaluate(ps, [0] * len(ps.unknowns))
+    assert built == []
+    ring = ps.ring
+    assert ps.ring is ring and len(built) == 1
+    monkeypatch.undo()
+    degrees = [R.generator_degree(u.generator) for u in ps.unknowns]
+    assert ring == PolynomialRing(field, [u.name for u in ps.unknowns], degrees)
