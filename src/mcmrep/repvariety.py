@@ -8,14 +8,15 @@ affine space of unknown coefficients.
 
 Graded maps are handled as coefficient maps {(row, col, monomial): c} over
 k, and a product of maps is `compose`.  A point carries its checked maps:
-`evaluate` builds them with the matrices, and `point_maps` keeps them on
-the point once they pass its shape check, so each point's matrices are
-read at most once.
+a point from `evaluate` holds only its maps and builds its matrices on
+first read, and `point_maps` keeps the maps of a point built from matrices
+once they pass its shape check, so each point's matrices are read at most
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 from .graded import GradedAlgebra, ShiftType, hom_entry_degrees, validate_presentation, verify_normalization
 from .groebner import IdealHandle
@@ -69,28 +70,72 @@ class ParameterSpace:
         return self._ring
 
 
-@dataclass(frozen=True)
 class MatrixPoint:
     """A concrete point: one matrix over S per algebra generator.
 
-    _maps holds the coefficient maps of the matrices over the point's own S
-    ring, one per generator, and only checked ones: those `evaluate` builds
-    the matrices from, or those that passed the shape check of
-    `point_maps`.  It is None until then, and kept out of equality."""
+    MatrixPoint(algebra, shifts, matrices) builds a point from its matrices.
+    A point from `evaluate` holds its S ring and coefficient maps instead,
+    and builds `matrices` from the maps on first read.  _maps holds the
+    coefficient maps over the point's own S ring, one per generator, and
+    only checked ones: those `evaluate` reads off the unknowns, or those
+    that passed the shape check of `point_maps`; it is None until then.
+    Equality, hashing and repr are on (algebra, shifts, matrices), and
+    setting an attribute raises FrozenInstanceError."""
 
-    algebra: GradedAlgebra
-    shifts: ShiftType
-    matrices: tuple  # per generator: tuple of row tuples of Polynomial over S
-    _maps: tuple = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, algebra: GradedAlgebra, shifts: ShiftType, matrices):
+        matrices = tuple(tuple(tuple(row) for row in m) for m in matrices)
+        self.__dict__.update(
+            algebra=algebra, shifts=shifts, _matrices=matrices, _s_ring=None, _maps=None
+        )
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrices", tuple(tuple(tuple(row) for row in m) for m in self.matrices)
+    @classmethod
+    def _of_maps(cls, algebra, shifts, s_ring, maps):
+        """The point of checked coefficient maps over s_ring."""
+        pt = cls.__new__(cls)
+        pt.__dict__.update(
+            algebra=algebra, shifts=shifts, _matrices=None, _s_ring=s_ring, _maps=maps
+        )
+        return pt
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def matrices(self) -> tuple:
+        """Per generator: a tuple of row tuples of Polynomial over S."""
+        if self._matrices is None:
+            d = self.shifts.dimension
+            mats = tuple(matrix_of(self._s_ring, d, M.keys(), M.values()) for M in self._maps)
+            object.__setattr__(self, "_matrices", mats)
+        return self._matrices
+
+    def _key(self):
+        return self.algebra, self.shifts, self.matrices
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(algebra={self.algebra!r}, shifts={self.shifts!r}, "
+            f"matrices={self.matrices!r})"
         )
 
     @property
     def s_ring(self):
-        for m in self.matrices:
+        """The S ring the point was evaluated over, else that of its first
+        entry, else (empty type) the algebra's own."""
+        if self._s_ring is not None:
+            return self._s_ring
+        for m in self._matrices:
             for row in m:
                 for e in row:
                     return e.ring
@@ -119,13 +164,15 @@ def _require_valid(R: GradedAlgebra):
 
 def entry_slots(s_ring, V: ShiftType, W: ShiftType, e: int):
     """Coefficient slots (p, q, S-monomial) of a degree-e map S (x) V ->
-    S (x) W: entries row-major, then S-monomials in descending order."""
+    S (x) W: entries row-major, then S-monomials in descending order.  Each
+    degree's S-monomials are listed once per call."""
     table = hom_entry_degrees(V, W, e)
+    monomials = {deg: s_ring.monomials_of_weight(deg) for deg in {d for row in table for d in row}}
     return [
         (p, q, mono)
         for p, row in enumerate(table)
         for q, deg in enumerate(row)
-        for mono in s_ring.monomials_of_weight(deg)
+        for mono in monomials[deg]
     ]
 
 
@@ -348,7 +395,7 @@ def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
     assignment is a sequence aligned with ps.unknowns or a dict keyed by
     unknown name.  Inverse to point_from_matrices on conforming points.
     Each generator's coefficient map is read off the unknowns' slots, and
-    the point keeps those maps.
+    the point holds those maps; its matrices are built on first read.
     """
     field = ps.s_ring.field
     if isinstance(assignment, dict):
@@ -368,10 +415,7 @@ def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
     for u, c in zip(ps.unknowns, values):
         if not field.is_zero(c):
             maps[index[u.generator]][u.row, u.col, u.monomial] = c
-    mats = tuple(matrix_of(s_ring, V.dimension, M.keys(), M.values()) for M in maps)
-    pt = MatrixPoint(R, V, mats)
-    object.__setattr__(pt, "_maps", maps)
-    return pt
+    return MatrixPoint._of_maps(R, V, s_ring, maps)
 
 
 def assignment_of(ps: ParameterSpace, pt: MatrixPoint):

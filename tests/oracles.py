@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from mcmrep.fields import GF, QQ, PrimeField
+from mcmrep.graded import hom_entry_degrees
 from mcmrep.groebner import _lcm, _polynomial, _s_pair, buchberger
 from mcmrep.linalg import kernel_basis
 from mcmrep.matops import mat_det, mat_mul
@@ -574,6 +575,18 @@ def product_scan(rows, n, blocks, field):
 
 
 # -- graded Hom components through Polynomial matrix products ------------
+
+
+def entry_slots_per_entry(s_ring, V, W, e):
+    """entry_slots listing the S-monomials of each entry afresh, one
+    monomials_of_weight call per entry."""
+    table = hom_entry_degrees(V, W, e)
+    return [
+        (p, q, mono)
+        for p, row in enumerate(table)
+        for q, deg in enumerate(row)
+        for mono in s_ring.monomials_of_weight(deg)
+    ]
 
 
 def matmul_hom_component(mu, nu, e):

@@ -909,6 +909,43 @@ def test_is_indecomposable_matches_generic_element_oracle_on_census(name, shifts
     assert any(r > 1 for _, r in results)
 
 
+@pytest.mark.parametrize("field,shifts,vectors", [
+    (QQ, (0, 1), [[0, 0, Fraction(1, 2), 0]]),
+    (GF(7), (0, 1, 2), [[0] * 8]),
+    (GF(7), (), [[]]),
+    (QQ, (0, 1), [[0, 0, 1, 0], [0, 0, Fraction(2, 3), 0]]),  # symbolic branch
+    (GF(7), (0, 1), [[1, -1, 1, -1], [0, 0, 1, 0]]),  # exhaustive branch
+    (QQ, (0, 0, 1, 1), [[0] * 16, [0] * 16]),  # sampled branch
+    (GF(7), (), [[], []]),
+], ids=["indec-QQ", "indec-GF7-rank3", "indec-empty", "isom-QQ", "isom-GF7", "isom-sampled",
+        "isom-empty"])
+def test_decide_queries_build_no_matrix(R, field, shifts, vectors, monkeypatch):
+    # an indec or isom query as the CLI runs it reads the points' maps and
+    # builds no matrix over S; the matrices are built on first read
+    ps = parameterize(R, ShiftType(shifts), field)
+    built = []
+    matrix_of = mcmrep.repvariety.matrix_of
+    from_terms = PolynomialRing.from_terms
+
+    def counted_from_terms(ring, terms):
+        if ring is ps.s_ring:
+            built.append("from_terms")
+        return from_terms(ring, terms)
+
+    monkeypatch.setattr(mcmrep.repvariety, "matrix_of",
+                        lambda *a: built.append("matrix_of") or matrix_of(*a))
+    monkeypatch.setattr(PolynomialRing, "from_terms", counted_from_terms)
+    decide = is_indecomposable if len(vectors) == 1 else are_isomorphic
+    pts = [evaluate(ps, v) for v in vectors]
+    assert all(validate_point(pt) for pt in pts)
+    answer = decide(*pts)
+    assert built == []
+    hand = [MatrixPoint(R, ps.shifts, pt.matrices) for pt in pts]
+    assert "matrix_of" in built
+    monkeypatch.undo()
+    assert decide(*hand) == answer
+
+
 @pytest.mark.parametrize("field,expected", [
     (QQ, False), (GF(2), True), (GF(3), False), (GF(5), False), (GF(7), False), (GF(13), False),
 ], ids=["QQ", "GF2", "GF3", "GF5", "GF7", "GF13"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import mcmrep.groebner
 import mcmrep.repvariety
 from mcmrep.families import example_algebra_x2
 from mcmrep.fields import GF, QQ
-from mcmrep.graded import GradedAlgebra, ShiftType
+from mcmrep.graded import GradedAlgebra, ShiftType, hom_entry_degrees
 from mcmrep.groebner import ideal, ideal_equal, ideal_membership
 from mcmrep.matops import mat_mul
 from mcmrep.parsing import parse_algebra_text, parse_polynomial
@@ -19,6 +20,7 @@ from mcmrep.repvariety import (
     assignment_of,
     build_defining_ideal,
     coefficient_map,
+    entry_slots,
     evaluate,
     parameterize,
     point_from_matrices,
@@ -27,6 +29,7 @@ from mcmrep.repvariety import (
 )
 
 from oracles import (
+    entry_slots_per_entry,
     mat_add,
     mat_identity,
     mat_scale,
@@ -411,19 +414,91 @@ def test_relation_maps_match_compose_oracle(name):
         assert all(symbolic)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
-@pytest.mark.parametrize("shifts,vector", [
+EVALUATE_FIELDS = pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+EVALUATE_CASES = pytest.mark.parametrize("shifts,vector", [
     ((0, 1), [Fraction(1, 2), -3, Fraction(2, 3), 0]),
     ((0, 1), [0, 0, 0, 0]),
     ((0, 1, 2), [1, Fraction(-1, 2), 5, 7, 0, 0, 2, Fraction(3, 4)]),
     ((), []),
 ], ids=["point", "zero", "rank3", "empty"])
+
+
+@EVALUATE_FIELDS
+@EVALUATE_CASES
 def test_evaluate_keeps_the_maps_of_its_matrices(R, field, shifts, vector):
     ps = parameterize(R, ShiftType(shifts), field)
     pt = evaluate(ps, vector)
     assert pt._maps == tuple(coefficient_map(M, pt.s_ring) for M in pt.matrices)
     assert point_maps(pt, pt.s_ring) is pt._maps
     assert evaluate(ps, vector) == pt  # the maps stay out of equality
+
+
+@EVALUATE_FIELDS
+@EVALUATE_CASES
+def test_evaluated_point_builds_its_matrices_on_first_read(R, field, shifts, vector, monkeypatch):
+    ps = parameterize(R, ShiftType(shifts), field)
+    built = []
+    matrix_of = mcmrep.repvariety.matrix_of
+    from_terms = PolynomialRing.from_terms
+    monkeypatch.setattr(mcmrep.repvariety, "matrix_of",
+                        lambda *a: built.append("matrix_of") or matrix_of(*a))
+    monkeypatch.setattr(PolynomialRing, "from_terms",
+                        lambda self, t: built.append("from_terms") or from_terms(self, t))
+    pt = evaluate(ps, vector)
+    assert built == [] and pt.s_ring is ps.s_ring
+    mats = pt.matrices
+    assert built.count("matrix_of") == len(R.generator_names)
+    assert built.count("from_terms") == len(R.generator_names) * len(shifts) ** 2
+    del built[:]
+    assert pt.matrices is mats and built == []
+    monkeypatch.undo()
+    assert mats == tuple(matrix_of(ps.s_ring, len(shifts), M.keys(), M.values()) for M in pt._maps)
+    hand = MatrixPoint(R, ps.shifts, mats)
+    fresh = evaluate(ps, vector)
+    assert fresh == hand and hand == fresh
+    assert hash(evaluate(ps, vector)) == hash(hand)
+    assert repr(evaluate(ps, vector)) == repr(hand)
+    assert evaluate(ps, vector) != MatrixPoint(R, ps.shifts, ()) != evaluate(ps, vector)
+    with pytest.raises(FrozenInstanceError):
+        pt.matrices = mats
+    with pytest.raises(FrozenInstanceError):
+        hand.shifts = ps.shifts
+
+
+def test_empty_type_point_keeps_its_field(R):
+    ps = parameterize(R, ShiftType(()), GF(7))
+    pt = evaluate(ps, [])
+    assert pt.field == GF(7) and pt.s_ring is ps.s_ring
+    assert point_maps(pt, ps.s_ring) is pt._maps
+    assert validate_point(pt)
+    hand = MatrixPoint(R, ShiftType(()), ((),))
+    assert hand.field == QQ and hand.s_ring is R.s_ring()
+    assert hand == pt  # equality reads the matrices, not the ring
+
+
+X2S2_TEXT = "vars: x:1, y:1, w:1\nnormalization: y, w\nrelations: x^2\n"
+
+
+def test_entry_slots_lists_each_degree_once_and_matches_the_per_entry_oracle(monkeypatch):
+    rings = [
+        PolynomialRing(QQ, ("y",)),
+        parse_algebra_text(X2S2_TEXT).s_ring(),  # k[y, w]
+        PolynomialRing(GF(7), ("y", "w"), (1, 2)),
+        PolynomialRing(QQ, ("y", "w"), (2, 3)),
+    ]
+    types = [ShiftType(t) for t in [(), (0,), (0, 0, 1, 1), (0, 1, 2), (-1, 0, 3), (0, 2, 2, 5)]]
+    calls = []
+    listed = PolynomialRing.monomials_of_weight
+    monkeypatch.setattr(PolynomialRing, "monomials_of_weight",
+                        lambda self, d, *a: calls.append(d) or listed(self, d, *a))
+    for s_ring in rings:
+        for V, W in itertools.product(types, repeat=2):
+            for e in range(-2, 4):
+                calls.clear()
+                slots = entry_slots(s_ring, V, W, e)
+                degrees = {deg for row in hom_entry_degrees(V, W, e) for deg in row}
+                assert sorted(calls) == sorted(degrees)
+                assert slots == entry_slots_per_entry(s_ring, V, W, e)
 
 
 def test_evaluate_reads_the_unknowns_not_the_slot_layout(R, monkeypatch):
