@@ -24,10 +24,10 @@ from .poly import PolynomialRing, RingMismatchError, monomial_mul
 from .repvariety import (
     MatrixPoint,
     RepIdeal,
+    assignment_of,
     coefficient_map,
     compose,
     entry_slots,
-    evaluate,
     matrix_of,
     parameterize,
     point_maps,
@@ -65,22 +65,6 @@ class HomComponentBasis:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
-
-    @property
-    def basis(self) -> tuple:
-        """The basis vectors as matrices over S."""
-        s_ring = self.source.s_ring
-        d = len(self.source.shifts)
-        return tuple(matrix_of(s_ring, d, self.slots, v) for v in self.vectors)
-
-    def element(self, coeffs):
-        """The matrix sum_i coeffs[i] * basis[i]."""
-        if len(coeffs) != self.dimension:
-            raise ValueError(f"expected {self.dimension} coefficients, got {len(coeffs)}")
-        s_ring = self.source.s_ring
-        coeffs = [s_ring.field.coerce(c) for c in coeffs]
-        vec = _combine(s_ring.field, coeffs, self.vectors, len(self.slots))
-        return matrix_of(s_ring, len(self.source.shifts), self.slots, vec)
 
 
 def _combine(field, coeffs, vectors, n):
@@ -527,12 +511,17 @@ class OrbitCensus:
     group_order: int
     point_count: int
     orbits: tuple
-    isomorphism_class_count: int
-    counts_diverge: bool
 
     @property
     def orbit_count(self) -> int:
         return len(self.orbits)
+
+    @property
+    def isomorphism_class_count(self) -> int:
+        """The orbit count: a degree-0 isomorphism is an element of G_V(F_q)
+        conjugating one point into the other, so the G_V(F_q)-orbits are
+        the isomorphism classes over F_q."""
+        return self.orbit_count
 
 
 def _act(moved, vec, q):
@@ -595,11 +584,11 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     |G_V| / |orbit|.  Checks that each orbit stays in the point set, that
     its size divides |G_V| and that the sizes sum to the point count.
 
-    Isomorphism classes among the representatives, and labels against the
-    named representatives of type V, come from are_isomorphic, called only
-    on pairs whose End_0 have equal dimension: isomorphic points have equal
-    dim End_0, so unequal dims are a certified "not isomorphic".  dim End_0
-    is computed once per representative and per named representative."""
+    The orbits are the isomorphism classes over F_q, so no isomorphism test
+    runs.  A named representative of type V is reduced modulo q and labels
+    the orbit that holds its coordinate vector; when two names land in one
+    orbit the first in the list wins, and a named point off the variety
+    modulo q labels nothing."""
     field = GF(q)
     ps = parameterize(R, V, field)
     points = sorted(points)
@@ -610,67 +599,39 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     actions = _generator_actions(ps, q)
 
     records = []
-    placed = set()
+    orbit_of = {}
     for pt_vec in points:
-        if pt_vec in placed:
+        if pt_vec in orbit_of:
             continue
-        orbit = {pt_vec}
-        queue = [pt_vec]
-        for vec in queue:  # the queue grows while it is read
+        n = orbit_of[pt_vec] = len(records)
+        orbit = [pt_vec]
+        for vec in orbit:  # the orbit grows while it is read
             for moved in actions:
                 image = _act(moved, vec, q)
-                if image not in orbit:
+                # an image in an earlier orbit counts again: the sum check sees it
+                if orbit_of.get(image) != n:
                     if image not in point_set:
                         raise InvariantViolationError("orbit leaves the enumerated point set")
-                    orbit.add(image)
-                    queue.append(image)
+                    orbit_of[image] = n
+                    orbit.append(image)
         if n_group % len(orbit) != 0:
             raise InvariantViolationError("orbit size does not divide the group order")
-        placed |= orbit
         records.append((pt_vec, len(orbit), n_group // len(orbit)))
     if sum(r[1] for r in records) != len(points):
         raise InvariantViolationError("orbit sizes do not sum to the point count")
 
-    # isomorphism classes among the orbit representatives
-    rep_points = [evaluate(ps, r[0]) for r in records]
-    dims = [hom_component(pt, pt, 0).dimension for pt in rep_points]
-    class_of = [-1] * len(rep_points)
-    n_classes = 0
-    for i in range(len(rep_points)):
-        if class_of[i] >= 0:
-            continue
-        class_of[i] = n_classes
-        for j in range(i + 1, len(rep_points)):
-            if class_of[j] >= 0 or dims[j] != dims[i]:
-                continue
-            if are_isomorphic(rep_points[i], rep_points[j]):
-                class_of[j] = n_classes
-        n_classes += 1
-
-    labels = [""] * len(records)
-    if named_reps:
-        named = []
-        for nm in named_reps:
-            if nm.point.shifts == V:
-                reduced = _reduce_point(nm.point, field)
-                named.append((nm.label, reduced, hom_component(reduced, reduced, 0).dimension))
-        for i, rp in enumerate(rep_points):
-            for label, reduced, dim in named:
-                if dim == dims[i] and are_isomorphic(rp, reduced):
-                    labels[i] = label
-                    break
-
-    orbits = tuple(
-        OrbitRecord(rep, size, stab, label)
-        for (rep, size, stab), label in zip(records, labels)
-    )
+    labels = {}  # orbit index -> label; None collects points off the variety
+    for nm in named_reps or ():
+        if nm.point.shifts == V:
+            if nm.point.algebra != R:
+                raise ValueError("a named point belongs to another algebra")
+            vec = assignment_of(ps, _reduce_point(nm.point, field))
+            labels.setdefault(orbit_of.get(vec), nm.label)
     return OrbitCensus(
         q=q,
         group_order=n_group,
         point_count=len(points),
-        orbits=orbits,
-        isomorphism_class_count=n_classes,
-        counts_diverge=(n_classes != len(records)),
+        orbits=tuple(OrbitRecord(*rec, labels.get(i, "")) for i, rec in enumerate(records)),
     )
 
 

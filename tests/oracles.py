@@ -20,6 +20,7 @@ from mcmrep.orbits import (
     HomComponentBasis,
     InvariantViolationError,
     _check_compatible,
+    _combine,
     _primitive,
     _reduce_point,
     are_isomorphic,
@@ -36,6 +37,7 @@ from mcmrep.repvariety import (
     assignment_of,
     entry_slots,
     evaluate,
+    matrix_of,
     parameterize,
 )
 
@@ -509,12 +511,26 @@ def sweep_orbit_partition(points, R, V, q):
 def all_pairs_classes(R, V, q, representatives, named_reps=None, isomorphic=are_isomorphic):
     """The isomorphism class count of the orbit representatives (coordinate
     vectors over F_q) and their labels against the named representatives
-    of type V, from `isomorphic` on every pair the greedy class loop meets
-    and on every (representative, named representative) pair until a
-    label is found."""
+    of type V, from the greedy class loop over every pair and, for each
+    representative, the named representatives in order until a label is
+    found.
+
+    A pair is settled as not isomorphic when the Hom_0 dimension vectors
+    (dim Hom_0(X, M), dim Hom_0(M, X)) over the representatives X differ:
+    they are isomorphism invariants, so that "no" is certified (Auslander
+    1982; Bongartz 1989).  `isomorphic` decides only pairs whose vectors
+    agree."""
     field = GF(q)
     ps = parameterize(R, V, field)
     rep_points = [evaluate(ps, r) for r in representatives]
+
+    def hom_vector(M):
+        return tuple(
+            (hom_component(X, M, 0).dimension, hom_component(M, X, 0).dimension)
+            for X in rep_points
+        )
+
+    vectors = [hom_vector(M) for M in rep_points]
     class_of = [-1] * len(rep_points)
     n_classes = 0
     for i in range(len(rep_points)):
@@ -522,20 +538,22 @@ def all_pairs_classes(R, V, q, representatives, named_reps=None, isomorphic=are_
             continue
         class_of[i] = n_classes
         for j in range(i + 1, len(rep_points)):
-            if class_of[j] < 0 and isomorphic(rep_points[i], rep_points[j]):
-                class_of[j] = n_classes
+            if class_of[j] < 0 and vectors[j] == vectors[i]:
+                if isomorphic(rep_points[i], rep_points[j]):
+                    class_of[j] = n_classes
         n_classes += 1
 
+    named = []
+    for nm in named_reps or ():
+        if nm.point.shifts == V:
+            reduced = _reduce_point(nm.point, field)
+            named.append((nm.label, reduced, hom_vector(reduced)))
     labels = [""] * len(rep_points)
-    if named_reps:
-        for i, rp in enumerate(rep_points):
-            for named in named_reps:
-                if named.point.shifts != V:
-                    continue
-                reduced = _reduce_point(named.point, field)
-                if isomorphic(rp, reduced):
-                    labels[i] = named.label
-                    break
+    for i, rp in enumerate(rep_points):
+        for label, reduced, vector in named:
+            if vector == vectors[i] and isomorphic(rp, reduced):
+                labels[i] = label
+                break
     return n_classes, labels
 
 
@@ -611,6 +629,23 @@ def matmul_hom_component(mu, nu, e):
     return slots, kernel_basis(list(rows.values()), len(slots), field)
 
 
+def hom_basis(E: HomComponentBasis):
+    """The basis vectors of a Hom component as matrices over S."""
+    s_ring = E.source.s_ring
+    d = len(E.source.shifts)
+    return tuple(matrix_of(s_ring, d, E.slots, v) for v in E.vectors)
+
+
+def hom_element(E: HomComponentBasis, coeffs):
+    """The matrix sum_i coeffs[i] * basis[i] of a Hom component."""
+    if len(coeffs) != E.dimension:
+        raise ValueError(f"expected {E.dimension} coefficients, got {len(coeffs)}")
+    s_ring = E.source.s_ring
+    coeffs = [s_ring.field.coerce(c) for c in coeffs]
+    vec = _combine(s_ring.field, coeffs, E.vectors, len(E.slots))
+    return matrix_of(s_ring, len(E.source.shifts), E.slots, vec)
+
+
 # -- generic elements of End_0 as Polynomial matrices ---------------------
 
 
@@ -623,7 +658,7 @@ def _generic_element(E: HomComponentBasis):
     big = PolynomialRing(s_ring.field, c_ring.names + s_ring.names, (1,) * r + s_ring.degrees)
     d = len(E.source.shifts)
     generic = [[big.zero() for _ in range(d)] for _ in range(d)]
-    for i, alpha in enumerate(E.basis):
+    for i, alpha in enumerate(hom_basis(E)):
         c_exp = [0] * big.nvars
         c_exp[i] = 1
         c_var = big.monomial(tuple(c_exp))
@@ -730,7 +765,7 @@ def cofactor_are_isomorphic(mu, nu, seed=0):
     s_ring = mu.s_ring
     if isinstance(field, PrimeField) and field.p**r <= EXHAUSTIVE_ISOM_CAP:
         for coeffs in itertools.product(field.elements(), repeat=r):
-            alpha = E.element(coeffs)
+            alpha = hom_element(E, coeffs)
             det = mat_det(alpha, s_ring)
             if not det.is_zero():
                 return True
@@ -742,7 +777,7 @@ def cofactor_are_isomorphic(mu, nu, seed=0):
     rng = random.Random(seed)
     for _ in range(SAMPLING_TRIALS):
         coeffs = [rng.randrange(sample_bound) for _ in range(r)]
-        alpha = E.element(coeffs)
+        alpha = hom_element(E, coeffs)
         if not mat_det(alpha, s_ring).is_zero():
             return True
     return False

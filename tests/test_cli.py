@@ -206,6 +206,22 @@ def test_census_at_scale_is_pinned(tmp_path, capsys):
     )
 
 
+def test_labelled_census_is_pinned(tmp_path, capsys):
+    # x2 (0, 1) q = 5 with the three named representatives of type (0, 1):
+    # 25 points in 3 orbits, each with its label, the census the scale pin
+    # above does not cover
+    report = tmp_path / "census.json"
+    code, out, _ = run(capsys, "census", "--family", "x2", "--shifts", "0,1", "--q", "5",
+                       "--json", str(report))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6829c0e239e69488f6b6fe87ed87dd2028a82a95fd70935fc1b9b7f12d2e68d8"
+    )
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "e95a6b05546d1548907dcdc4d99b25cbfdf4f3f54c9d11adfb3e6487fb07634a"
+    )
+
+
 def test_census_refuses_field_mismatch(tmp_path, capsys):
     code, out, err = run(capsys, "census", "--family", "x2", "--field", "Fp:7",
                          "--shifts", "0,1", "--q", "5")

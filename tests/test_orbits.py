@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import mcmrep.orbits
-from mcmrep.families import example_algebra_x2, three_orbit_representatives
+from mcmrep.families import NamedModulePoint, example_algebra_x2, three_orbit_representatives
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
 from mcmrep.groebner import IdealHandle
@@ -59,6 +60,8 @@ from oracles import (
     column_product,
     constant_coefficient,
     generic_element_is_indecomposable,
+    hom_basis,
+    hom_element,
     is_constant,
     lexicographic_points,
     mat_identity,
@@ -91,7 +94,7 @@ def test_end0_of_R_point_is_scalars(reps):
     E = hom_component(pt, pt, 0)
     assert E.dimension == 1
     s_ring = pt.s_ring
-    alpha = E.basis[0]
+    alpha = hom_basis(E)[0]
     c = constant_coefficient(alpha[0][0])
     assert not s_ring.field.is_zero(c)
     assert alpha == tuple(tuple(e.scale(c) for e in row) for row in mat_identity(s_ring, 2))
@@ -102,7 +105,7 @@ def test_identity_always_in_end0(reps):
         E = hom_component(nm.point, nm.point, 0)
         coords = identity_coefficients(E)
         assert coords is not None
-        assert E.element(coords) == mat_identity(nm.point.s_ring, 2)
+        assert hom_element(E, coords) == mat_identity(nm.point.s_ring, 2)
 
 
 def test_element_rejects_wrong_coefficient_count(reps):
@@ -110,14 +113,14 @@ def test_element_rejects_wrong_coefficient_count(reps):
     assert E.dimension == 1
     for coeffs in ([], [1, 1], [1, 1, 1]):
         with pytest.raises(ValueError, match="expected 1 coefficients"):
-            E.element(coeffs)
+            hom_element(E, coeffs)
 
 
 def test_no_invertible_hom_between_distinct_modules(reps):
     # I_2(1) -> R at degree 0: kernel is spanned by [[0,0],[0,u]], never invertible
     E = hom_component(reps[1].point, reps[0].point, 0)
     assert E.dimension == 1
-    alpha = E.basis[0]
+    alpha = hom_basis(E)[0]
     assert alpha[0][0].is_zero() and alpha[0][1].is_zero() and alpha[1][0].is_zero()
 
 
@@ -125,7 +128,7 @@ def test_basis_elements_intertwine_exactly(reps):
     for src, tgt in itertools.product(reps, repeat=2):
         for e in (0, 1, 2):
             E = hom_component(src.point, tgt.point, e)
-            for alpha in E.basis:
+            for alpha in hom_basis(E):
                 for M, N in zip(src.point.matrices, tgt.point.matrices):
                     assert mat_is_zero(mat_sub(mat_mul(alpha, M), mat_mul(N, alpha)))
 
@@ -135,8 +138,8 @@ def test_hom_composition_lands_in_right_degree(reps):
     for e, f in [(0, 0), (1, 0), (0, 1), (1, 1)]:
         Ef = hom_component(mu, nu, e)
         Eg = hom_component(nu, rho, f)
-        for alpha in Ef.basis:
-            for beta in Eg.basis:
+        for alpha in hom_basis(Ef):
+            for beta in hom_basis(Eg):
                 comp = mat_mul(beta, alpha)
                 for M, P in zip(mu.matrices, rho.matrices):
                     assert mat_is_zero(mat_sub(mat_mul(comp, M), mat_mul(P, comp)))
@@ -395,7 +398,6 @@ def test_orbit_partition_three_orbits(R, reps):
             assert o.size * o.stabilizer_order == census.group_order
         assert sorted(o.label for o in census.orbits) == sorted(nm.label for nm in reps)
         assert census.isomorphism_class_count == 3
-        assert not census.counts_diverge
 
 
 PRESENTATIONS = {
@@ -485,53 +487,83 @@ def test_enumerate_points_refuses_an_ideal_that_is_not_torus_stable(R):
 
 
 @pytest.mark.parametrize("name,shifts,q", CENSUS_CASES)
-def test_orbit_partition_classes_match_all_pairs_oracle(name, shifts, q, monkeypatch):
+def test_orbit_partition_classes_match_all_pairs_oracle(name, shifts, q):
     # the named representatives are of type (0, 1); other types skip them
     R = named_algebra(name)
     V = ShiftType(shifts)
     named = three_orbit_representatives() if name == "x2" else None
     points = enumerate_points(build_defining_ideal(R, V), q)
-    tested = []
-
-    def recording(mu, nu):
-        tested.append((hom_component(mu, mu, 0).dimension, hom_component(nu, nu, 0).dimension))
-        return are_isomorphic(mu, nu)
-
-    monkeypatch.setattr(mcmrep.orbits, "are_isomorphic", recording)
     census = orbit_partition(points, R, V, q, named_reps=named)
-    assert all(a == b for a, b in tested)  # unequal dims of End_0 are settled
     representatives = [o.representative for o in census.orbits]
     n_classes, labels = all_pairs_classes(R, V, q, representatives, named)
-    assert census.isomorphism_class_count == n_classes
+    assert census.isomorphism_class_count == n_classes == len(representatives)
     assert [o.label for o in census.orbits] == labels
-    assert census.counts_diverge == (n_classes != len(representatives))
 
 
-def test_orbit_partition_takes_no_sampled_isomorphism_test(monkeypatch):
-    # on x2 (0, 1, 2, 3) q = 5, 8 of the all-pairs loop's tests have
-    # 5^r > EXHAUSTIVE_ISOM_CAP and r > SYMBOLIC_DET_CAP for r = dim Hom_0:
-    # the sampled branch, whose False is not certified.  Unequal dims of
-    # End_0 settle all 8.
+def test_orbit_partition_takes_no_sampled_isomorphism_test():
+    # on x2 (0, 1, 2, 3) q = 5, 8 pairs of the 17 orbit representatives
+    # have 5^r > EXHAUSTIVE_ISOM_CAP and r > SYMBOLIC_DET_CAP for
+    # r = dim Hom_0: the sampled branch, whose False is not certified.  The
+    # Hom_0 dimension vectors of the oracle differ on every pair, so its
+    # class count rests on no isomorphism test at all.
     R = named_algebra("x2")
     V = ShiftType((0, 1, 2, 3))
     q = 5
     points = enumerate_points(build_defining_ideal(R, V), q, budget=q**13)
-    sampled = []
+    census = orbit_partition(points, R, V, q)
+    assert census.orbit_count == 17
+    tested, sampled = [], []
 
     def counting(mu, nu):
+        tested.append((mu, nu))
         r = hom_component(mu, nu, 0).dimension
         if q**r > EXHAUSTIVE_ISOM_CAP and r > SYMBOLIC_DET_CAP:
             sampled.append((mu, nu))
         return are_isomorphic(mu, nu)
 
-    monkeypatch.setattr(mcmrep.orbits, "are_isomorphic", counting)
-    census = orbit_partition(points, R, V, q)
-    assert census.orbit_count == 17
-    assert sampled == []
     representatives = [o.representative for o in census.orbits]
     oracle = all_pairs_classes(R, V, q, representatives, isomorphic=counting)
-    assert len(sampled) == 8
     assert oracle == (census.isomorphism_class_count, [""] * 17)
+    assert tested == sampled == []
+
+
+def _raising(*args):
+    raise AssertionError("orbit_partition ran an isomorphism test")
+
+
+def test_orbit_partition_reads_classes_and_labels_off_the_orbits(R, reps, monkeypatch):
+    monkeypatch.setattr(mcmrep.orbits, "are_isomorphic", _raising)
+    monkeypatch.setattr(mcmrep.orbits, "hom_component", _raising)
+    V = ShiftType((0, 1, 2, 3))
+    points = enumerate_points(build_defining_ideal(R, V), 5, budget=5**13)
+    census = orbit_partition(points, R, V, 5)
+    assert (census.orbit_count, census.isomorphism_class_count) == (17, 17)
+    records = [(o.representative, o.size, o.stabilizer_order, o.label) for o in census.orbits]
+    # the 17 orbit records with their labels, pinned
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "7e5167ef6482daee5c7f1ea742ccfc473f1f844ed1c86b46630420daa70f4787"
+    )
+
+    points = enumerate_points(build_defining_ideal(R, V01), 5)
+    expected = [((0, 0, 0, 0), "R/(x) (+) R/(x)(-1)"), ((0, 0, 1, 0), "R"), ((0, 1, 0, 0), "I_2(1)")]
+    census = orbit_partition(points, R, V01, 5, named_reps=reps)
+    assert [(o.representative, o.label) for o in census.orbits] == expected
+
+    # of two names for one orbit the first wins; a point with
+    # mu(x)^2 = [[y^2, 0], [0, 0]] is off the variety and labels nothing
+    s_ring = R.s_ring()
+    y, zero = s_ring.variable("y"), s_ring.zero()
+    off = MatrixPoint(R, V01, (((y, zero), (zero, zero)),))
+    assert not validate_point(off)
+    extra = [NamedModulePoint("off", off, V01), NamedModulePoint("R again", reps[0].point, V01)]
+    census = orbit_partition(points, R, V01, 5, named_reps=reps + extra)
+    assert [(o.representative, o.label) for o in census.orbits] == expected
+    census = orbit_partition(points, R, V01, 5, named_reps=extra + reps)
+    relabelled = [(rep, "R again" if label == "R" else label) for rep, label in expected]
+    assert [(o.representative, o.label) for o in census.orbits] == relabelled
+
+    with pytest.raises(ValueError, match="another algebra"):
+        orbit_partition(points, R, V01, 5, named_reps=three_orbit_representatives(GF(5)))
 
 
 def test_enumerate_points_reduces_rational_denominators():
