@@ -18,7 +18,8 @@ from .poly import PolynomialRing, monomial_div, monomial_gcd
 @dataclass(frozen=True)
 class GradedAlgebra:
     """Presentation of R: a polynomial ring, homogeneous relations, and the
-    subset of variables forming the Noetherian normalization S."""
+    subset of variables forming the Noetherian normalization S.  R keeps
+    its S rings and its parameter spaces (repvariety.parameterize)."""
 
     ring: PolynomialRing
     relations: tuple
@@ -26,6 +27,7 @@ class GradedAlgebra:
     _relation_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
     _normalization_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
     _s_rings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "relations", tuple(self.relations))

@@ -93,12 +93,12 @@ def hom_component(mu: MatrixPoint, nu: MatrixPoint, e: int) -> HomComponentBasis
     -nu alpha is m times column a of -nu moved to column b; multiplying by
     m moves monomials injectively, so no two terms of one product meet.
     mu and nu are read through their checked maps (point_maps), so a
-    point of the wrong shape raises its ValueError here too."""
+    point of the wrong shape raises its ValueError here too.  The slots are
+    those of the points' parameter space (ParameterSpace.slots)."""
     _check_compatible(mu, nu)
     s_ring = mu.s_ring
     field = s_ring.field
-    V = mu.shifts
-    slots = entry_slots(s_ring, V, V, e)
+    slots = parameterize(mu.algebra, mu.shifts, field).slots(e)
     width = len(slots)
     rows_by_key = {}
     for gi, (M, N) in enumerate(zip(point_maps(mu, s_ring), point_maps(nu, s_ring))):
@@ -116,7 +116,7 @@ def hom_component(mu: MatrixPoint, nu: MatrixPoint, e: int) -> HomComponentBasis
                 row[k] = field.add(row[k], c)
     rows = [rows_by_key[k] for k in sorted(rows_by_key)]
     vectors = kernel_basis(rows, width, field)
-    return HomComponentBasis(e, mu, nu, tuple(slots), tuple(tuple(v) for v in vectors))
+    return HomComponentBasis(e, mu, nu, slots, tuple(tuple(v) for v in vectors))
 
 
 def _identity_vector(slots, field):
@@ -350,10 +350,15 @@ def enumerate_group(V: ShiftType, q: int, s_degrees=(1,), budget=DEFAULT_BUDGET,
 
 def group_order(V: ShiftType, q: int, s_degrees=(1,)) -> int:
     """|G_V(F_q)|: prod |GL_m(F_q)| over blocks of m equal shifts, times q
-    per coefficient slot between unequal shifts."""
+    per coefficient slot between unequal shifts: entry (p, r) with
+    l_p < l_r has one slot per S-monomial of weight l_r - l_p."""
     gl_blocks = math.prod(q**m - q**i for m in Counter(V.shifts).values() for i in range(m))
-    slots = entry_slots(_s_ring(q, s_degrees), V, V, 0)
-    return gl_blocks * q ** sum(V.shifts[p] != V.shifts[r] for p, r, _ in slots)
+    top = max(V.shifts, default=0) - min(V.shifts, default=0)
+    count = [1] + [0] * top  # count[w]: the S-monomials of weight w
+    for deg in s_degrees:
+        for w in range(deg, top + 1):
+            count[w] += count[w - deg]
+    return gl_blocks * q ** sum(count[lr - lp] for lp in V.shifts for lr in V.shifts if lp < lr)
 
 
 def _primitive_root(p: int) -> int:
@@ -551,22 +556,21 @@ def _generator_actions(ps, q):
     all I + c m E_pr.  These generate the unipotent radical and SL of each
     block of equal shifts, and the diagonal roots supply every
     determinant."""
-    keys = [(u.generator, u.row, u.col, u.monomial) for u in ps.unknowns]
-    index = {key: k for k, key in enumerate(keys)}
+    index = {key: k for k, key in enumerate(ps.keys)}
     t = _primitive_root(q)
     actions = []
-    for p, r, m in entry_slots(ps.s_ring, ps.shifts, ps.shifts, 0):
+    for p, r, m in ps.slots(0):
         rows = {}
-        for j, (z, a, b, mu) in enumerate(keys):
+        for j, (z, (a, b, mu)) in enumerate(ps.keys):
             if p == r:
                 terms = [(j, pow(t, (a == p) - (b == p), q) - 1)]
             else:
                 mu_m = monomial_mul(mu, m)
-                terms = [(index[z, p, b, mu_m], 1)] if a == r else []
+                terms = [(index[z, (p, b, mu_m)], 1)] if a == r else []
                 if b == p:
-                    terms.append((index[z, a, r, mu_m], -1))
+                    terms.append((index[z, (a, r, mu_m)], -1))
                     if a == r:
-                        terms.append((index[z, p, r, monomial_mul(mu_m, m)], -1))
+                        terms.append((index[z, (p, r, monomial_mul(mu_m, m))], -1))
             for i, c in terms:
                 row = rows.setdefault(i, {})
                 row[j] = (row.get(j, 0) + c) % q

@@ -23,7 +23,7 @@ from .groebner import IdealHandle
 from .poly import PolynomialRing, RingMismatchError, monomial_mul
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unknown:
     """Coefficient slot: 'coefficient of S-monomial `monomial` in entry
     (row, col) of the matrix of `generator`'.  row/col are 0-based."""
@@ -42,19 +42,36 @@ class Unknown:
 
 
 class ParameterSpace:
-    """Coordinates of the affine space containing the representation variety."""
+    """Coordinates of the affine space containing the representation variety.
 
-    __slots__ = ("algebra", "shifts", "unknowns", "s_ring", "_ring")
+    There is one space per (R, V, field), built and validated on the first
+    `parameterize` call and returned by every later one.  Besides the
+    unknowns it holds what each query reads: `keys`, each unknown's
+    (generator index, (row, col, S-monomial)); `relations`, the terms of
+    each relation (_relation_terms); and each degree's slot layout (`slots`)."""
+
+    __slots__ = ("algebra", "shifts", "unknowns", "s_ring", "keys", "relations", "_ring", "_slots")
 
     def __init__(self, algebra, shifts, unknowns, s_ring):
         self.algebra = algebra
         self.shifts = shifts
         self.unknowns = tuple(unknowns)
         self.s_ring = s_ring
+        index = {z: i for i, z in enumerate(algebra.generator_names)}
+        self.keys = tuple((index[u.generator], (u.row, u.col, u.monomial)) for u in self.unknowns)
+        self.relations = _relation_terms(algebra, s_ring.field)
         self._ring = None
+        self._slots = {}
 
     def __len__(self):
         return len(self.unknowns)
+
+    def slots(self, e) -> tuple:
+        """entry_slots(s_ring, V, V, e), built once per degree e."""
+        out = self._slots.get(e)
+        if out is None:
+            out = self._slots[e] = tuple(entry_slots(self.s_ring, self.shifts, self.shifts, e))
+        return out
 
     @property
     def ring(self) -> PolynomialRing:
@@ -245,7 +262,15 @@ def by_s_monomial(values, n):
 def parameterize(R: GradedAlgebra, V: ShiftType, field=None) -> ParameterSpace:
     """Unknown coefficients in deterministic order: generators, then the
     entry slots of each generator's matrix.  The field is R's own unless
-    given (see GradedAlgebra.s_ring)."""
+    given (see GradedAlgebra.s_ring).
+
+    One space per (R, V, field): the first call validates R, checks the
+    field and builds the space, which R keeps; later calls return it.  An
+    invalid R or field is never kept, so it raises on every call."""
+    key = V, R.ring.field if field is None else field
+    ps = R._spaces.get(key)
+    if ps is not None:
+        return ps
     _require_valid(R)
     s_ring = R.s_ring(field)
     unknowns = []
@@ -259,44 +284,42 @@ def parameterize(R: GradedAlgebra, V: ShiftType, field=None) -> ParameterSpace:
             Unknown(f"{prefix}{i + 1}", u.generator, u.row, u.col, u.monomial)
             for i, u in enumerate(unknowns)
         ]
-    return ParameterSpace(R, V, unknowns, s_ring)
+    return R._spaces.setdefault(key, ParameterSpace(R, V, unknowns, s_ring))
 
 
 def _split_term(R: GradedAlgebra, monomial):
     """Split an R-ring exponent tuple into (per-generator exponents,
     S-ring exponent tuple)."""
-    gen_names = R.generator_names
-    z_exps = [0] * len(gen_names)
-    y_exps = [0] * len(R.normalization)
-    gen_pos = {n: i for i, n in enumerate(gen_names)}
-    y_pos = {n: i for i, n in enumerate(R.normalization)}
-    for name, e in zip(R.ring.names, monomial):
-        if not e:
-            continue
-        if name in gen_pos:
-            z_exps[gen_pos[name]] = e
-        else:
-            y_exps[y_pos[name]] = e
-    return z_exps, tuple(y_exps)
+    exps = dict(zip(R.ring.names, monomial))
+    return [exps[z] for z in R.generator_names], tuple(exps[y] for y in R.normalization)
 
 
-def _relation_maps(R: GradedAlgebra, d: int, maps, field, pad):
+def _relation_terms(R: GradedAlgebra, field):
+    """Each relation of R as its terms (c, generator exponents, S-exponent
+    tuple) in sorted term order, c coerced into field and zero terms
+    dropped."""
+    out = []
+    for rel in R.relations:
+        coerced = ((field.coerce(coeff), mono) for mono, coeff in rel.sorted_terms())
+        out.append(tuple((c, *_split_term(R, mono)) for c, mono in coerced if not field.is_zero(c)))
+    return tuple(out)
+
+
+def _relation_maps(ps: ParameterSpace, maps, pad):
     """The coefficient maps of every relation of R, and of every commutator
-    of two generators, at the generator maps `maps` of d x d matrices.
+    of two generators, at the generator maps `maps` of the matrices of the
+    space ps, over its field.
 
     A relation term c y^b z^beta is the map of the first factor of z^beta,
     its monomials times y^b and its values times c, times the map of each
     further factor, left to right in the fixed generator order; a term
     without a generator factor is c y^b times the identity.  The monomial
     of y^b is b followed by the exponents `pad`."""
+    d, field = ps.shifts.dimension, ps.s_ring.field
     out = []
-    for rel in R.relations:
+    for terms in ps.relations:
         acc = {}
-        for mono, coeff in rel.sorted_terms():
-            c = field.coerce(coeff)
-            if field.is_zero(c):
-                continue
-            z_exps, y_exps = _split_term(R, mono)
+        for c, z_exps, y_exps in terms:
             y_b = y_exps + pad
             factors = [M for M, e in zip(maps, z_exps) for _ in range(e)]
             if factors:
@@ -331,7 +354,7 @@ def build_defining_ideal(R: GradedAlgebra, V: ShiftType, field=None) -> RepIdeal
         u_k = tuple(int(i == k) for i in range(n_u))
         generic[u.generator][u.row, u.col, u.monomial + u_k] = field.one
     gens = set()
-    for values in _relation_maps(R, V.dimension, list(generic.values()), field, (0,) * n_u):
+    for values in _relation_maps(ps, list(generic.values()), (0,) * n_u):
         gens.update(ps.ring.from_terms(t).monic() for t in by_s_monomial(values, n_s).values())
     gens = sorted(gens, key=lambda g: (ps.ring.sort_key(g.leading_monomial()), g.sorted_terms()))
     return RepIdeal(ps, IdealHandle(ps.ring, gens))
@@ -383,9 +406,8 @@ def point_maps(pt: MatrixPoint, s_ring):
 
 def validate_point(pt: MatrixPoint) -> bool:
     """True iff every relation matrix and every commutator vanishes at pt."""
-    s_ring = pt.algebra.s_ring(pt.field)
-    maps = point_maps(pt, s_ring)
-    return not any(_relation_maps(pt.algebra, pt.shifts.dimension, maps, s_ring.field, ()))
+    ps = parameterize(pt.algebra, pt.shifts, pt.field)
+    return not any(_relation_maps(ps, point_maps(pt, ps.s_ring), ()))
 
 
 def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
@@ -409,24 +431,19 @@ def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
             raise ValueError(
                 f"assignment has {len(values)} entries, expected {len(ps.unknowns)}"
             )
-    R, V, s_ring = ps.algebra, ps.shifts, ps.s_ring
-    index = {z: i for i, z in enumerate(R.generator_names)}
-    maps = tuple({} for _ in index)
-    for u, c in zip(ps.unknowns, values):
+    maps = tuple({} for _ in ps.algebra.generator_names)
+    for (i, slot), c in zip(ps.keys, values):
         if not field.is_zero(c):
-            maps[index[u.generator]][u.row, u.col, u.monomial] = c
-    return MatrixPoint._of_maps(R, V, s_ring, maps)
+            maps[i][slot] = c
+    return MatrixPoint._of_maps(ps.algebra, ps.shifts, ps.s_ring, maps)
 
 
 def assignment_of(ps: ParameterSpace, pt: MatrixPoint):
     """Read a conforming point's coefficients back in ParameterSpace order.
     An entry outside ps.s_ring raises RingMismatchError."""
-    values = {}
-    for z, M in zip(ps.algebra.generator_names, point_maps(pt, ps.s_ring)):
-        for (p, q, mono), c in M.items():
-            values[z, p, q, mono] = c
+    maps = point_maps(pt, ps.s_ring)
     zero = ps.s_ring.field.zero
-    return tuple(values.get((u.generator, u.row, u.col, u.monomial), zero) for u in ps.unknowns)
+    return tuple(maps[i].get(slot, zero) for i, slot in ps.keys)
 
 
 def point_from_matrices(R: GradedAlgebra, V: ShiftType, matrices, field=None):

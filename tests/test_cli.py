@@ -222,6 +222,23 @@ def test_labelled_census_is_pinned(tmp_path, capsys):
     )
 
 
+def test_repeqs_is_pinned_on_repeat_runs(tmp_path, capsys):
+    # x2 (0, 1, 1, 2): 15 unknowns and 16 generators; the digests were taken
+    # when every call built its own parameter space, and two runs in one
+    # process must both match them
+    report = tmp_path / "repeqs.json"
+    for _ in range(2):
+        code, out, _ = run(capsys, "repeqs", "--family", "x2", "--shifts", "0,1,1,2",
+                           "--json", str(report))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "96a97984b95b2920a075b62f20ac2f63f99b83cac9c32306291ad838c79b073d"
+        )
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "aeb51bb5dc719eda5d26b6859b3c75c1dde6e2a695f4a8705efcd3326ce1537e"
+        )
+
+
 def test_census_refuses_field_mismatch(tmp_path, capsys):
     code, out, err = run(capsys, "census", "--family", "x2", "--field", "Fp:7",
                          "--shifts", "0,1", "--q", "5")

@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, astuple
 from fractions import Fraction
 
 import pytest
@@ -12,10 +12,12 @@ from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType, hom_entry_degrees
 from mcmrep.groebner import ideal, ideal_equal, ideal_membership
 from mcmrep.matops import mat_mul
+from mcmrep.orbits import hom_component
 from mcmrep.parsing import parse_algebra_text, parse_polynomial
 from mcmrep.poly import PolynomialRing, RingMismatchError
 from mcmrep.repvariety import (
     MatrixPoint,
+    Unknown,
     _relation_maps,
     assignment_of,
     build_defining_ideal,
@@ -209,7 +211,8 @@ def test_relation_matrices_match_explicit_products(names, relations, expected):
     ]
     I = mat_identity(s_ring, d)
     maps = [coefficient_map(M, s_ring) for M in mats]
-    assert _relation_maps(A, d, maps, s_ring.field, ()) == [
+    ps = parameterize(A, ShiftType((0,) * d))
+    assert _relation_maps(ps, maps, ()) == [
         coefficient_map(P, s_ring) for P in expected(mats, I, y)
     ]
 
@@ -400,7 +403,7 @@ def test_relation_maps_match_compose_oracle(name):
             pt = evaluate(ps_k, vec)
             maps = point_maps(pt, pt.s_ring)
             expected = relation_maps_by_compose(R, 2, maps, field, ())
-            assert _relation_maps(R, 2, maps, field, ()) == expected
+            assert _relation_maps(ps_k, maps, ()) == expected
             assert validate_point(pt) == (not any(expected))
             answers.add(validate_point(pt))
         assert answers == {True, False}
@@ -409,7 +412,7 @@ def test_relation_maps_match_compose_oracle(name):
             u_k = tuple(int(i == k) for i in range(n))
             generic[R.generator_names.index(u.generator)][u.row, u.col, u.monomial + u_k] = 1
         pad = (0,) * n
-        symbolic = _relation_maps(R, 2, generic, field, pad)
+        symbolic = _relation_maps(ps_k, generic, pad)
         assert symbolic == relation_maps_by_compose(R, 2, generic, field, pad)
         assert all(symbolic)
 
@@ -528,3 +531,109 @@ def test_unknowns_ring_is_built_on_first_use(R, field, monkeypatch):
     monkeypatch.undo()
     degrees = [R.generator_degree(u.generator) for u in ps.unknowns]
     assert ring == PolynomialRing(field, [u.name for u in ps.unknowns], degrees)
+
+
+X2_TYPE_0112 = ShiftType((0, 1, 1, 2))
+
+
+def test_parameterize_keeps_one_space_per_type_and_field(R):
+    ps = parameterize(R, V01)
+    assert parameterize(R, ShiftType((1, 0))) is ps  # an equal type
+    assert parameterize(R, V01, QQ) is ps  # R's own field, given
+    ps7 = parameterize(R, V01, GF(7))
+    assert ps7 is not ps and parameterize(R, V01, GF(7)) is ps7
+    assert ps7.s_ring.field == GF(7)
+    other = parameterize(R, ShiftType((0, 0)))
+    assert other is not ps and other.shifts == ShiftType((0, 0))
+    assert parameterize(example_algebra_x2(), V01) is not ps  # spaces live on their algebra
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_stored_space_has_the_unknowns_of_a_fresh_build(R, field):
+    # x2 (0, 1, 1, 2): entry (p, q) of x has degree 1 + l_q - l_p, so one
+    # unknown y^deg per entry of nonnegative degree, row-major
+    entries = [(p, q, d) for p, row in enumerate(hom_entry_degrees(X2_TYPE_0112, X2_TYPE_0112, 1))
+               for q, d in enumerate(row) if d >= 0]
+    expected = [(f"u{k + 1}", "x", p, q, (d,)) for k, (p, q, d) in enumerate(entries)]
+    assert len(expected) == 15
+    parameterize(R, X2_TYPE_0112, field)
+    ps = parameterize(R, X2_TYPE_0112, field)
+    assert [astuple(u) for u in ps.unknowns] == expected
+    assert all(type(u) is Unknown for u in ps.unknowns)
+    assert ps.keys == tuple((0, (p, q, m)) for _, _, p, q, m in expected)
+    assert ps.s_ring is R.s_ring(field)
+
+
+def test_invalid_algebra_raises_on_every_call_and_keeps_no_space():
+    ring = PolynomialRing(QQ, ("x", "y"))
+    x, y = ring.gens()
+    unverified = GradedAlgebra(ring, (x * x,), ())
+    foreign = GradedAlgebra(ring, (x * x,), ("w",))
+    for bad, message in ((unverified, "normalization not verified"),
+                         (foreign, "w is not a ring variable")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                parameterize(bad, V01)
+        assert bad._spaces == {}
+
+
+def test_stored_spaces_stay_out_of_equality_hashing_and_repr(R):
+    fresh = example_algebra_x2()
+    before = repr(R)
+    parameterize(R, V01)
+    parameterize(R, X2_TYPE_0112, GF(7))
+    assert len(R._spaces) == 2 and fresh._spaces == {}
+    assert R == fresh and hash(R) == hash(fresh)
+    assert repr(R) == before == repr(fresh)
+
+
+def test_second_query_on_a_space_runs_no_validation_and_no_slot_layout(R, monkeypatch):
+    ps = parameterize(R, X2_TYPE_0112, GF(7))
+    vector = [int(k == 4) for k in range(len(ps.unknowns))]  # x[2, 1] = 1
+    E = hom_component(evaluate(ps, vector), evaluate(ps, vector), 0)
+
+    def rebuilt(*args):
+        raise AssertionError("rebuilt per query")
+
+    for name in ("validate_presentation", "verify_normalization", "entry_slots"):
+        monkeypatch.setattr(mcmrep.repvariety, name, rebuilt)
+    assert parameterize(R, X2_TYPE_0112, GF(7)) is ps
+    pt = evaluate(ps, vector)
+    assert validate_point(pt)
+    assert not validate_point(evaluate(ps, [1] * len(ps.unknowns)))
+    assert hom_component(pt, pt, 0).vectors == E.vectors
+
+
+X2S2 = parse_algebra_text(X2S2_TEXT)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("A,shifts", [
+    (example_algebra_x2(), (0,)),
+    (example_algebra_x2(), (0, 1)),
+    (example_algebra_x2(), (0, 0, 1)),
+    (example_algebra_x2(), (0, 1, 1, 2)),
+    (X2S2, (0, 1)),
+    (X2S2, (0, 0, 1)),
+    (X2S2, (0, 1, 2)),
+], ids=["x2-0", "x2-01", "x2-001", "x2-0112", "x2s2-01", "x2s2-001", "x2s2-012"])
+def test_space_slots_are_the_entry_slots_layout(A, shifts, field):
+    V = ShiftType(shifts)
+    ps = parameterize(A, V, field)
+    rng = random.Random(len(shifts))
+    mu = evaluate(ps, [0] * len(ps.unknowns))
+    nu = evaluate(ps, [rng.randrange(-2, 3) for _ in ps.unknowns])
+    for e in range(-1, 4):
+        slots = tuple(entry_slots(ps.s_ring, V, V, e))
+        assert ps.slots(e) == slots and ps.slots(e) is ps.slots(e)
+        assert hom_component(mu, nu, e).slots == slots
+
+
+def test_repeated_defining_ideals_share_the_space_and_agree(R):
+    first = build_defining_ideal(R, X2_TYPE_0112)
+    ring = first.parameter_space.ring
+    second = build_defining_ideal(R, X2_TYPE_0112)
+    assert second.parameter_space is first.parameter_space
+    assert second.ideal.ring is ring
+    assert second.ideal.generators == first.ideal.generators
+    assert second.ideal.groebner_basis() == first.ideal.groebner_basis()
