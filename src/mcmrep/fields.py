@@ -107,6 +107,8 @@ class PrimeField:
 
     def coerce(self, x) -> int:
         if isinstance(x, Fraction):
+            if x.denominator == 1:
+                return x.numerator % self.p
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return x.numerator * self.inv(x.denominator % self.p) % self.p

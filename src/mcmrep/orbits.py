@@ -28,9 +28,9 @@ from .repvariety import (
     coefficient_map,
     compose,
     entry_slots,
+    integral_maps,
     matrix_of,
     parameterize,
-    point_maps,
     shaped_map,
 )
 
@@ -92,30 +92,29 @@ def hom_component(mu: MatrixPoint, nu: MatrixPoint, e: int) -> HomComponentBasis
     (a, b, m), alpha mu is m times row b of mu moved to row a, and
     -nu alpha is m times column a of -nu moved to column b; multiplying by
     m moves monomials injectively, so no two terms of one product meet.
-    mu and nu are read through their checked maps (point_maps), so a
-    point of the wrong shape raises its ValueError here too.  The slots are
-    those of the points' parameter space (ParameterSpace.slots)."""
+    mu and nu are read through their integer maps (integral_maps), so a
+    point of the wrong shape raises its ValueError here too: the rows of
+    generator z are int sums from D mu(z) and D nu(z), D the lcm of the
+    points' scales of z, and one scale per generator keeps the kernel.  The
+    slots are those of the points' parameter space (ParameterSpace.slots)."""
     _check_compatible(mu, nu)
     s_ring = mu.s_ring
-    field = s_ring.field
-    slots = parameterize(mu.algebra, mu.shifts, field).slots(e)
+    slots = parameterize(mu.algebra, mu.shifts, s_ring.field).slots(e)
     width = len(slots)
     rows_by_key = {}
-    for gi, (M, N) in enumerate(zip(point_maps(mu, s_ring), point_maps(nu, s_ring))):
+    for gi, (D_M, M, D_N, N) in enumerate(zip(*integral_maps(mu, s_ring), *integral_maps(nu, s_ring))):
+        D = math.lcm(D_M, D_N)
         M_rows, minus_N_cols = {}, {}
         for (a, b, m), c in M.items():
-            M_rows.setdefault(a, []).append((b, m, c))
+            M_rows.setdefault(a, []).append((b, m, D // D_M * c))
         for (a, b, m), c in N.items():
-            minus_N_cols.setdefault(b, []).append((a, m, field.neg(c)))
+            minus_N_cols.setdefault(b, []).append((a, m, -D // D_N * c))
         for k, (a, b, m) in enumerate(slots):
             for q, m2, c in M_rows.get(b, ()):
-                row = rows_by_key.setdefault((gi, a, q, monomial_mul(m, m2)), [field.zero] * width)
-                row[k] = field.add(row[k], c)
+                rows_by_key.setdefault((gi, a, q, monomial_mul(m, m2)), [0] * width)[k] += c
             for p, m2, c in minus_N_cols.get(a, ()):
-                row = rows_by_key.setdefault((gi, p, b, monomial_mul(m2, m)), [field.zero] * width)
-                row[k] = field.add(row[k], c)
-    rows = [rows_by_key[k] for k in sorted(rows_by_key)]
-    vectors = kernel_basis(rows, width, field)
+                rows_by_key.setdefault((gi, p, b, monomial_mul(m2, m)), [0] * width)[k] += c
+    vectors = kernel_basis(list(rows_by_key.values()), width, s_ring.field)
     return HomComponentBasis(e, mu, nu, slots, tuple(tuple(v) for v in vectors))
 
 

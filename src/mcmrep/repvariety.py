@@ -11,11 +11,14 @@ k, and a product of maps is `compose`.  A point carries its checked maps:
 a point from `evaluate` holds only its maps and builds its matrices on
 first read, and `point_maps` keeps the maps of a point built from matrices
 once they pass its shape check, so each point's matrices are read at most
-once.
+once.  Over QQ each generator's map is scaled once to an integer map by
+the lcm of its denominators (`integral_maps`, also kept on the point), and
+the relation check and the Hom system run on those maps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass
 
 from .graded import GradedAlgebra, ShiftType, hom_entry_degrees, validate_presentation, verify_normalization
@@ -47,20 +50,18 @@ class ParameterSpace:
     There is one space per (R, V, field), built and validated on the first
     `parameterize` call and returned by every later one.  Besides the
     unknowns it holds what each query reads: `keys`, each unknown's
-    (generator index, (row, col, S-monomial)); `relations`, the terms of
-    each relation (_relation_terms); and each degree's slot layout (`slots`)."""
+    (generator index, (row, col, S-monomial)); `relations`, each relation's
+    terms and tops (_relation_terms); and each degree's slot layout (`slots`)."""
 
-    __slots__ = ("algebra", "shifts", "unknowns", "s_ring", "keys", "relations", "_ring", "_slots")
+    __slots__ = ("algebra", "shifts", "unknowns", "s_ring", "relations", "_keys", "_ring", "_slots")
 
     def __init__(self, algebra, shifts, unknowns, s_ring):
         self.algebra = algebra
         self.shifts = shifts
         self.unknowns = tuple(unknowns)
         self.s_ring = s_ring
-        index = {z: i for i, z in enumerate(algebra.generator_names)}
-        self.keys = tuple((index[u.generator], (u.row, u.col, u.monomial)) for u in self.unknowns)
         self.relations = _relation_terms(algebra, s_ring.field)
-        self._ring = None
+        self._keys = self._ring = None
         self._slots = {}
 
     def __len__(self):
@@ -72,6 +73,14 @@ class ParameterSpace:
         if out is None:
             out = self._slots[e] = tuple(entry_slots(self.s_ring, self.shifts, self.shifts, e))
         return out
+
+    @property
+    def keys(self) -> tuple:
+        """Each unknown's (generator index, (row, col, S-monomial)); built on first use."""
+        if self._keys is None:
+            index = {z: i for i, z in enumerate(self.algebra.generator_names)}
+            self._keys = tuple((index[u.generator], (u.row, u.col, u.monomial)) for u in self.unknowns)
+        return self._keys
 
     @property
     def ring(self) -> PolynomialRing:
@@ -101,17 +110,15 @@ class MatrixPoint:
 
     def __init__(self, algebra: GradedAlgebra, shifts: ShiftType, matrices):
         matrices = tuple(tuple(tuple(row) for row in m) for m in matrices)
-        self.__dict__.update(
-            algebra=algebra, shifts=shifts, _matrices=matrices, _s_ring=None, _maps=None
-        )
+        self.__dict__.update(algebra=algebra, shifts=shifts, _matrices=matrices, _s_ring=None,
+                             _maps=None, _integral=None)
 
     @classmethod
     def _of_maps(cls, algebra, shifts, s_ring, maps):
         """The point of checked coefficient maps over s_ring."""
         pt = cls.__new__(cls)
-        pt.__dict__.update(
-            algebra=algebra, shifts=shifts, _matrices=None, _s_ring=s_ring, _maps=maps
-        )
+        pt.__dict__.update(algebra=algebra, shifts=shifts, _matrices=None, _s_ring=s_ring,
+                           _maps=maps, _integral=None)
         return pt
 
     def __setattr__(self, name, value):
@@ -295,32 +302,36 @@ def _split_term(R: GradedAlgebra, monomial):
 
 
 def _relation_terms(R: GradedAlgebra, field):
-    """Each relation of R as its terms (c, generator exponents, S-exponent
-    tuple) in sorted term order, c coerced into field and zero terms
-    dropped."""
+    """Each relation of R as (terms, tops): its terms (c, generator
+    exponents, S-exponent tuple) in sorted term order, c coerced into field
+    and zero terms dropped, and each generator's top exponent in them."""
     out = []
     for rel in R.relations:
         coerced = ((field.coerce(coeff), mono) for mono, coeff in rel.sorted_terms())
-        out.append(tuple((c, *_split_term(R, mono)) for c, mono in coerced if not field.is_zero(c)))
+        terms = tuple((c, *_split_term(R, mono)) for c, mono in coerced if not field.is_zero(c))
+        out.append((terms, tuple(map(max, zip(*(z for _, z, _ in terms))))))
     return tuple(out)
 
 
-def _relation_maps(ps: ParameterSpace, maps, pad):
+def _relation_maps(ps: ParameterSpace, maps, pad, scales=()):
     """The coefficient maps of every relation of R, and of every commutator
     of two generators, at the generator maps `maps` of the matrices of the
-    space ps, over its field.
+    space ps, over its field, map z scaled by D_z in `scales` (empty: all 1).
 
     A relation term c y^b z^beta is the map of the first factor of z^beta,
-    its monomials times y^b and its values times c, times the map of each
+    its monomials times y^b and its values times c' = c prod_z D_z^(t_z -
+    beta_z), t the relation's top exponents, times the map of each
     further factor, left to right in the fixed generator order; a term
-    without a generator factor is c y^b times the identity.  The monomial
-    of y^b is b followed by the exponents `pad`."""
+    without a generator factor is c' y^b times the identity.  A relation is
+    scaled by prod_z D_z^t_z, a commutator [A, B] by D_A D_B, and y^b has
+    the monomial b followed by the exponents `pad`."""
     d, field = ps.shifts.dimension, ps.s_ring.field
     out = []
-    for terms in ps.relations:
+    for terms, tops in ps.relations:
         acc = {}
         for c, z_exps, y_exps in terms:
             y_b = y_exps + pad
+            c *= math.prod(D ** (t - b) for D, t, b in zip(scales, tops, z_exps))
             factors = [M for M, e in zip(maps, z_exps) for _ in range(e)]
             if factors:
                 term = {(p, q, monomial_mul(m, y_b)): c * x for (p, q, m), x in factors[0].items()}
@@ -404,10 +415,28 @@ def point_maps(pt: MatrixPoint, s_ring):
     return maps
 
 
+def integral_maps(pt: MatrixPoint, s_ring):
+    """(scales, maps): D_z M_z per generator z, M_z pt's checked map over
+    s_ring (point_maps) and D_z the lcm of its denominators; over F_p every
+    D_z is 1 and maps is point_maps' own tuple.  Kept on pt (_integral) like _maps."""
+    own = s_ring is pt.s_ring or s_ring == pt.s_ring
+    if own and pt._integral is not None:
+        return pt._integral
+    maps = point_maps(pt, s_ring)
+    scales = tuple(math.lcm(*(c.denominator for c in M.values())) for M in maps)
+    if max(scales, default=1) > 1:
+        maps = tuple({key: c.numerator * (D // c.denominator) for key, c in M.items()}
+                     for M, D in zip(maps, scales))
+    if own:
+        object.__setattr__(pt, "_integral", (scales, maps))
+    return pt._integral if own else (scales, maps)
+
+
 def validate_point(pt: MatrixPoint) -> bool:
-    """True iff every relation matrix and every commutator vanishes at pt."""
+    """True iff every relation and commutator vanishes at pt's integer maps."""
     ps = parameterize(pt.algebra, pt.shifts, pt.field)
-    return not any(_relation_maps(ps, point_maps(pt, ps.s_ring), ()))
+    scales, maps = integral_maps(pt, ps.s_ring)
+    return not any(_relation_maps(ps, maps, (), scales))
 
 
 def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:

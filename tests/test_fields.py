@@ -35,6 +35,25 @@ def test_prime_field_coerces_fractions():
     assert F.coerce(Fraction(1, 2)) == 3  # 2 * 3 = 6 = 1 mod 5
 
 
+@pytest.mark.parametrize("p", [7, 32003])
+def test_prime_field_coerces_fractions_as_numerator_over_denominator(p):
+    # integral Fractions, negative ones too, give numerator mod p, and every
+    # Fraction gives numerator * denominator^(p-2) mod p
+    F = GF(p)
+    rng = random.Random(p)
+    samples = [Fraction(n, d) for n in range(-20, 21) for d in (1, 2, 3, 4, 5, 6, 8, 9)]
+    samples += [Fraction(rng.randint(-10**9, 10**9), rng.choice((1, rng.randint(1, 10**6))))
+                for _ in range(400)]
+    assert sum(x.denominator == 1 for x in samples) > 100
+    for x in samples:
+        if x.denominator % p:
+            c = F.coerce(x)
+            assert c == x.numerator * pow(x.denominator, p - 2, p) % p and 0 <= c < p
+    for x in (Fraction(1, p), Fraction(-3, 2 * p), Fraction(5, p * p)):
+        with pytest.raises(ZeroDivisionError):
+            F.coerce(x)
+
+
 def test_gf_rejects_composite_and_large():
     with pytest.raises(ValueError):
         GF(6)

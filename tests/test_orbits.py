@@ -46,8 +46,10 @@ from mcmrep.repvariety import (
     compose,
     entry_slots,
     evaluate,
+    integral_maps,
     matrix_of,
     parameterize,
+    point_maps,
     validate_point,
 )
 
@@ -605,6 +607,67 @@ def test_hom_component_matches_matmul_oracle(name, shifts, field):
             assert [list(v) for v in E.vectors] == vectors
             dimensions.add(E.dimension)
     assert len(dimensions) > 1
+
+
+def _rational_points(name, V, count):
+    """Lifted points as in the matmul oracle test, each conjugated by diag(t)
+    (entry (p, q) times t_p / t_q) and its generator maps scaled by s, for
+    two (t, s) with different denominators; x2 and xz have relations
+    homogeneous in the generators, so the scaled maps are points too."""
+    R = named_algebra(name)
+    ps = parameterize(R, V)
+    lifted = (
+        tuple((0, 1, -1)[c] for c in v)
+        for v in enumerate_points(build_defining_ideal(R, V), 3)
+    )
+    points = [v for v in lifted if any(v) and validate_point(evaluate(ps, v))]
+    scalings = (((1, 2, 3), {"x": Fraction(1, 2), "z": Fraction(1, 3)}),
+                ((5, 1, 8), {"x": 3, "z": Fraction(2, 5)}))
+    return [
+        evaluate(ps, [c * Fraction(t[u.row], t[u.col]) * s[u.generator]
+                      for c, u in zip(vec, ps.unknowns)])
+        for vec in random.Random(3).sample(points, count) for t, s in scalings
+    ]
+
+
+@pytest.mark.parametrize("name,shifts", [("x2", (0, 1)), ("x2", (0, 0, 1)), ("xz", (0, 1))],
+                         ids=["x2", "x2-001", "xz"])
+def test_hom_component_matches_matmul_oracle_on_rational_points(name, shifts):
+    # over QQ, between points whose maps have different denominators, and
+    # for xz different ones for x and z
+    points = _rational_points(name, ShiftType(shifts), 3)
+    scales = [integral_maps(pt, pt.s_ring)[0] for pt in points]
+    assert len(set(scales)) > 1 and max(scales) > (1,) * len(scales[0])
+    if name == "xz":
+        assert any(len(set(s)) > 1 for s in scales)
+    dimensions = set()
+    for mu, nu in itertools.permutations(points, 2):
+        for e in (-1, 0, 1, 2):
+            E = hom_component(mu, nu, e)
+            slots, vectors = matmul_hom_component(mu, nu, e)
+            assert list(E.slots) == slots
+            assert [list(v) for v in E.vectors] == vectors
+            dimensions.add(E.dimension)
+    assert len(dimensions) > 1
+
+
+def test_decide_runs_no_fraction_arithmetic(monkeypatch):
+    # the relation check and the Hom system of a QQ point with denominators
+    # run on its integer maps: no Fraction sum, difference or product
+    pt = _rational_points("x2", ShiftType((0, 0, 1)), 1)[0]
+    assert any(type(c) is Fraction for M in point_maps(pt, pt.s_ring) for c in M.values())
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda a, b, method=method, name=name: calls.append(name) or method(a, b))
+    assert Fraction(1, 2) * 2 == 1 and calls == ["__mul__"]
+    calls.clear()
+    valid = validate_point(pt)
+    E = hom_component(pt, pt, 0)
+    monkeypatch.undo()
+    assert calls == []
+    assert valid and E.dimension > 1
 
 
 def test_orbit_partition_single_point(R):

@@ -24,6 +24,7 @@ from mcmrep.repvariety import (
     coefficient_map,
     entry_slots,
     evaluate,
+    integral_maps,
     parameterize,
     point_from_matrices,
     point_maps,
@@ -415,6 +416,103 @@ def test_relation_maps_match_compose_oracle(name):
         symbolic = _relation_maps(ps_k, generic, pad)
         assert symbolic == relation_maps_by_compose(R, 2, generic, field, pad)
         assert all(symbolic)
+
+
+@pytest.mark.parametrize("name", ["x2c", "dinf", "xz"])
+def test_validate_point_matches_compose_oracle_with_denominators(name):
+    # valid points of type (0, 1) conjugated by diag(t), so entry (p, q)
+    # times t_p / t_q, and random points, with denominators 2, 3, 5 and 8;
+    # the inhomogeneous relations of x2c and dinf scale term by term
+    R = _relation_algebra(name)
+    ps = parameterize(R, V01)
+    n = len(ps.unknowns)
+
+    def oracle_valid(pt):
+        return not any(relation_maps_by_compose(R, 2, point_maps(pt, pt.s_ring), QQ, ()))
+
+    pool = (-1, 0, 1, 2, 3) if n <= 4 else (-1, 0, 1)
+    nonzero = [v for v in itertools.product(pool, repeat=n) if any(v)]
+    valid = [v for v in nonzero if oracle_valid(evaluate(ps, v))]
+    rng = random.Random(11)
+    vectors = [
+        [c * Fraction(t[u.row], t[u.col]) for c, u in zip(vec, ps.unknowns)]
+        for t in ((1, 2), (3, 1), (5, 8), (8, 5)) for vec in rng.sample(valid, 3)
+    ]
+    vectors += [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 8))) for _ in range(n)]
+                for _ in range(12)]
+    assert {c.denominator for vec in vectors for c in vec} >= {2, 3, 5, 8}
+    answers = []
+    for vec in vectors:
+        pt = evaluate(ps, vec)
+        answers.append(validate_point(pt))
+        assert answers[-1] == oracle_valid(pt)
+    assert answers.count(True) >= 12 and False in answers
+
+
+def test_validate_point_on_a_relation_with_a_rational_coefficient():
+    # R = k[x, y]/(x^2 - 1/2 y^2) through PolynomialRing, type (0, 0):
+    # mu(x) = A y is a point iff A^2 = 1/2
+    ring = PolynomialRing(QQ, ("x", "y"))
+    R = GradedAlgebra(ring, (ring.from_terms({(2, 0): 1, (0, 2): Fraction(-1, 2)}),), ("y",))
+    V = ShiftType((0, 0))
+    half, third, eighth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 8)
+    cases = [
+        ([[0, half], [1, 0]], True),
+        ([[half, eighth], [2, -half]], True),
+        ([[0, third], [1, 0]], False),
+        ([[0, -half], [1, 0]], False),
+        ([[third, Fraction(1, 5)], [1, -third]], False),
+    ]
+    for field in (QQ, GF(7)):
+        for A, expected in cases:
+            cells = [[(c, 1) if c else None for c in row] for row in A]
+            pt = MatrixPoint(R, V, (s_matrix(R, cells, field),))
+            oracle = relation_maps_by_compose(R, 2, point_maps(pt, pt.s_ring), field, ())
+            assert validate_point(pt) == (not any(oracle)) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_integral_maps_are_kept_on_the_point(field):
+    # xz (0, 1): x's coordinates have denominators 2 and 3, z's 4; over QQ
+    # each map is scaled by the lcm of its own denominators
+    R = _relation_algebra("xz")
+    ps = parameterize(R, V01, field)
+    vec = [Fraction(1, 2), 0, Fraction(-2, 3), 5, 0, Fraction(3, 4), 1, 0]
+    pt = evaluate(ps, vec)
+    out = integral_maps(pt, ps.s_ring)
+    assert integral_maps(pt, ps.s_ring) is out
+    scales, maps = out
+    checked = point_maps(pt, ps.s_ring)
+    if field == QQ:
+        assert scales == (6, 4)
+        assert maps == tuple({key: D * c for key, c in M.items()} for D, M in zip(scales, checked))
+        assert all(type(c) is int for M in maps for c in M.values())
+    else:
+        assert scales == (1, 1) and maps is checked
+    hand = MatrixPoint(R, V01, pt.matrices)
+    assert integral_maps(hand, ps.s_ring) == out
+    assert integral_maps(hand, ps.s_ring) is integral_maps(hand, ps.s_ring)
+
+
+def test_keys_are_built_on_first_read():
+    # the defining ideal and its Groebner basis read no keys; evaluate and
+    # assignment_of read them, one (generator index, slot) per unknown
+    R = _relation_algebra("xz")
+    rep = build_defining_ideal(R, V01)
+    rep.ideal.groebner_basis()
+    ps = rep.parameter_space
+    assert ps._keys is None
+    vec = [Fraction(1, 2), 0, -3, 5, 0, Fraction(3, 4), 1, 0]
+    pt = evaluate(ps, vec)
+    assert ps._keys is not None
+    names = R.generator_names
+    assert ps.keys == tuple(
+        (names.index(u.generator), (u.row, u.col, u.monomial)) for u in ps.unknowns
+    )
+    assert [pt.matrices[names.index(u.generator)][u.row][u.col].terms.get(u.monomial, 0)
+            for u in ps.unknowns] == vec
+    assert assignment_of(ps, pt) == tuple(vec)
+    assert assignment_of(ps, MatrixPoint(R, V01, pt.matrices)) == tuple(vec)
 
 
 EVALUATE_FIELDS = pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
