@@ -72,7 +72,11 @@ def _rref_rational(rows, ncols):
     end."""
     ints = []
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row if type(x) is not int))
+        dens = [x.denominator for x in row if type(x) is not int]
+        if not dens:
+            ints.append(list(row))  # a copy: the elimination writes to its rows
+            continue
+        den = math.lcm(*dens)
         ints.append(
             [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row]
         )

@@ -14,7 +14,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import GF, QQ, PrimeField
 from .graded import ShiftType, hom_entry_degrees
@@ -369,15 +368,6 @@ def _primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in proper))
 
 
-def _primitive(g):
-    """A rational polynomial scaled to a primitive integer polynomial: the
-    same zero set over QQ, and a reduction modulo every prime."""
-    values = g.terms.values()
-    den = math.lcm(*(c.denominator for c in values))
-    num = math.gcd(*(c.numerator * (den // c.denominator) for c in values))
-    return g.scale(Fraction(den, num))
-
-
 def _torus_weight(factors, entries, d):
     """The weight of a term for the diagonal torus of G_V: the sum of
     e_row - e_col over its factors, the unknowns at the given entries."""
@@ -405,18 +395,18 @@ def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
 
     Depth-first with early rejection: a generator is tested as soon as all
     unknowns in its support are assigned.  An ideal over QQ is reduced
-    modulo q through primitive integer generators; one over a prime field
-    must be over F_q.  Normal forms are sound only for a T-stable ideal, so
-    a generator that is not homogeneous for the torus weight (see
-    _torus_weight) raises ValueError."""
+    modulo q through primitive integer generators: a generator's
+    coefficients times the lcm D of their denominators, divided by the gcd
+    G of those integers, have the same zero set over QQ and a reduction
+    modulo every prime.  One over a prime field must be over F_q.  Normal
+    forms are sound only for a T-stable ideal, so a generator that is not
+    homogeneous for the torus weight (see _torus_weight) raises ValueError."""
     ps = rep.parameter_space
     n = len(ps.unknowns)
     d = len(ps.shifts)
     field = GF(q)
-    gens = rep.ideal.generators
-    if rep.ideal.ring.field == QQ:
-        gens = [_primitive(g) for g in gens if not g.is_zero()]
-    elif rep.ideal.ring.field != field:
+    rational = rep.ideal.ring.field == QQ
+    if not rational and rep.ideal.ring.field != field:
         raise ValueError(f"an ideal over F_{rep.ideal.ring.field.p} has no reduction to F_{q}")
     total = q**n
     if total > budget:
@@ -427,11 +417,14 @@ def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
     # each generator as (coefficient, unknowns with multiplicity) terms over
     # F_q, bucketed by the last unknown in its support
     buckets = [[] for _ in range(n + 1)]
-    for g in gens:
-        terms = [
-            (c, tuple(i for i, e in enumerate(m) for _ in range(e)))
-            for m, c in g.change_field(field).terms.items()
-        ]
+    for g in rep.ideal.generators:
+        coeffs = g.terms.values()
+        if rational:
+            D = math.lcm(*(c.denominator for c in coeffs))
+            G = math.gcd(*(c.numerator * (D // c.denominator) for c in coeffs)) or 1
+            coeffs = [c.numerator * (D // c.denominator) // G % q for c in coeffs]
+        terms = [(c, tuple(i for i, e in enumerate(m) for _ in range(e)))
+                 for m, c in zip(g.terms, coeffs) if c]
         if len({_torus_weight(factors, entries, d) for _, factors in terms}) > 1:
             raise ValueError(f"generator {g} is not homogeneous for the diagonal torus of G_V")
         buckets[max((i + 1 for _, factors in terms for i in factors), default=0)].append(terms)
@@ -562,7 +555,11 @@ def _generator_actions(ps, q):
         rows = {}
         for j, (z, (a, b, mu)) in enumerate(ps.keys):
             if p == r:
+                if (a == p) == (b == p):
+                    continue  # scaled by t^0 = 1
                 terms = [(j, pow(t, (a == p) - (b == p), q) - 1)]
+            elif a != r and b != p:
+                continue  # E_pr X = X E_pr = 0 at this entry
             else:
                 mu_m = monomial_mul(mu, m)
                 terms = [(index[z, (p, b, mu_m)], 1)] if a == r else []
@@ -588,10 +585,10 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     its size divides |G_V| and that the sizes sum to the point count.
 
     The orbits are the isomorphism classes over F_q, so no isomorphism test
-    runs.  A named representative of type V is reduced modulo q and labels
-    the orbit that holds its coordinate vector; when two names land in one
-    orbit the first in the list wins, and a named point off the variety
-    modulo q labels nothing."""
+    runs.  A named representative of type V labels the orbit that holds its
+    coordinate vector, read over its own field and reduced modulo q; when
+    two names land in one orbit the first in the list wins, and a named
+    point off the variety modulo q labels nothing."""
     field = GF(q)
     ps = parameterize(R, V, field)
     points = sorted(points)
@@ -628,22 +625,14 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
         if nm.point.shifts == V:
             if nm.point.algebra != R:
                 raise ValueError("a named point belongs to another algebra")
-            vec = assignment_of(ps, _reduce_point(nm.point, field))
-            labels.setdefault(orbit_of.get(vec), nm.label)
+            own = assignment_of(parameterize(R, V, nm.point.field), nm.point)
+            labels.setdefault(orbit_of.get(tuple(map(field.coerce, own))), nm.label)
     return OrbitCensus(
         q=q,
         group_order=n_group,
         point_count=len(points),
         orbits=tuple(OrbitRecord(*rec, labels.get(i, "")) for i, rec in enumerate(records)),
     )
-
-
-def _reduce_point(pt: MatrixPoint, field) -> MatrixPoint:
-    """Reduce a characteristic-0 point's coefficients into a prime field."""
-    mats = tuple(
-        tuple(tuple(e.change_field(field) for e in row) for row in M) for M in pt.matrices
-    )
-    return MatrixPoint(pt.algebra, pt.shifts, mats)
 
 
 def _is_split_local(vectors, slots, blocks, field):

@@ -272,10 +272,14 @@ class Polynomial:
         return entry
 
     def monic(self) -> "Polynomial":
+        """This polynomial over its leading coefficient; the copy keeps the
+        leading monomial, which a nonzero scale does not move."""
         if self.is_zero():
             return self
-        inv = self.ring.field.inv(self.leading_coefficient())
-        return self.scale(inv)
+        lm = self.leading_monomial()
+        out = self.scale(self.ring.field.inv(self.terms[lm]))
+        object.__setattr__(out, "_lm", lm)
+        return out
 
     # -- arithmetic ----------------------------------------------------
 
@@ -380,7 +384,8 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, tuple(self.sorted_terms())))
+        # equal polynomials have equal term maps, whatever their insertion order
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
         if self.is_zero():

@@ -21,8 +21,6 @@ from mcmrep.orbits import (
     InvariantViolationError,
     _check_compatible,
     _combine,
-    _primitive,
-    _reduce_point,
     are_isomorphic,
     conjugate,
     enumerate_group,
@@ -32,6 +30,7 @@ from mcmrep.orbits import (
 from mcmrep.groebner import IdealHandle
 from mcmrep.poly import Polynomial, PolynomialRing, monomial_mul
 from mcmrep.repvariety import (
+    MatrixPoint,
     RepIdeal,
     _split_term,
     assignment_of,
@@ -331,6 +330,21 @@ def substitution_defining_ideal(R, V, field=QQ):
     return RepIdeal(ps, IdealHandle(ps.ring, gens))
 
 
+def sorted_monic_generators(ps, term_maps):
+    """The ideal generators of the coefficient maps term_maps, each
+    {unknowns' monomial: c}, in ps.ring: made monic, deduplicated by their
+    sorted terms and sorted by (leading monomial, sorted terms)."""
+    gens = {}
+    for terms in term_maps:
+        g = ps.ring.from_terms(terms).monic()
+        gens.setdefault(tuple(g.sorted_terms()), g)
+    ring = ps.ring
+    return sorted(
+        gens.values(),
+        key=lambda g: (ring.sort_key(max(g.terms, key=ring.sort_key)), g.sorted_terms()),
+    )
+
+
 # -- the running example: R = k[x,y]/(x^2), V = {0, 1} -------------------
 
 
@@ -411,6 +425,24 @@ def brute_force_points(rep, q):
         pt for pt in itertools.product(range(q), repeat=n)
         if all(field.is_zero(g.evaluate(list(pt))) for g in gens)
     ]
+
+
+def _primitive(g):
+    """A rational polynomial scaled to a primitive integer polynomial: the
+    same zero set over QQ, and a reduction modulo every prime."""
+    values = g.terms.values()
+    den = math.lcm(*(c.denominator for c in values))
+    num = math.gcd(*(c.numerator * (den // c.denominator) for c in values))
+    return g.scale(Fraction(den, num))
+
+
+def _reduce_point(pt, field):
+    """Reduce a characteristic-0 point's coefficients into a prime field,
+    entry by entry."""
+    mats = tuple(
+        tuple(tuple(e.change_field(field) for e in row) for row in M) for M in pt.matrices
+    )
+    return MatrixPoint(pt.algebra, pt.shifts, mats)
 
 
 def lexicographic_points(rep, q, budget=DEFAULT_BUDGET):

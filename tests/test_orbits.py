@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from mcmrep.orbits import (
     orbit_partition,
 )
 from mcmrep.parsing import parse_polynomial
-from mcmrep.poly import PolynomialRing, RingMismatchError
+from mcmrep.poly import Polynomial, PolynomialRing, RingMismatchError
 from mcmrep.repvariety import (
     MatrixPoint,
     RepIdeal,
@@ -54,6 +55,7 @@ from mcmrep.repvariety import (
 )
 
 from oracles import (
+    _reduce_point,
     all_pairs_classes,
     brute_force_points,
     brute_force_torus_orbit,
@@ -568,6 +570,35 @@ def test_orbit_partition_reads_classes_and_labels_off_the_orbits(R, reps, monkey
         orbit_partition(points, R, V01, 5, named_reps=three_orbit_representatives(GF(5)))
 
 
+def test_named_labels_match_the_reduced_point_oracle(R, reps):
+    # a named point labels the orbit that holds its matrices reduced entry by
+    # entry modulo q (_reduce_point), the orbits found by conjugating with
+    # every group element; 1/2 at the entry (2, 1) is R's orbit for odd q
+    s_ring = R.s_ring()
+    y, zero = s_ring.variable("y"), s_ring.zero()
+    half = MatrixPoint(R, V01, (((zero, zero), (s_ring.constant(Fraction(1, 2)), zero)),))
+    off = MatrixPoint(R, V01, (((y, zero), (zero, zero)),))  # off the variety
+    named = [NamedModulePoint("off", off, V01), NamedModulePoint("half", half, V01)] + reps
+    rep = build_defining_ideal(R, V01)
+    for q in (3, 5, 7):
+        ps = parameterize(R, V01, GF(q))
+        group = enumerate_group(V01, q, R.normalization_degrees, s_names=R.normalization)
+        reduced = [(nm.label, assignment_of(ps, _reduce_point(nm.point, GF(q)))) for nm in named]
+        census = orbit_partition(enumerate_points(rep, q), R, V01, q, named_reps=named)
+        expected = []
+        for o in census.orbits:
+            pt = evaluate(ps, o.representative)
+            orbit = {assignment_of(ps, conjugate(pt, g)) for g in group}
+            expected.append(next((label for label, vec in reduced if vec in orbit), ""))
+        assert [o.label for o in census.orbits] == expected
+        assert sorted(expected) == ["I_2(1)", "R/(x) (+) R/(x)(-1)", "half"]
+    # a denominator divisible by q has no reduction
+    third = MatrixPoint(R, V01, (((zero, zero), (s_ring.constant(Fraction(1, 3)), zero)),))
+    with pytest.raises(ZeroDivisionError):
+        orbit_partition(enumerate_points(rep, 3), R, V01, 3,
+                        named_reps=[NamedModulePoint("third", third, V01)])
+
+
 def test_enumerate_points_reduces_rational_denominators():
     # the QQ ideal of x2s2 at type (0, 1) holds u1*u2 + 1/2*u4*u6
     V = ShiftType((0, 1))
@@ -1039,6 +1070,41 @@ def test_decide_queries_build_no_matrix(R, field, shifts, vectors, monkeypatch):
     assert "matrix_of" in built
     monkeypatch.undo()
     assert decide(*hand) == answer
+
+
+@pytest.mark.parametrize("shifts,q,named", [((0, 0, 1), 3, False), ((0, 1), 5, True)],
+                         ids=["x2-001-q3", "x2-01-q5-named"])
+def test_census_builds_no_polynomial_once_the_spaces_are_built(R, shifts, q, named, monkeypatch):
+    # the search reads the ideal's terms, the group acts on coordinate
+    # vectors and a named point is read off its own coefficients, so a
+    # second census over built parameter spaces makes no Polynomial and no
+    # PolynomialRing
+    V = ShiftType(shifts)
+    rep = build_defining_ideal(R, V)
+    first = orbit_partition(enumerate_points(rep, q), R, V, q,
+                            named_reps=three_orbit_representatives() if named else None)
+    reps = three_orbit_representatives() if named else None  # fresh points, read anew
+    built = Counter()
+    for cls in (Polynomial, PolynomialRing):
+        monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, built, cls.__name__))
+    census = orbit_partition(enumerate_points(rep, q), R, V, q, named_reps=reps)
+    monkeypatch.undo()
+    assert built == Counter()
+    assert census == first
+    if named:
+        assert sorted(o.label for o in census.orbits) == sorted(nm.label for nm in reps)
+    # the counters see what they count
+    for cls in (Polynomial, PolynomialRing):
+        monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, built, cls.__name__))
+    build_defining_ideal(example_algebra_x2(), V)
+    assert built["Polynomial"] and built["PolynomialRing"]
+
+
+def _counted(init, counter, name):
+    def counted(self, *args, **kwargs):
+        counter[name] += 1
+        init(self, *args, **kwargs)
+    return counted
 
 
 @pytest.mark.parametrize("field,expected", [

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from mcmrep.fields import GF, QQ
 from mcmrep.groebner import _lcm
-from mcmrep.poly import MAX_WEIGHT, PolynomialRing, RingMismatchError, monomial_mul
+from mcmrep.poly import MAX_WEIGHT, Polynomial, PolynomialRing, RingMismatchError, monomial_mul
 
 from oracles import monomial_divides
 
@@ -46,6 +47,25 @@ def test_equal_polynomials_hash_equal(ring):
             if a == b:
                 assert hash(a) == hash(b)
     assert len({ring.constant(3), 3}) == 2
+
+
+def test_hash_ignores_term_order_and_coefficient_type(ring):
+    # the hash is over the term map: neither the order the terms were
+    # inserted in nor an int against an integral Fraction changes it
+    terms = {(2, 0): 2, (1, 1): -1, (0, 2): Fraction(1, 3), (0, 0): 5}
+    f = Polynomial(ring, terms)
+    g = Polynomial(ring, dict(reversed(list(terms.items()))))
+    h = Polynomial(ring, {m: Fraction(c) for m, c in terms.items()})
+    assert list(f.terms) != list(g.terms)
+    assert any(type(c) is int for c in f.terms.values())
+    assert all(type(c) is Fraction for c in h.terms.values())
+    assert f == g == h
+    assert hash(f) == hash(g) == hash(h)
+    assert len({f, g, h}) == 1
+    # monic hands its leading monomial to the copy; it is the one found anew
+    m = g.monic()
+    assert m.leading_monomial() == max(m.terms, key=ring.sort_key) == (2, 0)
+    assert m == f.scale(Fraction(1, 2)) and hash(m) == hash(h.scale(Fraction(1, 2)))
 
 
 def test_lead_entry_is_cached_outside_equality(ring):

@@ -21,6 +21,7 @@ from mcmrep.repvariety import (
     _relation_maps,
     assignment_of,
     build_defining_ideal,
+    by_s_monomial,
     coefficient_map,
     entry_slots,
     evaluate,
@@ -38,6 +39,7 @@ from oracles import (
     mat_scale,
     mat_sub,
     relation_maps_by_compose,
+    sorted_monic_generators,
     square_generic_matrix_ideal,
     substitution_defining_ideal,
 )
@@ -116,13 +118,16 @@ PRESENTATIONS = {
 @pytest.mark.parametrize("name,types", [
     ("x2", [(0,), (0, 1), (0, 0, 1), (0, 1, 2), (0, 1, 2, 3)]),
     ("x3", [(0, 1), (0, 0, 1), (0, 1, 2)]),
-    ("xz", [(0, 1), (0, 0, 1)]),
+    ("xz", [(0, 1), (0, 0, 1)]),  # at (0, 1) two coefficients give one generator
     ("x2y2", [(0, 0), (0, 1), (0, 0, 1)]),
     ("x2s2", [(0, 1), (0, 0, 1)]),
 ])
 def test_defining_ideal_matches_substitution_oracle(name, types, field):
     # the same generators in the same order as substituting generic
-    # Polynomial matrices over k[u, y]
+    # Polynomial matrices over k[u, y], and as making each S-monomial
+    # coefficient of the compose oracle's generic relation maps monic,
+    # deduplicating by sorted terms and sorting by (leading monomial,
+    # sorted terms); each generator is monic at its own leading monomial
     names, relations, normalization = PRESENTATIONS[name]
     ring = PolynomialRing(field, names)
     A = GradedAlgebra(ring, tuple(parse_polynomial(ring, r) for r in relations), normalization)
@@ -131,6 +136,24 @@ def test_defining_ideal_matches_substitution_oracle(name, types, field):
         rep = build_defining_ideal(A, V, field)
         assert rep.ideal.generators == substitution_defining_ideal(A, V, field).ideal.generators
         assert rep.ideal.generators
+        ps = rep.parameter_space
+        n = len(ps.unknowns)
+        generic = [{} for _ in A.generator_names]
+        for k, u in enumerate(ps.unknowns):
+            u_k = tuple(int(i == k) for i in range(n))
+            generic[A.generator_names.index(u.generator)][u.row, u.col, u.monomial + u_k] = 1
+        term_maps = [
+            terms
+            for values in relation_maps_by_compose(A, V.dimension, generic, field, (0,) * n)
+            for terms in by_s_monomial(values, ps.s_ring.nvars).values()
+        ]
+        expected = sorted_monic_generators(ps, term_maps)
+        assert list(rep.ideal.generators) == expected
+        if (name, shifts) == ("xz", (0, 1)):
+            assert len(term_maps) == len(expected) + 1  # one duplicate dropped
+        for g in rep.ideal.generators:
+            assert g.leading_monomial() == max(g.terms, key=ps.ring.sort_key)
+            assert g.leading_coefficient() == 1
 
 
 def test_parameterize_verifies_normalization_once(R, monkeypatch):
