@@ -7,6 +7,7 @@ command line the argument parser rejects, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -49,7 +50,10 @@ EXIT_INTERNAL = 3
 
 
 def _load_algebra(args):
-    return example_algebra_x2() if args.family else parse_algebra_file(args.algebra)
+    try:
+        return example_algebra_x2() if args.family else parse_algebra_file(args.algebra)
+    except OSError as exc:
+        raise ValueError(f"cannot read --algebra {args.algebra}: {exc.strerror or exc}") from None
 
 
 def _field(args):
@@ -84,9 +88,12 @@ def _points(args, *texts):
 def _write_report(args, report):
     if args.json:
         report = {"version": __version__, **report}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --json {args.json}: {exc.strerror or exc}") from None
 
 
 # -- commands ------------------------------------------------------------
@@ -362,9 +369,11 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process, built on the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (AlgebraSyntaxError, AlgebraSemanticError, ValueError) as exc:

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from .fields import GF, QQ, PrimeField
 from .graded import ShiftType, hom_entry_degrees
 from .linalg import determinant, kernel_basis, rref, solve
-from .matops import mat_det
 from .poly import PolynomialRing, RingMismatchError, monomial_mul
 from .repvariety import (
     MatrixPoint,
     RepIdeal,
+    _normalised,
     assignment_of,
     coefficient_map,
     compose,
@@ -196,6 +196,21 @@ def _gray_scan(rows, n, blocks, field) -> bool:
     return False
 
 
+def _generic_det(M, field):
+    """det by cofactor expansion along the first row of a square matrix of
+    polynomials in the c_i, each {sorted tuple of c indices: coefficient} over k."""
+    if len(M) == 1:
+        return M[0][0]
+    raw = {}
+    for j, a in enumerate(M[0]):
+        minor = _generic_det([row[:j] + row[j + 1:] for row in M[1:]], field) if a else {}
+        for ka, x in a.items():
+            for kb, y in minor.items():
+                key = tuple(sorted(ka + kb))
+                raw[key] = raw.get(key, 0) + (-x if j % 2 else x) * y
+    return _normalised(raw, field)
+
+
 def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
     """True iff the degree-0 hom space from mu to nu contains an invertible
     matrix.
@@ -246,15 +261,9 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
         blocks = [[[pos[p, q] for q in block] for p in block] for block in _shift_blocks(V)]
         return _gray_scan(echelon, n, blocks, field)
     if r <= SYMBOLIC_DET_CAP:
-        c_ring = PolynomialRing(field, tuple(f"c{i + 1}" for i in range(r)))
-        c_vars = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        generic = [
-            c_ring.from_terms({c: v[k] for c, v in zip(c_vars, projected)}) for k in range(n)
-        ]
-        return all(
-            not mat_det([[generic[pos[p, q]] for q in block] for p in block], c_ring).is_zero()
-            for block in _shift_blocks(V)
-        )
+        generic = [_normalised({(i,): v[k] for i, v in enumerate(projected)}, field) for k in range(n)]
+        return all(_generic_det([[generic[pos[p, q]] for q in block] for p in block], field)
+                   for block in _shift_blocks(V))
     # mu ~ nu implies dim End_0(mu) = dim Hom_0(mu, nu) = dim End_0(nu)
     if hom_component(mu, mu, 0).dimension != r or hom_component(nu, nu, 0).dimension != r:
         return False

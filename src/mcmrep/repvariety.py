@@ -23,7 +23,7 @@ from dataclasses import FrozenInstanceError, dataclass
 
 from .graded import GradedAlgebra, ShiftType, hom_entry_degrees, validate_presentation, verify_normalization
 from .groebner import IdealHandle
-from .poly import PolynomialRing, RingMismatchError, monomial_mul
+from .poly import Polynomial, PolynomialRing, RingMismatchError, monomial_mul
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,7 +356,8 @@ def build_defining_ideal(R: GradedAlgebra, V: ShiftType, field=None) -> RepIdeal
     The generic map of a generator puts its unknown u_k of slot (p, q, m)
     at slot (p, q, m u_k): monomials are S-exponents followed by exponents
     of the unknowns, and each (row, col, S-monomial) of a relation's map
-    holds one generator."""
+    holds one generator.  Generators are made monic, kept once, and sorted
+    by leading monomial, ties by sorted terms."""
     ps = parameterize(R, V, field)
     field = ps.s_ring.field
     n_s, n_u = ps.s_ring.nvars, len(ps.unknowns)
@@ -364,10 +365,19 @@ def build_defining_ideal(R: GradedAlgebra, V: ShiftType, field=None) -> RepIdeal
     for k, u in enumerate(ps.unknowns):
         u_k = tuple(int(i == k) for i in range(n_u))
         generic[u.generator][u.row, u.col, u.monomial + u_k] = field.one
-    gens = set()
+    key = ps.ring.sort_key
+    by_lead = {}  # sort key of the leading monomial: {frozenset of terms: terms}
     for values in _relation_maps(ps, list(generic.values()), (0,) * n_u):
-        gens.update(ps.ring.from_terms(t).monic() for t in by_s_monomial(values, n_s).values())
-    gens = sorted(gens, key=lambda g: (ps.ring.sort_key(g.leading_monomial()), g.sorted_terms()))
+        for terms in by_s_monomial(values, n_s).values():
+            lm = max(terms, key=key)
+            if terms[lm] != field.one:
+                inv = field.inv(terms[lm])
+                terms = {m: field.mul(c, inv) for m, c in terms.items()}
+            by_lead.setdefault(key(lm), {}).setdefault(frozenset(terms.items()), terms)
+    gens = []
+    for _, tied in sorted(by_lead.items()):
+        tied = [Polynomial(ps.ring, terms) for terms in tied.values()]
+        gens += sorted(tied, key=Polynomial.sorted_terms) if len(tied) > 1 else tied
     return RepIdeal(ps, IdealHandle(ps.ring, gens))
 
 

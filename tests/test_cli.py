@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mcmrep
+import mcmrep.cli
 import mcmrep.groebner
 from mcmrep.cli import build_parser, main
 
@@ -489,3 +490,45 @@ def test_failing_check_point_output_is_pinned(tmp_path, capsys):
     argv = ["check-point", "--family", "x2", "--shifts", "0,1", "--point=1,1/3,0,0"]
     assert run(capsys, *argv, "--json", str(report)) == (1, "valid point: False\n", "")
     assert report.read_text() == _pinned_report("check-point", "valid", False)
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # the parser is built on the first main call and reused; a command line
+    # it rejects leaves it as it was for the next call
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k))
+    mcmrep.cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--family", "x2", "--q", "13"])
+    assert exc.value.code == 2
+    assert "--shifts" in capsys.readouterr().err
+    report = tmp_path / "census.json"
+    code, out, err = run(capsys, "census", "--algebra", X2_Q, "--shifts", "0,1", "--q", "13",
+                         "--json", str(report))
+    assert built.count("mcmrep") == 1
+    assert (code, err) == (0, "")
+    assert out == (ROOT / "perfbench" / "data" / "census_x2_q13.out").read_text()
+    assert report.read_bytes() == (ROOT / "perfbench" / "data" / "census_x2_q13.json").read_bytes()
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_algebra_file_is_refused(tmp_path, capsys, where):
+    path = tmp_path / "missing.alg" if where == "missing" else tmp_path
+    code, out, err = run(capsys, "repeqs", "--algebra", str(path), "--shifts", "0,1")
+    assert (code, out) == (1, "")
+    reason = "No such file or directory" if where == "missing" else "Is a directory"
+    assert err == f"error: cannot read --algebra {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_json_path_is_refused(tmp_path, capsys, where):
+    # the census is printed, then the report cannot be written
+    path = tmp_path / "no" / "c.json" if where == "missing-directory" else tmp_path
+    argv = ["census", "--family", "x2", "--shifts", "0,1", "--q", "5"]
+    printed = run(capsys, *argv)[1]
+    code, out, err = run(capsys, *argv, "--json", str(path))
+    assert (code, out) == (1, printed)
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    assert err == f"error: cannot write --json {path}: {reason}\n"

@@ -22,6 +22,7 @@ from mcmrep.orbits import (
     _act,
     _block_det,
     _generator_actions,
+    _generic_det,
     _gray_scan,
     _is_split_local,
     _normal_forms,
@@ -41,6 +42,7 @@ from mcmrep.poly import Polynomial, PolynomialRing, RingMismatchError
 from mcmrep.repvariety import (
     MatrixPoint,
     RepIdeal,
+    _normalised,
     assignment_of,
     build_defining_ideal,
     coefficient_map,
@@ -942,6 +944,129 @@ def test_are_isomorphic_matches_cofactor_oracle_symbolic(shifts, field):
         answers.add(answer)
     assert answers == {True, False}
 
+
+
+def _pencil_poly(c_ring, entry):
+    """The Polynomial of {sorted tuple of c indices: coefficient} in c_ring."""
+    r = c_ring.nvars
+    return c_ring.from_terms({tuple(key.count(i) for i in range(r)): c for key, c in entry.items()})
+
+
+def _check_generic_det(M, r, field):
+    """_generic_det of the pencil M against mat_det over an explicit k[c]
+    ring; the result is normalised, its keys sorted; returns it."""
+    c_ring = PolynomialRing(field, tuple(f"c{i + 1}" for i in range(r)))
+    det = _generic_det(M, field)
+    assert det == _normalised(det, field)
+    assert all(key == tuple(sorted(key)) for key in det)
+    assert all(type(c) is type(field.coerce(c)) for c in det.values())
+    assert _pencil_poly(c_ring, det) == mat_det(
+        tuple(tuple(_pencil_poly(c_ring, e) for e in row) for row in M), c_ring)
+    return det
+
+
+def _linear_form(field, coeffs):
+    return _normalised({(i,): c for i, c in enumerate(coeffs)}, field)
+
+
+PENCIL_FIELDS = [QQ, GF(2), GF(7), GF(32003)]
+
+
+@pytest.mark.parametrize("field", PENCIL_FIELDS, ids=["QQ", "GF2", "GF7", "GF32003"])
+def test_generic_det_matches_mat_det_on_random_pencils(field):
+    # sum_i c_i A_i with seeded random A_i, some entries zero; the
+    # expansion on coefficient dicts is the cofactor determinant in k[c]
+    rng = random.Random(25)
+
+    def coefficient():
+        if rng.random() < 0.3:
+            return 0
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return field.coerce(rng.randrange(field.p))
+
+    seen_zero = seen_nonzero = False
+    for n in range(1, 5):
+        for r in range(1, 7):
+            for _ in range(3):
+                M = [[_linear_form(field, [coefficient() for _ in range(r)]) for _ in range(n)]
+                     for _ in range(n)]
+                det = _check_generic_det(M, r, field)
+                seen_zero, seen_nonzero = seen_zero or not det, seen_nonzero or bool(det)
+    assert seen_zero and seen_nonzero
+
+
+@pytest.mark.parametrize("field", PENCIL_FIELDS, ids=["QQ", "GF2", "GF7", "GF32003"])
+def test_generic_det_vanishes_on_degenerate_pencils(field):
+    # determinants that vanish identically with no zero linear form off the
+    # diagonal: a skew-symmetric 3 x 3 pencil (odd size), and rank-1
+    # pencils a_p b_q L(c) with no zero entry
+    rng = random.Random(7)
+
+    def unit():
+        return field.coerce(rng.randrange(1, 10 if field == QQ else field.p))
+
+    for r in range(1, 7):
+        L = [[0] * r for _ in range(3)]
+        for row in L:
+            row[rng.randrange(r)] = unit()
+        a, b, c = (_linear_form(field, row) for row in L)
+        neg = [_linear_form(field, [-x for x in row]) for row in L]
+        skew = [[{}, a, b], [neg[0], {}, c], [neg[1], neg[2], {}]]
+        assert _check_generic_det(skew, r, field) == {}
+        for n in range(2, 5):
+            form = [unit() for _ in range(r)]
+            left, right = [unit() for _ in range(n)], [unit() for _ in range(n)]
+            rank1 = [[_linear_form(field, [field.mul(field.mul(x, y), f) for f in form])
+                      for y in right] for x in left]
+            assert all(entry for row in rank1 for entry in row)
+            assert _check_generic_det(rank1, r, field) == {}
+
+
+def test_decide_builds_no_polynomial_once_the_spaces_are_built(monkeypatch):
+    # indec and isom queries as the CLI runs them (parameterize, evaluate,
+    # validate_point, then the decision), over QQ and F_32003, many through
+    # the symbolic branch of are_isomorphic: once their parameter spaces
+    # are built, a second pass makes no Polynomial and no PolynomialRing
+    queries = []
+    for field in (QQ, GF(32003)):
+        R = named_algebra("x2", field)
+        for shifts in ((0, 1), (0, 1, 2), (0, 0, 1)):
+            V = ShiftType(shifts)
+            ps = parameterize(R, V, field)
+            lifted = (
+                tuple((0, 1, -1)[c] for c in v)
+                for v in enumerate_points(build_defining_ideal(named_algebra("x2"), V), 3)
+            )
+            valid = [v for v in lifted if validate_point(evaluate(ps, v))]
+            sample = random.Random(len(shifts)).sample(valid, 5)
+            if shifts == (0, 1):
+                sample += [(Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)),
+                           (0, Fraction(-1, 2), 0, 0)]
+            queries += [(R, V, field, [v]) for v in sample]
+            queries += [(R, V, field, [v, w]) for v, w in itertools.combinations(sample, 2)]
+
+    def decide_pass():
+        answers = []
+        for R, V, field, vectors in queries:
+            ps = parameterize(R, V, field)
+            pts = [evaluate(ps, v) for v in vectors]
+            assert all(validate_point(pt) for pt in pts)
+            answers.append(is_indecomposable(*pts) if len(pts) == 1 else are_isomorphic(*pts))
+        return answers
+
+    first = decide_pass()
+    built, expanded = Counter(), []
+    for cls in (Polynomial, PolynomialRing):
+        monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, built, cls.__name__))
+    generic_det = mcmrep.orbits._generic_det
+    monkeypatch.setattr(mcmrep.orbits, "_generic_det",
+                        lambda M, field: expanded.append(len(M)) or generic_det(M, field))
+    assert decide_pass() == first
+    monkeypatch.undo()
+    assert built == Counter()
+    assert 2 in expanded  # blocks of size 2 reach the expansion
+    assert set(first) == {True, False}
 
 CONJUGATION_CASES = [("x2", (0, 1, 2)), ("xz", (0, 1)), ("x2s2", (0, 1))]
 

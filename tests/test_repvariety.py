@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, astuple
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from mcmrep.groebner import ideal, ideal_equal, ideal_membership
 from mcmrep.matops import mat_mul
 from mcmrep.orbits import hom_component
 from mcmrep.parsing import parse_algebra_text, parse_polynomial
-from mcmrep.poly import PolynomialRing, RingMismatchError
+from mcmrep.poly import Polynomial, PolynomialRing, RingMismatchError
 from mcmrep.repvariety import (
     MatrixPoint,
     Unknown,
@@ -758,3 +759,28 @@ def test_repeated_defining_ideals_share_the_space_and_agree(R):
     assert second.ideal.ring is ring
     assert second.ideal.generators == first.ideal.generators
     assert second.ideal.groebner_basis() == first.ideal.groebner_basis()
+
+
+@pytest.mark.parametrize("name,shifts", [("x2", (0, 1, 2, 3)), ("xz", (0, 1)), ("xz", (0, 0))])
+def test_defining_ideal_builds_one_polynomial_per_generator(name, shifts, monkeypatch):
+    # each S-monomial group goes straight from its coefficient map to a
+    # monic generator, and terms are sorted only to order generators that
+    # share a leading monomial (xz has such ties, x2 none)
+    names, relations, normalization = PRESENTATIONS[name]
+    ring = PolynomialRing(QQ, names)
+    A = GradedAlgebra(ring, tuple(parse_polynomial(ring, r) for r in relations), normalization)
+    V = ShiftType(shifts)
+    parameterize(A, V).ring  # the space and the ring of its unknowns
+    built, sorted_for = [], []
+    init, sorted_terms = Polynomial.__init__, Polynomial.sorted_terms
+    monkeypatch.setattr(Polynomial, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    monkeypatch.setattr(Polynomial, "sorted_terms",
+                        lambda self: sorted_for.append(self) or sorted_terms(self))
+    gens = build_defining_ideal(A, V).ideal.generators
+    monkeypatch.undo()
+    assert len(built) == len(gens)
+    leads = Counter(g.leading_monomial() for g in gens)
+    tied = [g for g in gens if leads[g.leading_monomial()] > 1]
+    assert sorted(map(id, sorted_for)) == sorted(map(id, tied))
+    assert bool(tied) == (name == "xz")
