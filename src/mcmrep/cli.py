@@ -65,7 +65,13 @@ def _shifts(args) -> ShiftType:
     text = args.shifts
     if text.strip() == "":
         return ShiftType(())
-    return ShiftType(tuple(int(p) for p in text.split(",")))
+    shifts = []
+    for part in text.split(","):
+        try:
+            shifts.append(int(part))
+        except ValueError:
+            raise ValueError(f"--shifts: {part.strip()!r} is not an integer") from None
+    return ShiftType(shifts)
 
 
 def _points(args, *texts):

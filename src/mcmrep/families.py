@@ -13,19 +13,19 @@ of the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import QQ
-from .graded import GradedAlgebra, ShiftType
+from .graded import GradedAlgebra, ShiftType, _Value
 from .poly import PolynomialRing
 from .repvariety import MatrixPoint
 
 
-@dataclass(frozen=True)
-class NamedModulePoint:
-    label: str
-    point: MatrixPoint
-    type: ShiftType
+class NamedModulePoint(_Value):
+    __slots__ = _fields = ("label", "point", "type")
+
+    def __init__(self, label: str, point: MatrixPoint, type: ShiftType):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "type", type)
 
 
 def example_algebra_x2(field=QQ) -> GradedAlgebra:

@@ -8,30 +8,71 @@ with M(i)_n = M_{n+i}, so S(-l) has its generator in degree l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter, index
 
 from .groebner import IdealHandle, is_zero_dimensional
 from .poly import PolynomialRing, monomial_div, monomial_gcd
 
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class _Value:
+    """An immutable value: equal only to an instance of its own class with
+    equal fields, hashed on its fields, shown as Class(field=value, ...),
+    for the fields a subclass names in `_fields`.  Setting or deleting an
+    attribute raises FrozenInstanceError, so a subclass's __init__ sets its
+    attributes with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        # comparing field tuples finds a value equal to itself anyway; points
+        # of one space share their algebra and type, so this case is common
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class GradedAlgebra(_Value):
     """Presentation of R: a polynomial ring, homogeneous relations, and the
     subset of variables forming the Noetherian normalization S.  R keeps
-    its S rings and its parameter spaces (repvariety.parameterize)."""
+    its S rings and its parameter spaces (repvariety.parameterize), which
+    take no part in equality, hashing or repr."""
 
-    ring: PolynomialRing
-    relations: tuple
-    normalization: tuple
-    _relation_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
-    _normalization_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
-    _s_rings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("ring", "relations", "normalization", "_relation_ideal", "_normalization_ideal",
+                 "_s_rings", "_spaces")
+    _fields = ("ring", "relations", "normalization")
 
-    def __post_init__(self):
-        object.__setattr__(self, "relations", tuple(self.relations))
-        object.__setattr__(self, "normalization", tuple(self.normalization))
+    def __init__(self, ring: PolynomialRing, relations, normalization):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "relations", tuple(relations))
+        object.__setattr__(self, "normalization", tuple(normalization))
+        object.__setattr__(self, "_relation_ideal", None)
+        object.__setattr__(self, "_normalization_ideal", None)
+        object.__setattr__(self, "_s_rings", {})
+        object.__setattr__(self, "_spaces", {})
 
     @property
     def generator_names(self):
@@ -81,14 +122,14 @@ class GradedAlgebra:
         return self._normalization_ideal
 
 
-@dataclass(frozen=True)
-class ShiftType:
-    """V = (+)_q k(-l_q), stored as the sorted multiset of shifts."""
+class ShiftType(_Value):
+    """V = (+)_q k(-l_q), stored as the sorted multiset of shifts.  A shift
+    must be an integer; any other value raises ValueError."""
 
-    shifts: tuple
+    __slots__ = _fields = ("shifts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(sorted(int(s) for s in self.shifts)))
+    def __init__(self, shifts):
+        object.__setattr__(self, "shifts", tuple(sorted(map(_shift, shifts))))
 
     @property
     def dimension(self) -> int:
@@ -99,6 +140,13 @@ class ShiftType:
 
     def __len__(self):
         return len(self.shifts)
+
+
+def _shift(s) -> int:
+    try:
+        return index(s)
+    except TypeError:
+        raise ValueError(f"shift {s!r} is not an integer") from None
 
 
 def validate_presentation(R: GradedAlgebra) -> list:
@@ -171,12 +219,17 @@ def _monomial_ideal_numerator(gens, weights) -> dict:
     )
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
-    """numerator / prod_e (1 - t^e), kept unreduced."""
+class HilbertSeries(_Value):
+    """numerator / prod_e (1 - t^e), kept unreduced: the numerator as sorted
+    ((degree, coeff), ...), the denominator as the sorted factor exponents
+    e, each >= 1.  Two series are equal when their rational functions are,
+    and hash as their value at t = 1/2."""
 
-    numerator: tuple  # sorted ((degree, coeff), ...)
-    denominator: tuple  # sorted factor exponents e, each >= 1
+    __slots__ = _fields = ("numerator", "denominator")
+
+    def __init__(self, numerator: tuple, denominator: tuple):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @staticmethod
     def make(numerator: dict, denominator) -> "HilbertSeries":
@@ -221,7 +274,11 @@ class HilbertSeries:
         return left == right
 
     def __hash__(self):
-        return hash((self.numerator, self.denominator))
+        half = Fraction(1, 2)
+        value = sum(c * half**d for d, c in self.numerator)
+        for e in self.denominator:
+            value /= 1 - half**e
+        return hash(value)
 
     def __str__(self):
         if not self.numerator:

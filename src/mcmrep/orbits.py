@@ -13,10 +13,9 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from .fields import GF, QQ, PrimeField
-from .graded import ShiftType, hom_entry_degrees
+from .graded import ShiftType, _Value, hom_entry_degrees
 from .linalg import determinant, kernel_basis, rref, solve
 from .poly import PolynomialRing, RingMismatchError, monomial_mul
 from .repvariety import (
@@ -51,15 +50,19 @@ class InvariantViolationError(RuntimeError):
     """An internal consistency check failed."""
 
 
-@dataclass(frozen=True)
-class HomComponentBasis:
-    """k-basis of the degree-e homomorphisms from mu to nu."""
+class HomComponentBasis(_Value):
+    """k-basis of the degree-e homomorphisms from mu to nu: the coefficient
+    slots of the generic map, and the basis coefficient vectors over k."""
 
-    degree: int
-    source: MatrixPoint
-    target: MatrixPoint
-    slots: tuple  # coefficient slots of the generic map
-    vectors: tuple  # basis coefficient vectors over k
+    __slots__ = _fields = ("degree", "source", "target", "slots", "vectors")
+
+    def __init__(self, degree: int, source: MatrixPoint, target: MatrixPoint, slots: tuple,
+                 vectors: tuple):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def dimension(self) -> int:
@@ -276,15 +279,18 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """Invertible degree-0 graded S-endomorphism g of S (x) V, held as the
-    coefficient maps of g and g^-1 over k (see repvariety.compose)."""
+    coefficient maps of g and g^-1 over k (see repvariety.compose); s_ring
+    is None when V is empty.  Its maps are dicts, so it is not hashable."""
 
-    shifts: ShiftType
-    s_ring: PolynomialRing  # None when V is empty
-    map: dict
-    inverse: dict
+    __slots__ = _fields = ("shifts", "s_ring", "map", "inverse")
+
+    def __init__(self, shifts: ShiftType, s_ring: PolynomialRing, map: dict, inverse: dict):
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "s_ring", s_ring)
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "inverse", inverse)
 
     @staticmethod
     def from_matrix(shifts: ShiftType, matrix) -> "GroupElement":
@@ -503,20 +509,24 @@ def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
     return out
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    representative: tuple
-    size: int
-    stabilizer_order: int
-    label: str
+class OrbitRecord(_Value):
+    __slots__ = _fields = ("representative", "size", "stabilizer_order", "label")
+
+    def __init__(self, representative: tuple, size: int, stabilizer_order: int, label: str):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "stabilizer_order", stabilizer_order)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
-    q: int
-    group_order: int
-    point_count: int
-    orbits: tuple
+class OrbitCensus(_Value):
+    __slots__ = _fields = ("q", "group_order", "point_count", "orbits")
+
+    def __init__(self, q: int, group_order: int, point_count: int, orbits: tuple):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "point_count", point_count)
+        object.__setattr__(self, "orbits", orbits)
 
     @property
     def orbit_count(self) -> int:

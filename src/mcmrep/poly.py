@@ -21,10 +21,10 @@ every exponent; a monomial above it is refused with ValueError.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul, neg, sub
 from struct import Struct
-from typing import NamedTuple
 
 MAX_WEIGHT = (1 << 15) - 1
 
@@ -53,17 +53,14 @@ def monomial_gcd(a: tuple, b: tuple) -> tuple:
     return tuple(map(min, a, b))
 
 
-class PackedLead(NamedTuple):
+class PackedLead(namedtuple("PackedLead", "divisor key lc tail")):
     """What the Groebner engine needs of a nonzero polynomial, on packed
     monomials: divisor = K(lm) & SLOTS | GUARD for the divisibility test,
-    key = K(lm), the leading coefficient, and the other terms as
+    key = K(lm), the leading coefficient lc, and the other terms as tail,
     (K(t) - K(lm), coefficient) in the polynomial's own term order.
     """
 
-    divisor: int
-    key: int
-    lc: object
-    tail: tuple
+    __slots__ = ()
 
     @classmethod
     def of(cls, terms: dict, ring: "PolynomialRing") -> "PackedLead":

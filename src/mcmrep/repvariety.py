@@ -19,23 +19,25 @@ the relation check and the Hom system run on those maps.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 
-from .graded import GradedAlgebra, ShiftType, hom_entry_degrees, validate_presentation, verify_normalization
+from .graded import GradedAlgebra, ShiftType, _Value, hom_entry_degrees, validate_presentation, verify_normalization
 from .groebner import IdealHandle
 from .poly import Polynomial, PolynomialRing, RingMismatchError, monomial_mul
 
 
-@dataclass(frozen=True, slots=True)
-class Unknown:
+class Unknown(_Value):
     """Coefficient slot: 'coefficient of S-monomial `monomial` in entry
-    (row, col) of the matrix of `generator`'.  row/col are 0-based."""
+    (row, col) of the matrix of `generator`'.  row/col are 0-based, and
+    monomial holds the exponents over the normalization variables."""
 
-    name: str
-    generator: str
-    row: int
-    col: int
-    monomial: tuple  # exponents over the normalization variables
+    __slots__ = _fields = ("name", "generator", "row", "col", "monomial")
+
+    def __init__(self, name: str, generator: str, row: int, col: int, monomial: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "monomial", monomial)
 
     def describe(self, s_names) -> str:
         mono = "*".join(
@@ -96,7 +98,7 @@ class ParameterSpace:
         return self._ring
 
 
-class MatrixPoint:
+class MatrixPoint(_Value):
     """A concrete point: one matrix over S per algebra generator.
 
     MatrixPoint(algebra, shifts, matrices) builds a point from its matrices.
@@ -105,8 +107,11 @@ class MatrixPoint:
     coefficient maps over the point's own S ring, one per generator, and
     only checked ones: those `evaluate` reads off the unknowns, or those
     that passed the shape check of `point_maps`; it is None until then.
-    Equality, hashing and repr are on (algebra, shifts, matrices), and
-    setting an attribute raises FrozenInstanceError."""
+    Equality, hashing and repr are on (algebra, shifts, matrices).  A point
+    has no __slots__: one __dict__ update sets its six attributes faster
+    than six object.__setattr__ calls, and decide builds one per query."""
+
+    _fields = ("algebra", "shifts", "matrices")
 
     def __init__(self, algebra: GradedAlgebra, shifts: ShiftType, matrices):
         matrices = tuple(tuple(tuple(row) for row in m) for m in matrices)
@@ -121,12 +126,6 @@ class MatrixPoint:
                            _maps=maps, _integral=None)
         return pt
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     @property
     def matrices(self) -> tuple:
         """Per generator: a tuple of row tuples of Polynomial over S."""
@@ -135,23 +134,6 @@ class MatrixPoint:
             mats = tuple(matrix_of(self._s_ring, d, M.keys(), M.values()) for M in self._maps)
             object.__setattr__(self, "_matrices", mats)
         return self._matrices
-
-    def _key(self):
-        return self.algebra, self.shifts, self.matrices
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"{type(self).__qualname__}(algebra={self.algebra!r}, shifts={self.shifts!r}, "
-            f"matrices={self.matrices!r})"
-        )
 
     @property
     def s_ring(self):
@@ -170,12 +152,14 @@ class MatrixPoint:
         return self.s_ring.field
 
 
-@dataclass(frozen=True)
-class RepIdeal:
+class RepIdeal(_Value):
     """Defining ideal of the representation variety, with provenance."""
 
-    parameter_space: ParameterSpace
-    ideal: IdealHandle
+    __slots__ = _fields = ("parameter_space", "ideal")
+
+    def __init__(self, parameter_space: ParameterSpace, ideal: IdealHandle):
+        object.__setattr__(self, "parameter_space", parameter_space)
+        object.__setattr__(self, "ideal", ideal)
 
 
 def _require_valid(R: GradedAlgebra):

@@ -813,3 +813,116 @@ def cofactor_are_isomorphic(mu, nu, seed=0):
         if not mat_det(alpha, s_ring).is_zero():
             return True
     return False
+
+
+def _dataclass_value_classes():
+    """The frozen dataclasses that mcmrep's value classes were written as,
+    kept as the reference for their equality, hashing, repr, construction
+    and immutability.  Each is named as the class it checks, and its
+    __qualname__ is its bare name, so that its repr matches the class's."""
+    from dataclasses import dataclass, field
+
+    @dataclass(frozen=True)
+    class GradedAlgebra:
+        ring: PolynomialRing
+        relations: tuple
+        normalization: tuple
+        _relation_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
+        _normalization_ideal: IdealHandle = field(default=None, init=False, repr=False, compare=False)
+        _s_rings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+        _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+        def __post_init__(self):
+            object.__setattr__(self, "relations", tuple(self.relations))
+            object.__setattr__(self, "normalization", tuple(self.normalization))
+
+    @dataclass(frozen=True)
+    class ShiftType:
+        shifts: tuple
+
+        def __post_init__(self):
+            object.__setattr__(self, "shifts", tuple(sorted(int(s) for s in self.shifts)))
+
+    @dataclass(frozen=True)
+    class HilbertSeries:
+        numerator: tuple
+        denominator: tuple
+
+        def __eq__(self, other):
+            if not isinstance(other, HilbertSeries):
+                return NotImplemented
+            left = dict(self.numerator)
+            for e in other.denominator:
+                left = {d: c for d, c in _series_times(left, e).items() if c}
+            right = dict(other.numerator)
+            for e in self.denominator:
+                right = {d: c for d, c in _series_times(right, e).items() if c}
+            return left == right
+
+        def __hash__(self):
+            return hash((self.numerator, self.denominator))
+
+    @dataclass(frozen=True)
+    class NamedModulePoint:
+        label: str
+        point: MatrixPoint
+        type: ShiftType
+
+    @dataclass(frozen=True, slots=True)
+    class Unknown:
+        name: str
+        generator: str
+        row: int
+        col: int
+        monomial: tuple
+
+    @dataclass(frozen=True)
+    class RepIdeal:
+        parameter_space: object
+        ideal: IdealHandle
+
+    @dataclass(frozen=True)
+    class HomComponentBasis:
+        degree: int
+        source: MatrixPoint
+        target: MatrixPoint
+        slots: tuple
+        vectors: tuple
+
+    @dataclass(frozen=True)
+    class GroupElement:
+        shifts: ShiftType
+        s_ring: PolynomialRing
+        map: dict
+        inverse: dict
+
+    @dataclass(frozen=True)
+    class OrbitRecord:
+        representative: tuple
+        size: int
+        stabilizer_order: int
+        label: str
+
+    @dataclass(frozen=True)
+    class OrbitCensus:
+        q: int
+        group_order: int
+        point_count: int
+        orbits: tuple
+
+    classes = (GradedAlgebra, ShiftType, HilbertSeries, NamedModulePoint, Unknown, RepIdeal,
+               HomComponentBasis, GroupElement, OrbitRecord, OrbitCensus)
+    for cls in classes:
+        cls.__qualname__ = cls.__name__
+    return {cls.__name__: cls for cls in classes}
+
+
+def _series_times(poly, e):
+    """poly * (1 - t^e), on {degree: coefficient}."""
+    out = dict(poly)
+    for d, c in poly.items():
+        out[d + e] = out.get(d + e, 0) - c
+    return out
+
+
+DATACLASS_ORACLES = _dataclass_value_classes()

@@ -409,6 +409,13 @@ def test_empty_shifts_is_the_empty_type(capsys):
         0, "unknowns: 0\ngenerators: 0\n", "")
 
 
+@pytest.mark.parametrize("command", [c for c in OPTIONS if "--shifts" in OPTIONS[c]])
+@pytest.mark.parametrize("shifts, bad", [("0,a", "a"), ("0, 1.5", "1.5"), ("1,,2", "")])
+def test_non_integer_shift_is_refused(capsys, command, shifts, bad):
+    argv = _without(BASE_ARGS[command], "--shifts") + ["--shifts", shifts]
+    assert run(capsys, command, *argv) == (1, "", f"error: --shifts: {bad!r} is not an integer\n")
+
+
 def _readme_cli_lines():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```", 2)[1]

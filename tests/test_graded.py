@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -194,3 +195,24 @@ def test_hom_entry_degrees_compose():
 def test_shift_type_canonical_sorted():
     assert ShiftType((3, 1, 2)).shifts == (1, 2, 3)
     assert ShiftType(()).dimension == 0
+
+
+def test_equal_series_hash_alike():
+    # (1 + t) / (1 - t) and (1 - t^2) / (1 - t)^2 are one rational function
+    a = HilbertSeries.make({0: 1, 1: 1}, (1,))
+    b = HilbertSeries.make({0: 1, 2: -1}, (1, 1))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1 and a in {b}
+    assert a != HilbertSeries.make({0: 1}, (1,))
+    assert hash(HilbertSeries.make({}, ())) == hash(HilbertSeries.make({}, (2,)))
+
+
+@pytest.mark.parametrize("shift", [0.5, 1.9, Fraction(3, 2), Fraction(2), "2", None])
+def test_shift_type_refuses_a_non_integer(shift):
+    with pytest.raises(ValueError, match=re.escape(f"shift {shift!r} is not an integer")):
+        ShiftType((0, shift))
+
+
+def test_shift_type_keeps_integers_sorted():
+    assert ShiftType([3, 1, True]).shifts == (1, 1, 3)
+    assert ShiftType(iter((2, -1))).shifts == (-1, 2)

@@ -4,6 +4,8 @@ module-level private function is referenced in the package."""
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "mcmrep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -109,3 +111,15 @@ def test_from_matrix_is_a_staticmethod():
     from mcmrep.orbits import GroupElement
 
     assert isinstance(vars(GroupElement)["from_matrix"], staticmethod)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # a fresh interpreter without site, so that nothing else imports them
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import mcmrep.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
