@@ -9,10 +9,10 @@ with M(i)_n = M_{n+i}, so S(-l) has its generator in degree l.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter, index
+from operator import attrgetter
 
 from .groebner import IdealHandle, is_zero_dimensional
-from .poly import PolynomialRing, monomial_div, monomial_gcd
+from .poly import PolynomialRing, integer, monomial_div, monomial_gcd
 
 
 class _Value:
@@ -129,7 +129,7 @@ class ShiftType(_Value):
     __slots__ = _fields = ("shifts",)
 
     def __init__(self, shifts):
-        object.__setattr__(self, "shifts", tuple(sorted(map(_shift, shifts))))
+        object.__setattr__(self, "shifts", tuple(sorted(integer(s, "shift") for s in shifts)))
 
     @property
     def dimension(self) -> int:
@@ -140,13 +140,6 @@ class ShiftType(_Value):
 
     def __len__(self):
         return len(self.shifts)
-
-
-def _shift(s) -> int:
-    try:
-        return index(s)
-    except TypeError:
-        raise ValueError(f"shift {s!r} is not an integer") from None
 
 
 def validate_presentation(R: GradedAlgebra) -> list:
@@ -234,7 +227,7 @@ class HilbertSeries(_Value):
     @staticmethod
     def make(numerator: dict, denominator) -> "HilbertSeries":
         num = tuple(sorted((d, c) for d, c in numerator.items() if c))
-        den = tuple(sorted(int(e) for e in denominator))
+        den = tuple(sorted(integer(e, "denominator exponent") for e in denominator))
         if any(e < 1 for e in den):
             raise ValueError("denominator exponents must be >= 1")
         return HilbertSeries(num, den)

@@ -540,23 +540,11 @@ class OrbitCensus(_Value):
         return self.orbit_count
 
 
-def _act(moved, vec, q):
-    """The image A vec = vec + (A - 1) vec, for the nonzero rows of A - 1
-    (see _generator_actions): only the moved coordinates are rewritten."""
-    out = list(vec)
-    for i, row in moved:
-        acc = vec[i]
-        for j, c in row:
-            acc += c * vec[j]
-        out[i] = acc % q
-    return tuple(out)
-
-
 def _generator_actions(ps, q):
-    """Conjugation by each generator of G_V(F_q) as the moved rows of A - 1
-    (see _act): one generator per degree-0 coefficient slot (p, r, m), in
-    entry_slots order, each row a coordinate with its nonzero entries by
-    column.
+    """Conjugation by each generator of G_V(F_q) as the moved rows of A - 1:
+    one generator per degree-0 coefficient slot (p, r, m), in entry_slots
+    order, each row a coordinate with its nonzero entries by column, so A
+    sends vec to vec + (A - 1) vec.
 
     Off the diagonal the generator is g = I + m E_pr with g^-1 = I - m E_pr,
     since E_pr^2 = 0, so g X g^-1 - X = m E_pr X - X E_pr m - m^2 X[r, p] E_pr:
@@ -566,42 +554,70 @@ def _generator_actions(ps, q):
     and column p by t^-1.  Over a prime field the powers of I + m E_pr are
     all I + c m E_pr.  These generate the unipotent radical and SL of each
     block of equal shifts, and the diagonal roots supply every
-    determinant."""
-    index = {key: k for k, key in enumerate(ps.keys)}
+    determinant.  The unknowns are indexed by row and by column once, so
+    each slot visits only the unknowns in row r or column p."""
+    keys = ps.keys
+    index = {key: k for k, key in enumerate(keys)}
+    by_row, by_col = {}, {}
+    for j, (_, (a, b, _)) in enumerate(keys):
+        by_row.setdefault(a, []).append(j)
+        by_col.setdefault(b, []).append(j)
     t = _primitive_root(q)
+    row_scale, col_scale = (t - 1) % q, (pow(t, -1, q) - 1) % q
     actions = []
     for p, r, m in ps.slots(0):
-        rows = {}
-        for j, (z, (a, b, mu)) in enumerate(ps.keys):
-            if p == r:
-                if (a == p) == (b == p):
-                    continue  # scaled by t^0 = 1
-                terms = [(j, pow(t, (a == p) - (b == p), q) - 1)]
-            elif a != r and b != p:
-                continue  # E_pr X = X E_pr = 0 at this entry
-            else:
-                mu_m = monomial_mul(mu, m)
-                terms = [(index[z, (p, b, mu_m)], 1)] if a == r else []
-                if b == p:
-                    terms.append((index[z, (a, r, mu_m)], -1))
-                    if a == r:
-                        terms.append((index[z, (p, r, monomial_mul(mu_m, m))], -1))
-            for i, c in terms:
-                row = rows.setdefault(i, {})
-                row[j] = (row.get(j, 0) + c) % q
-        moved = ((i, tuple((j, c) for j, c in row.items() if c)) for i, row in sorted(rows.items()))
-        actions.append([(i, entries) for i, entries in moved if entries])
+        if p == r:  # (p, p) itself is scaled by t^0 = 1
+            moved = [(j, row_scale) for j in by_row.get(p, ()) if keys[j][1][1] != p]
+            moved += [(j, col_scale) for j in by_col.get(p, ()) if keys[j][1][0] != p]
+            actions.append(sorted((j, ((j, c),)) for j, c in moved if c))
+            continue
+        rows = {}  # each unknown adds to a row at most once, by 1 or -1
+        for j in sorted({*by_row.get(r, ()), *by_col.get(p, ())}):
+            z, (a, b, mu) = keys[j]
+            mu_m = monomial_mul(mu, m)
+            if a == r:
+                rows.setdefault(index[z, (p, b, mu_m)], []).append((j, 1))
+            if b == p:
+                rows.setdefault(index[z, (a, r, mu_m)], []).append((j, q - 1))
+                if a == r:
+                    rows.setdefault(index[z, (p, r, monomial_mul(mu_m, m))], []).append((j, q - 1))
+        actions.append([(i, tuple(row)) for i, row in sorted(rows.items())])
     return actions
+
+
+def _permutation_table(moved, columns, index, q):
+    """The permutation one generator induces on the points: the position in
+    index of each point's image, in point order.  The generator is given by
+    its moved rows (_generator_actions) and the points by their coordinate
+    columns; each moved coordinate is computed for all points in one pass
+    and the columns are zipped back into points.  An image outside the
+    point set raises InvariantViolationError."""
+    image = list(columns)
+    for i, row in moved:  # coordinate i of every image, reduced once
+        new = columns[i]
+        for j, c in row[:-1]:
+            new = [x + c * y for x, y in zip(new, columns[j])]
+        j, c = row[-1]
+        image[i] = [(x + c * y) % q for x, y in zip(new, columns[j])]
+    try:
+        return [index[vec] for vec in zip(*image)]
+    except KeyError:
+        raise InvariantViolationError("orbit leaves the enumerated point set") from None
 
 
 def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCensus:
     """Partition the F_q-points into conjugation orbits.
 
-    Grows each orbit by breadth-first search under the generators of
-    G_V(F_q), each a linear map on the coordinates F_q^n: an orbit of a
-    finite group closes under its generators alone.  A stabilizer has order
-    |G_V| / |orbit|.  Checks that each orbit stays in the point set, that
-    its size divides |G_V| and that the sizes sum to the point count.
+    Each generator of G_V(F_q) is a linear map on the coordinates F_q^n
+    (_generator_actions), so its images of all points are computed a
+    coordinate column at a time and read as a table of point positions:
+    the permutation it induces.  Each orbit then grows by breadth-first
+    search over positions under these tables: an orbit of a finite group
+    closes under its generators alone (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, 4.1).  A stabilizer has order
+    |G_V| / |orbit|.  Checks that each image stays in the point set, that
+    each orbit's size divides |G_V| and that the sizes sum to the point
+    count.
 
     The orbits are the isomorphism classes over F_q, so no isomorphism test
     runs.  A named representative of type V labels the orbit that holds its
@@ -611,26 +627,28 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     field = GF(q)
     ps = parameterize(R, V, field)
     points = sorted(points)
-    point_set = set(points)
-    if len(point_set) != len(points):
+    index = {pt: k for k, pt in enumerate(points)}
+    if len(index) != len(points):
         raise ValueError("duplicate points")
     n_group = group_order(V, q, R.normalization_degrees)
+
+    columns = list(zip(*points)) if points else [()] * len(ps)
+    # a generator that moves nothing, as each diagonal root over F_2, adds no table
     actions = _generator_actions(ps, q)
+    tables = [_permutation_table(moved, columns, index, q) for moved in actions if moved]
 
     records = []
-    orbit_of = {}
-    for pt_vec in points:
-        if pt_vec in orbit_of:
+    orbit_of = [-1] * len(points)
+    for start, pt_vec in enumerate(points):
+        if orbit_of[start] >= 0:
             continue
-        n = orbit_of[pt_vec] = len(records)
-        orbit = [pt_vec]
-        for vec in orbit:  # the orbit grows while it is read
-            for moved in actions:
-                image = _act(moved, vec, q)
+        n = orbit_of[start] = len(records)
+        orbit = [start]
+        for k in orbit:  # the orbit grows while it is read
+            for table in tables:
+                image = table[k]
                 # an image in an earlier orbit counts again: the sum check sees it
-                if orbit_of.get(image) != n:
-                    if image not in point_set:
-                        raise InvariantViolationError("orbit leaves the enumerated point set")
+                if orbit_of[image] != n:
                     orbit_of[image] = n
                     orbit.append(image)
         if n_group % len(orbit) != 0:
@@ -645,7 +663,8 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
             if nm.point.algebra != R:
                 raise ValueError("a named point belongs to another algebra")
             own = assignment_of(parameterize(R, V, nm.point.field), nm.point)
-            labels.setdefault(orbit_of.get(tuple(map(field.coerce, own))), nm.label)
+            k = index.get(tuple(map(field.coerce, own)))
+            labels.setdefault(k if k is None else orbit_of[k], nm.label)
     return OrbitCensus(
         q=q,
         group_order=n_group,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 from struct import Struct
 
 MAX_WEIGHT = (1 << 15) - 1
@@ -31,6 +31,15 @@ MAX_WEIGHT = (1 << 15) - 1
 
 class RingMismatchError(ValueError):
     """Operands live in different polynomial rings."""
+
+
+def integer(x, what: str) -> int:
+    """x as an int through operator.index, which refuses 1.5, Fraction(3, 2)
+    and "2" where int() would truncate or parse them: ValueError."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def bounded_weight(weight: int) -> int:
@@ -85,7 +94,7 @@ class PolynomialRing:
         names = tuple(names)
         if degrees is None:
             degrees = (1,) * len(names)
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(integer(d, "variable degree") for d in degrees)
         if len(degrees) != len(names):
             raise ValueError("one degree per variable required")
         if len(set(names)) != len(names):

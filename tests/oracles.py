@@ -599,6 +599,19 @@ def column_product(columns, vec, q):
     return tuple(x % q for x in out)
 
 
+def _act(moved, vec, q):
+    """The image A vec = vec + (A - 1) vec of one point, for the moved rows
+    of A - 1 from _generator_actions: the point is copied and only the
+    moved coordinates are rewritten."""
+    out = list(vec)
+    for i, row in moved:
+        acc = vec[i]
+        for j, c in row:
+            acc += c * vec[j]
+        out[i] = acc % q
+    return tuple(out)
+
+
 # -- isomorphism by a scan over every coefficient tuple ------------------
 
 

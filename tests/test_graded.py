@@ -213,6 +213,19 @@ def test_shift_type_refuses_a_non_integer(shift):
         ShiftType((0, shift))
 
 
+@pytest.mark.parametrize("exponent", [1.5, 2.9, Fraction(3, 2), Fraction(2), "2", None])
+def test_series_refuses_a_non_integer_exponent(exponent):
+    # int() truncated (1.5, 2.9) to the exponents (1, 2) of another series
+    with pytest.raises(ValueError, match=re.escape(f"denominator exponent {exponent!r} is not an integer")):
+        HilbertSeries.make({0: 1}, (1, exponent))
+
+
+def test_series_keeps_integer_exponents_sorted():
+    assert HilbertSeries.make({0: 1}, (2, True)).denominator == (1, 2)
+    with pytest.raises(ValueError, match="denominator exponents must be >= 1"):
+        HilbertSeries.make({0: 1}, (1, 0))
+
+
 def test_shift_type_keeps_integers_sorted():
     assert ShiftType([3, 1, True]).shifts == (1, 1, 3)
     assert ShiftType(iter((2, -1))).shifts == (-1, 2)

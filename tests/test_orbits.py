@@ -19,13 +19,14 @@ from mcmrep.orbits import (
     SYMBOLIC_DET_CAP,
     BudgetExceededError,
     GroupElement,
-    _act,
+    InvariantViolationError,
     _block_det,
     _generator_actions,
     _generic_det,
     _gray_scan,
     _is_split_local,
     _normal_forms,
+    _permutation_table,
     _primitive_root,
     are_isomorphic,
     conjugate,
@@ -57,6 +58,7 @@ from mcmrep.repvariety import (
 )
 
 from oracles import (
+    _act,
     _reduce_point,
     all_pairs_classes,
     brute_force_points,
@@ -442,6 +444,78 @@ def test_orbit_partition_matches_full_sweep(name, shifts, q):
     assert [(o.representative, o.size, o.stabilizer_order) for o in census.orbits] == records
     for _, size, stabilizer_order in records:
         assert size * stabilizer_order == n_group
+
+
+@pytest.mark.parametrize("name,shifts,q", CENSUS_CASES)
+def test_permutation_tables_match_the_image_of_every_point(name, shifts, q):
+    # each generator's table, built a coordinate column at a time, against
+    # its image of one point at a time; over F_2 the diagonal roots move
+    # nothing and their tables are the identity
+    R = named_algebra(name)
+    V = ShiftType(shifts)
+    points = enumerate_points(build_defining_ideal(R, V), q)
+    index = {pt: k for k, pt in enumerate(points)}
+    columns = list(zip(*points))
+    for moved in _generator_actions(parameterize(R, V, GF(q)), q):
+        table = _permutation_table(moved, columns, index, q)
+        assert table == [index[_act(moved, pt, q)] for pt in points]
+        assert sorted(table) == list(range(len(points)))
+
+
+def x2_census_points():
+    # x2 (0, 1) at q = 5: |G_V| = 80 and orbits of 1, 20 and 4 points, with
+    # representatives (0, 0, 0, 0) < (0, 0, 1, 0) < (0, 1, 0, 0)
+    R = named_algebra("x2")
+    return R, V01, enumerate_points(build_defining_ideal(R, V01), 5)
+
+
+def test_orbit_partition_refuses_duplicate_points():
+    R, V, points = x2_census_points()
+    with pytest.raises(ValueError, match="duplicate points"):
+        orbit_partition(points + [points[3]], R, V, 5)
+
+
+def test_orbit_partition_refuses_a_point_set_missing_part_of_an_orbit():
+    R, V, points = x2_census_points()
+    census = orbit_partition(points, R, V, 5)
+    assert [(o.representative, o.size) for o in census.orbits] == [
+        ((0, 0, 0, 0), 1), ((0, 0, 1, 0), 20), ((0, 1, 0, 0), 4),
+    ]
+    for missing in ((0, 0, 2, 0), (0, 2, 0, 0), (0, 1, 0, 0)):
+        with pytest.raises(InvariantViolationError, match="orbit leaves the enumerated point set"):
+            orbit_partition([pt for pt in points if pt != missing], R, V, 5)
+    # the fixed point alone is a whole orbit
+    assert orbit_partition(points[1:], R, V, 5).orbit_count == 2
+
+
+def test_orbit_partition_refuses_a_non_invertible_generator(monkeypatch):
+    # A - 1 = -1 on every coordinate sends every point to the zero point,
+    # which is not a permutation: after the fixed point (0, 0, 0, 0) each
+    # point's "orbit" takes the zero point again
+    R, V, points = x2_census_points()
+    zero = [(i, ((i, 4),)) for i in range(4)]
+    actions = _generator_actions(parameterize(R, V, GF(5)), 5)
+    monkeypatch.setattr(mcmrep.orbits, "_generator_actions", lambda ps, q: [zero])
+    # sizes 1 + 2 * 24 = 49, each dividing 80
+    with pytest.raises(InvariantViolationError, match="orbit sizes do not sum to the point count"):
+        orbit_partition(points, R, V, 5)
+    monkeypatch.setattr(mcmrep.orbits, "_generator_actions", lambda ps, q: actions + [zero])
+    # the orbit of (0, 0, 1, 0) takes 20 + 1 points, and 21 does not divide 80
+    with pytest.raises(InvariantViolationError, match="orbit size does not divide the group order"):
+        orbit_partition(points, R, V, 5)
+
+
+def test_orbit_partition_of_no_points_and_of_the_rank_0_type():
+    R, V, _ = x2_census_points()
+    census = orbit_partition([], R, V, 5, named_reps=three_orbit_representatives())
+    assert (census.group_order, census.point_count, census.orbits) == (80, 0, ())
+    V0 = ShiftType(())
+    points = enumerate_points(build_defining_ideal(R, V0), 5)
+    assert points == [()]
+    census = orbit_partition(points, R, V0, 5)
+    assert (census.group_order, census.point_count) == (1, 1)
+    assert [(o.representative, o.size, o.stabilizer_order) for o in census.orbits] == [((), 1, 1)]
+    assert orbit_partition([], R, V0, 5).orbits == ()
 
 
 @pytest.mark.parametrize("name,shifts,q,field", [

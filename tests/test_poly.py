@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,18 @@ from oracles import monomial_divides
 @pytest.fixture
 def ring():
     return PolynomialRing(QQ, ("x", "y"))
+
+
+@pytest.mark.parametrize("degree", [1.5, 2.9, Fraction(3, 2), Fraction(2), "2", None])
+def test_ring_refuses_a_non_integer_degree(degree):
+    # int() truncated 1.5 and 2.9 and parsed "2"; the degrees must be integers
+    with pytest.raises(ValueError, match=re.escape(f"variable degree {degree!r} is not an integer")):
+        PolynomialRing(QQ, ("x", "y"), (1, degree))
+
+
+def test_ring_keeps_integer_degrees():
+    assert PolynomialRing(QQ, ("x", "y"), (True, 2)).degrees == (1, 2)
+    assert PolynomialRing(QQ, ("x", "y"), iter((3, 1))).degrees == (3, 1)
 
 
 def random_poly(ring, rng, max_terms=5, max_exp=3):
