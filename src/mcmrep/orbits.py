@@ -394,28 +394,63 @@ def _torus_weight(factors, entries, d):
     return tuple(weight)
 
 
+def _search_order(supports, n):
+    """The order in which the normal-form search assigns the n unknowns,
+    given each check's set of unknowns: next comes the unassigned unknown
+    that is the last missing unknown of the most checks, the lowest index
+    on a tie, so each check is tested as high in the tree as it can be
+    (the most constrained variable first: Haralick & Elliott, "Increasing
+    tree search efficiency for constraint satisfaction problems", 1980).
+    completes[i] counts the checks that miss only unknown i; a check adds
+    to it when its count of missing unknowns falls to one."""
+    missing = [len(s) for s in supports]
+    completes = [0] * n  # -1 once assigned
+    holding = [[] for _ in range(n)]
+    for k, s in enumerate(supports):
+        for i in s:
+            holding[i].append(k)
+            if missing[k] == 1:
+                completes[i] += 1
+    order = []
+    for _ in range(n):
+        u = completes.index(max(completes))
+        order.append(u)
+        completes[u] = -1
+        for k in holding[u]:
+            missing[k] -= 1
+            if missing[k] == 1:
+                completes[next(i for i in supports[k] if completes[i] >= 0)] += 1
+    return order
+
+
 def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
     """The torus normal forms among the F_q-points, each with its row
-    components, as (point, labels) pairs in search order.
+    components, as (point, labels) pairs in the order the search meets
+    them.
+
+    The unknowns are assigned in the order _search_order gives, computed
+    from the supports of the compiled checks, and each check is tested as
+    soon as the last unknown of its support in that order is assigned.
+    Depth k assigns values[order[k]], so each point stays in coordinate
+    order.
 
     The diagonal torus T = (F_q^*)^d of G_V scales the unknown at entry
     (p, r) by t_p / t_r.  Draw an edge p - r for each nonzero coordinate
     off the diagonal; labels gives each row the label of its component.
-    A T-orbit keeps the support, and its lexicographic least point, its
-    normal form, has a 1 at each coordinate that first joins two
-    components, read in coordinate order: each later coordinate of one
-    component is then fixed by those.  So the search gives a coordinate
-    whose rows lie in different components only the values 0 and 1, and
-    1 merges the two components.
+    A T-orbit keeps the support, and its least point in the search order
+    (coordinates compared in the order they are assigned), its normal
+    form, has a 1 at each coordinate that first joins two components, read
+    in that order: each later coordinate of one component is then fixed by
+    those.  So the search gives a coordinate whose rows lie in different
+    components only the values 0 and 1, and 1 merges the two components.
 
-    Depth-first with early rejection: a generator is tested as soon as all
-    unknowns in its support are assigned.  An ideal over QQ is reduced
-    modulo q through primitive integer generators: a generator's
-    coefficients times the lcm D of their denominators, divided by the gcd
-    G of those integers, have the same zero set over QQ and a reduction
-    modulo every prime.  One over a prime field must be over F_q.  Normal
-    forms are sound only for a T-stable ideal, so a generator that is not
-    homogeneous for the torus weight (see _torus_weight) raises ValueError."""
+    An ideal over QQ is reduced modulo q through primitive integer
+    generators: a generator's coefficients times the lcm D of their
+    denominators, divided by the gcd G of those integers, have the same
+    zero set over QQ and a reduction modulo every prime.  One over a prime
+    field must be over F_q.  Normal forms are sound only for a T-stable
+    ideal, so a generator that is not homogeneous for the torus weight (see
+    _torus_weight) raises ValueError."""
     ps = rep.parameter_space
     n = len(ps.unknowns)
     d = len(ps.shifts)
@@ -429,9 +464,8 @@ def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
             f"point enumeration needs {total} tuples (budget {budget})", total
         )
     entries = [(u.row, u.col) for u in ps.unknowns]
-    # each generator as (coefficient, unknowns with multiplicity) terms over
-    # F_q, bucketed by the last unknown in its support
-    buckets = [[] for _ in range(n + 1)]
+    # each generator as (coefficient, unknowns with multiplicity) terms over F_q
+    compiled = []
     for g in rep.ideal.generators:
         coeffs = g.terms.values()
         if rational:
@@ -442,7 +476,16 @@ def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
                  for m, c in zip(g.terms, coeffs) if c]
         if len({_torus_weight(factors, entries, d) for _, factors in terms}) > 1:
             raise ValueError(f"generator {g} is not homogeneous for the diagonal torus of G_V")
-        buckets[max((i + 1 for _, factors in terms for i in factors), default=0)].append(terms)
+        compiled.append(terms)
+    supports = [{i for _, factors in terms for i in factors} for terms in compiled]
+    order = _search_order(supports, n)
+    position = [0] * n
+    for k, i in enumerate(order):
+        position[i] = k
+    # each check bucketed by the depth after its last unknown in the order
+    buckets = [[] for _ in range(n + 1)]
+    for terms, support in zip(compiled, supports):
+        buckets[max((position[i] + 1 for i in support), default=0)].append(terms)
     if any(buckets[0]):  # a nonzero constant
         return []
     out = []
@@ -464,14 +507,15 @@ def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
             out.append((tuple(values), labels))
             return
         checks = buckets[depth + 1]
-        p, r = entries[depth]
+        k = order[depth]
+        p, r = entries[k]
         a, b = labels[p], labels[r]
         merged = labels if a == b else tuple(a if c == b else c for c in labels)
         for v in range(q) if a == b else (0, 1):
-            values[depth] = v
+            values[k] = v
             if not checks or admissible(checks):
                 rec(depth + 1, merged if v else labels)
-        values[depth] = 0
+        values[k] = 0
 
     rec(0, tuple(range(d)))
     return out
@@ -481,10 +525,12 @@ def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
     """All F_q-points of the variety, in lexicographic assignment order.
 
     The search lists one normal form per orbit of the diagonal torus T of
-    G_V (_normal_forms), and each is expanded to its T-orbit: t = 1 on the
-    first row of each component and any value of F_q^* on every other
-    row, so the orbit of a point with c components has (q - 1)^(d - c)
-    points.  The image coordinate at (p, r) is x t_p / t_r.
+    G_V (_normal_forms), the least point of the orbit in the search's own
+    order of the unknowns (_search_order), and each is expanded to its
+    whole T-orbit: t = 1 on the first row of each component and any value
+    of F_q^* on every other row, so the orbit of a point with c components
+    has (q - 1)^(d - c) points.  The image coordinate at (p, r) is
+    x t_p / t_r.  The sorted result does not depend on the search order.
 
     Precondition: the ideal is T-stable, every generator homogeneous for
     the torus weight, else ValueError; build_defining_ideal's always is.
@@ -615,9 +661,10 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     search over positions under these tables: an orbit of a finite group
     closes under its generators alone (Holt, Eick & O'Brien, Handbook of
     Computational Group Theory, 2005, 4.1).  A stabilizer has order
-    |G_V| / |orbit|.  Checks that each image stays in the point set, that
-    each orbit's size divides |G_V| and that the sizes sum to the point
-    count.
+    |G_V| / |orbit|.  A point that is not a vector over F_q (entries in
+    0..q-1) with one coordinate per unknown raises ValueError.  Checks that
+    each image stays in the point set, that each orbit's size divides |G_V|
+    and that the sizes sum to the point count.
 
     The orbits are the isomorphism classes over F_q, so no isomorphism test
     runs.  A named representative of type V labels the orbit that holds its
@@ -627,6 +674,9 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     field = GF(q)
     ps = parameterize(R, V, field)
     points = sorted(points)
+    if not {len(ps)}.issuperset(map(len, points)) or not frozenset(range(q)).issuperset(
+            itertools.chain.from_iterable(points)):
+        raise ValueError(f"a point is not a vector over F_{q} of length {len(ps)}")
     index = {pt: k for k, pt in enumerate(points)}
     if len(index) != len(points):
         raise ValueError("duplicate points")

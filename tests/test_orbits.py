@@ -28,6 +28,7 @@ from mcmrep.orbits import (
     _normal_forms,
     _permutation_table,
     _primitive_root,
+    _search_order,
     are_isomorphic,
     conjugate,
     enumerate_group,
@@ -475,6 +476,20 @@ def test_orbit_partition_refuses_duplicate_points():
         orbit_partition(points + [points[3]], R, V, 5)
 
 
+@pytest.mark.parametrize("reshape", [
+    lambda points: [pt + (0,) for pt in points],  # once a census with 5 coordinates
+    lambda points: [pt[:3] for pt in points],  # once a bare IndexError
+    lambda points: [(0, 0, 5, 0) if pt == (0, 0, 1, 0) else pt for pt in points],
+    lambda points: [(0, 0, -1, 0) if pt == (0, 0, 1, 0) else pt for pt in points],
+], ids=["a-coordinate-too-many", "a-coordinate-too-few", "entry-q", "negative-entry"])
+def test_orbit_partition_refuses_a_point_that_is_not_a_vector_over_F_q(reshape):
+    # an entry outside 0..q-1 was once refused only as an orbit leaving the
+    # point set
+    R, V, points = x2_census_points()
+    with pytest.raises(ValueError, match="not a vector over F_5 of length 4"):
+        orbit_partition(reshape(points), R, V, 5)
+
+
 def test_orbit_partition_refuses_a_point_set_missing_part_of_an_orbit():
     R, V, points = x2_census_points()
     census = orbit_partition(points, R, V, 5)
@@ -524,6 +539,7 @@ def test_orbit_partition_of_no_points_and_of_the_rank_0_type():
     ("x2", (0, 0, 1, 1), 3, QQ),  # 7 281 points from 993 normal forms
     ("xz", (0, 1), 5, QQ), ("x2s2", (0, 1), 5, QQ),  # two algebra generators, a two-variable S
     ("x2", (0, 1, 2), 3, GF(3)), ("x2y2", (0, 0), 7, GF(7)),  # ideals over F_p
+    ("x2y2", (0, 0, 1, 1), 3, QQ),  # 4 212 points from 540 normal forms
 ])
 def test_enumerate_points_matches_lexicographic_search(name, shifts, q, field):
     rep = build_defining_ideal(named_algebra(name, field), ShiftType(shifts), field)
@@ -531,19 +547,37 @@ def test_enumerate_points_matches_lexicographic_search(name, shifts, q, field):
     assert enumerate_points(rep, q, budget) == lexicographic_points(rep, q, budget)
 
 
+def test_x2y2_census_at_type_0011():
+    # 4 212 points in 2 orbits, from a search tree of 13 645 nodes (118 141
+    # in index order)
+    R = named_algebra("x2y2")
+    V = ShiftType((0, 0, 1, 1))
+    census = orbit_partition(enumerate_points(build_defining_ideal(R, V), 3, 10**8), R, V, 3)
+    assert (census.point_count, census.group_order) == (4212, 186624)
+    assert [(o.size, o.stabilizer_order) for o in census.orbits] == [(3888, 48), (324, 576)]
+
+
 @pytest.mark.parametrize("name,shifts,q", [
     ("x2", (0, 1), 2), ("x2", (0, 1), 5), ("x2", (0, 1, 2), 2), ("x2", (0, 1, 2), 3),
     ("x2", (0, 0, 1), 3), ("x2y2", (0, 0), 5), ("xz", (0, 1), 3), ("x2s2", (0, 1), 2),
     ("x2s2", (0, 1), 3),
 ])
-def test_normal_forms_are_the_least_points_of_the_torus_orbits(name, shifts, q):
+def test_normal_forms_are_the_least_points_of_the_torus_orbits(name, shifts, q, monkeypatch):
+    # least in the search order: coordinates compared in the order the
+    # search assigns them, read off the _search_order call
     rep = build_defining_ideal(named_algebra(name), ShiftType(shifts))
     points = brute_force_points(rep, q)
+    orders = []
+    monkeypatch.setattr(mcmrep.orbits, "_search_order",
+                        lambda supports, n: orders.append(_search_order(supports, n)) or orders[-1])
+    forms = _normal_forms(rep, q)
+    [order] = orders
+    assert sorted(order) == list(range(len(rep.parameter_space.unknowns)))
     covered = set()
     sizes = []
-    for x, labels in _normal_forms(rep, q):
+    for x, labels in forms:
         orbit = brute_force_torus_orbit(x, rep.parameter_space, q)
-        assert min(orbit) == x
+        assert min(orbit, key=lambda y: [y[i] for i in order]) == x
         assert len(orbit) == (q - 1) ** (len(shifts) - len(set(labels)))
         covered |= orbit
         sizes.append(len(orbit))
@@ -551,6 +585,24 @@ def test_normal_forms_are_the_least_points_of_the_torus_orbits(name, shifts, q):
     assert covered == set(points)
     if q > 2:
         assert len(sizes) < len(points)
+
+
+def test_search_order_is_a_permutation_that_breaks_ties_by_index():
+    # nothing to complete: index order
+    assert _search_order([], 4) == [0, 1, 2, 3]
+    assert _search_order([{0, 1, 2, 3}], 4) == [0, 1, 2, 3]
+    # u3 alone completes {3}, then u1 completes {1, 3} and u0 and u2 tie
+    assert _search_order([{0, 2}, {1, 3}, {3}], 4) == [3, 1, 0, 2]
+    order = _search_order([{4, 1}, {2, 3, 0}, {0}, {5, 0}, {1, 2}], 6)
+    assert sorted(order) == list(range(6))
+
+
+def test_search_order_completes_a_check_before_an_unknown_that_completes_nothing():
+    # after u0, u2 and u3 each complete one check and u1 none, so u2 goes
+    # next though u1 has the lower index; then u3 completes two checks
+    assert _search_order([{0, 2}, {1, 3}, {2, 3}, {0, 3}], 4) == [0, 2, 3, 1]
+    # an unknown completing two checks goes before one completing one
+    assert _search_order([{0}, {1}, {1}, {1, 2}], 3) == [1, 0, 2]
 
 
 def test_enumerate_points_refuses_an_ideal_that_is_not_torus_stable(R):
