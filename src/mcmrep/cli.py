@@ -276,6 +276,8 @@ def cmd_spread(args):
 
 def cmd_family(args):
     if args.module == "R":
+        if args.n is not None:
+            raise ValueError("--n applies to --module In only")
         named = module_point_R()
     elif args.n is None:
         raise AlgebraSemanticError(["--n is required for --module In"])

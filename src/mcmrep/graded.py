@@ -11,7 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
+from .fields import QQ
 from .groebner import IdealHandle, is_zero_dimensional
+from .linalg import solve
 from .poly import PolynomialRing, integer, monomial_div, monomial_gcd
 
 
@@ -312,8 +314,9 @@ def hilbert_series_of_type(s_degrees, V: ShiftType) -> HilbertSeries:
 
 def hilbert_polynomial(H: HilbertSeries) -> list:
     """Coefficients [c_0, c_1, ...] of the polynomial p with
-    p(i) = dim_k M_i for i >> 0, extracted by interpolation on the
-    expansion tail and cross-checked against it."""
+    p(i) = dim_k M_i for i >> 0: the solution over QQ of the Vandermonde
+    system on the last n coefficients of the expansion, cross-checked
+    against a longer tail."""
     n = len(H.denominator)
     num_deg = max((d for d, _ in H.numerator), default=0)
     D = max(num_deg, 0) + max(n, 1) * max(H.denominator, default=1) + 6
@@ -322,8 +325,8 @@ def hilbert_polynomial(H: HilbertSeries) -> list:
         # the series is a polynomial; eventually zero
         return []
     # interpolate a degree <= n-1 polynomial through the last n points
-    points = [(i, Fraction(coeffs[i])) for i in range(D - n + 1, D + 1)]
-    poly = _lagrange(points)
+    points = range(D - n + 1, D + 1)
+    poly = solve([[i**k for k in range(n)] for i in points], [coeffs[i] for i in points], n, QQ)
     # verify on a longer tail
     start = max(num_deg + 1, D - 3 * n - 3)
     for i in range(start, D + 1):
@@ -332,29 +335,6 @@ def hilbert_polynomial(H: HilbertSeries) -> list:
     while poly and poly[-1] == 0:
         poly.pop()
     return poly
-
-
-def _lagrange(points) -> list:
-    """Coefficient list of the interpolating polynomial (Fraction)."""
-    n = len(points)
-    result = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            # multiply basis by (x - xj)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k + 1] += c
-                new[k] -= xj * c
-            basis = new
-            denom *= xi - xj
-        scale = yi / denom
-        for k in range(len(basis)):
-            result[k] += scale * basis[k]
-    return result
 
 
 def _poly_eval(poly, x):

@@ -136,40 +136,40 @@ def identity_coefficients(E: HomComponentBasis):
     return solve(rows, _identity_vector(E.slots, field), len(E.vectors), field)
 
 
-def _shift_blocks(V: ShiftType):
-    """The index lists of the runs of equal shifts, in order."""
-    runs = itertools.groupby(enumerate(V.shifts), key=lambda t: t[1])
-    return [[p for p, _ in run] for _, run in runs]
+def _block_sizes(V: ShiftType):
+    """The sizes of the blocks of equal shifts, in order."""
+    return tuple(Counter(V.shifts).values())
 
 
-def _block_det(V: ShiftType, entry, field):
-    """det over k of a degree-0 endomorphism of S (x) V whose entry (p, q),
-    for p and q in one block of equal shifts, is the scalar entry(p, q).
-
-    ShiftType keeps its shifts sorted and entry (p, q) has degree
-    l_q - l_p, so the matrix is zero below the blocks of equal shifts and
-    constant on them: it is block upper triangular, and its determinant is
-    the product of the blocks' determinants."""
-    acc = field.one
-    for block in _shift_blocks(V):
-        acc = field.mul(acc, determinant([[entry(p, q) for q in block] for p in block], field))
-    return acc
+def _blocks(vec, sizes):
+    """The square blocks of a vector that holds blocks of the given sizes
+    one after another, each row-major; _blocks(range(n), sizes) gives their
+    positions."""
+    out, start = [], 0
+    for m in sizes:
+        out.append([vec[start + m * r:start + m * r + m] for r in range(m)])
+        start += m * m
+    return out
 
 
 def _block_projection(E: HomComponentBasis):
-    """The projection of a degree-0 Hom space onto its constant blocks of
-    equal shifts (see _block_det): (slots, projected), the slots (p, q, m)
-    inside the blocks, in E's order, and the image of each basis vector of
-    E on them."""
-    V = E.source.shifts
-    block_slots = [k for k, (p, q, _) in enumerate(E.slots) if V.shifts[p] == V.shifts[q]]
-    return [E.slots[k] for k in block_slots], [[v[k] for k in block_slots] for v in E.vectors]
+    """The image of each basis vector of a degree-0 Hom space on its
+    constant blocks of equal shifts, laid out as _blocks reads them.
+
+    ShiftType keeps its shifts sorted and entry (p, q) has degree
+    l_q - l_p, so each map is zero below the blocks of equal shifts and
+    constant on them: it is block upper triangular, and its determinant is
+    the product of the blocks' determinants over k.  The slots run
+    row-major (entry_slots), so the slots (p, q, 1) with l_p = l_q, taken
+    in slot order, are the blocks one after another, each row-major."""
+    shifts = E.source.shifts.shifts
+    inside = [k for k, (p, q, _) in enumerate(E.slots) if shifts[p] == shifts[q]]
+    return [[v[k] for k in inside] for v in E.vectors]
 
 
-def _gray_scan(rows, n, blocks, field) -> bool:
-    """True iff some F_p-combination of the rows, vectors of length n over
-    F_p, has nonsingular blocks; each block is a square array of positions
-    in the vector.
+def _gray_scan(rows, sizes, field) -> bool:
+    """True iff some F_p-combination of the rows, vectors over F_p of
+    blocks of the given sizes (see _blocks), has nonsingular blocks.
 
     The p^k combinations of k rows are visited in the modular Gray order:
     step t adds row j to the vector, where p^j is the largest power of p
@@ -177,6 +177,8 @@ def _gray_scan(rows, n, blocks, field) -> bool:
     update from the last.  The scan stops at the first combination with
     nonsingular blocks and returns False only after all of them."""
     p = field.p
+    n = sum(m * m for m in sizes)
+    blocks = _blocks(range(n), sizes)
     sparse = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
     ones = [blk[0][0] for blk in blocks if len(blk) == 1]
     twos = [(blk[0][0], blk[0][1], blk[1][0], blk[1][1]) for blk in blocks if len(blk) == 2]
@@ -219,10 +221,10 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
     matrix.
 
     Every alpha in Hom_0 is block upper triangular with constant blocks on
-    the runs of equal shifts (see _block_det), so det alpha is the product
-    of the blocks' determinants over k, and whether alpha is invertible
-    depends only on its projection onto the block slots, a linear image of
-    Hom_0.  The branch is chosen by r = dim Hom_0:
+    the runs of equal shifts (see _block_projection), so det alpha is the
+    product of the blocks' determinants over k, and whether alpha is
+    invertible depends only on its blocks, a linear image of Hom_0 read
+    by position (_blocks).  The branch is chosen by r = dim Hom_0:
 
     - over F_p with p^r <= EXHAUSTIVE_ISOM_CAP, every element of the
       projection is tried, as an F_p-combination of an echelon basis of it,
@@ -252,21 +254,14 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
     if r == 0:
         return False
     field = mu.s_ring.field
-    slots, projected = _block_projection(E)
-    pos = {(p, q): i for i, (p, q, _) in enumerate(slots)}
-    n = len(slots)
-
-    def invertible(vec):
-        return not field.is_zero(_block_det(V, lambda p, q: vec[pos[p, q]], field))
-
+    sizes = _block_sizes(V)
+    projected = _block_projection(E)
+    n = len(projected[0])
     if isinstance(field, PrimeField) and field.p**r <= EXHAUSTIVE_ISOM_CAP:
-        echelon, _ = rref(projected, n, field)
-        blocks = [[[pos[p, q] for q in block] for p in block] for block in _shift_blocks(V)]
-        return _gray_scan(echelon, n, blocks, field)
+        return _gray_scan(rref(projected, n, field)[0], sizes, field)
     if r <= SYMBOLIC_DET_CAP:
         generic = [_normalised({(i,): v[k] for i, v in enumerate(projected)}, field) for k in range(n)]
-        return all(_generic_det([[generic[pos[p, q]] for q in block] for p in block], field)
-                   for block in _shift_blocks(V))
+        return all(_generic_det(block, field) for block in _blocks(generic, sizes))
     # mu ~ nu implies dim End_0(mu) = dim Hom_0(mu, nu) = dim End_0(nu)
     if hom_component(mu, mu, 0).dimension != r or hom_component(nu, nu, 0).dimension != r:
         return False
@@ -274,7 +269,8 @@ def are_isomorphic(mu: MatrixPoint, nu: MatrixPoint) -> bool:
     rng = random.Random(0)
     for _ in range(SAMPLING_TRIALS):
         coeffs = [field.coerce(rng.randrange(sample_bound)) for _ in range(r)]
-        if invertible(_combine(field, coeffs, projected, n)):
+        blocks = _blocks(_combine(field, coeffs, projected, n), sizes)
+        if all(determinant(block, field) for block in blocks):
             return True
     return False
 
@@ -342,7 +338,8 @@ def _s_ring(q: int, s_degrees, s_names=None):
 
 def enumerate_group(V: ShiftType, q: int, s_degrees=(1,), budget=DEFAULT_BUDGET, s_names=None):
     """All elements of G_V(F_q), by scanning coefficient tuples of the
-    degree-0 shape and keeping the invertible ones."""
+    degree-0 shape and keeping those GroupElement.from_matrix accepts: it
+    refuses a tuple with a singular block of equal shifts."""
     s_ring = _s_ring(q, s_degrees, s_names)
     field = s_ring.field
     slots = entry_slots(s_ring, V, V, 0)
@@ -352,12 +349,12 @@ def enumerate_group(V: ShiftType, q: int, s_degrees=(1,), budget=DEFAULT_BUDGET,
             f"group enumeration needs {total} tuples (budget {budget})", total
         )
     d = len(V.shifts)
-    block_slot = {(p, r): k for k, (p, r, _) in enumerate(slots) if V.shifts[p] == V.shifts[r]}
     out = []
     for values in itertools.product(field.elements(), repeat=len(slots)):
-        if field.is_zero(_block_det(V, lambda p, r: values[block_slot[p, r]], field)):
+        try:
+            out.append(GroupElement.from_matrix(V, matrix_of(s_ring, d, slots, values)))
+        except ValueError:
             continue
-        out.append(GroupElement.from_matrix(V, matrix_of(s_ring, d, slots, values)))
     return out
 
 
@@ -723,55 +720,58 @@ def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCe
     )
 
 
-def _is_split_local(vectors, slots, blocks, field):
+def _block_product(a, b, sizes, field):
+    """The product of two vectors of blocks of the given sizes (see
+    _blocks), block by block over k, in the same layout."""
+    out = []
+    for A, B in zip(_blocks(a, sizes), _blocks(b, sizes)):
+        columns = list(zip(*B))
+        for row in A:
+            out += [functools.reduce(field.add, map(field.mul, row, col)) for col in columns]
+    return out
+
+
+def _is_split_local(vectors, sizes, field):
     """True iff the algebra B spanned by vectors is k 1 + J with J
     nilpotent.
 
-    B lies in the product of the M_m(k) on the given blocks of indices: its
-    elements are coordinate vectors on slots, the slots (p, q, m) with p and
-    q in one block and m the constant monomial.  Each vector b of an
-    echelon basis of B must be lambda 1 plus a nilpotent for one lambda in
-    k, else the answer is False.  Over QQ, or from a block of size m prime
-    to p, lambda can only be trace / m; otherwise each lambda in F_p is
-    tried.  J is the span of the b - lambda 1, and a nilpotent subalgebra
-    of M_m(k) has J^m = 0, so the answer is True iff J^m = 0 for the
-    largest block size m; that also makes the algebra J generates
-    nilpotent."""
-    index = {slot: k for k, slot in enumerate(slots)}
-    diagonal = {p: k for k, (p, q, _) in enumerate(slots) if p == q}
-    one = _identity_vector(slots, field)
-    m = max(map(len, blocks))
-
-    def product(a, b):
-        A, B = ({slot: x for slot, x in zip(slots, v) if not field.is_zero(x)} for v in (a, b))
-        out = [field.zero] * len(slots)
-        for key, x in compose(A, B, field).items():
-            out[index[key]] = x
-        return out
+    B lies in the product of the M_m(k) for the given block sizes m: its
+    elements are vectors of blocks (see _blocks), multiplied block by
+    block (_block_product).  Each vector b of an echelon basis of B must be
+    lambda 1 plus a nilpotent for one lambda in k, else the answer is
+    False.  Over QQ, or from a block of size m prime to p, lambda can only
+    be trace / m; otherwise each lambda in F_p is tried.  J is the span of
+    the b - lambda 1, and a nilpotent subalgebra of M_m(k) has J^m = 0, so
+    the answer is True iff J^m = 0 for the largest block size m; that also
+    makes the algebra J generates nilpotent."""
+    n = sum(m * m for m in sizes)
+    one = [field.one if r == c else field.zero for m in sizes for r in range(m) for c in range(m)]
+    top = max(sizes)
 
     def is_nilpotent(a):
         power = a
-        for _ in range(m - 1):
-            power = product(power, a)
+        for _ in range(top - 1):
+            power = _block_product(power, a, sizes, field)
         return all(field.is_zero(x) for x in power)
 
     p = field.characteristic
-    block = next((blk for blk in blocks if p == 0 or len(blk) % p), None)
+    k = next((k for k, m in enumerate(sizes) if p == 0 or m % p), None)
     J = []
-    for b in rref(vectors, len(slots), field)[0]:
-        if block is None:
+    for b in rref(vectors, n, field)[0]:
+        if k is None:
             candidates = field.elements()
         else:
-            trace = functools.reduce(field.add, (b[diagonal[i]] for i in block))
-            candidates = [field.div(trace, field.coerce(len(block)))]
+            block = _blocks(b, sizes)[k]
+            trace = functools.reduce(field.add, (row[i] for i, row in enumerate(block)))
+            candidates = [field.div(trace, field.coerce(sizes[k]))]
         shifted = ([field.sub(x, field.mul(lam, e)) for x, e in zip(b, one)] for lam in candidates)
         nilpotent = next((a for a in shifted if is_nilpotent(a)), None)
         if nilpotent is None:
             return False
         J.append(nilpotent)
-    power = rref(J, len(slots), field)[0]
-    for _ in range(m - 1):
-        power = rref([product(a, b) for a in power for b in J], len(slots), field)[0]
+    power = rref(J, n, field)[0]
+    for _ in range(top - 1):
+        power = rref([_block_product(a, b, sizes, field) for a in power for b in J], n, field)[0]
     return not power
 
 
@@ -786,21 +786,18 @@ def is_indecomposable(mu: MatrixPoint) -> bool:
     is local, and the answer is True.
 
     Decided by linear algebra over k.  The projection of A onto its
-    constant blocks of equal shifts (_block_projection) is an algebra map
-    onto B in the product of the M_m(k) whose kernel, the strictly block
-    upper triangular maps, is nilpotent.  So A/rad A = k iff B = k 1 + J
-    with J nilpotent (_is_split_local).  QQ and F_p are perfect, so
-    rad(A (x) kbar) = rad(A) (x) kbar and the answer over k is the one
-    over kbar."""
+    constant blocks of equal shifts (_block_projection), read by position,
+    is an algebra map onto B in the product of the M_m(k) whose kernel, the
+    strictly block upper triangular maps, is nilpotent.  So A/rad A = k iff
+    B = k 1 + J with J nilpotent (_is_split_local).  QQ and F_p are
+    perfect, so rad(A (x) kbar) = rad(A) (x) kbar and the answer over k is
+    the one over kbar."""
     V = mu.shifts
     if V.dimension == 0:
         return False
     E = hom_component(mu, mu, 0)
-    field = mu.s_ring.field
     if identity_coefficients(E) is None:
         raise InvariantViolationError("identity not found in End_0 of a valid point")
     if E.dimension == 1:
         return True  # End_0 = k, local endomorphism ring
-
-    slots, projected = _block_projection(E)
-    return _is_split_local(projected, slots, _shift_blocks(V), field)
+    return _is_split_local(_block_projection(E), _block_sizes(V), mu.s_ring.field)

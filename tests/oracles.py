@@ -34,6 +34,7 @@ from mcmrep.repvariety import (
     RepIdeal,
     _split_term,
     assignment_of,
+    compose,
     entry_slots,
     evaluate,
     matrix_of,
@@ -635,6 +636,23 @@ def product_scan(rows, n, blocks, field):
         if all(leibniz_det([[vec[i] for i in r] for r in blk], p) for blk in blocks):
             return True
     return False
+
+
+def compose_block_product(a, b, sizes, field):
+    """The product of two vectors of blocks of the given sizes, laid out
+    one after another and each row-major, through repvariety.compose: each
+    vector as the coefficient map of a block diagonal matrix, on slots
+    (p, q, (0,)), and the product's map written back in that layout."""
+    slots, start = [], 0
+    for m in sizes:
+        slots += [(start + r, start + c, (0,)) for r in range(m) for c in range(m)]
+        start += m
+    index = {slot: k for k, slot in enumerate(slots)}
+    A, B = ({slot: x for slot, x in zip(slots, v) if not field.is_zero(x)} for v in (a, b))
+    out = [field.zero] * len(slots)
+    for key, x in compose(A, B, field).items():
+        out[index[key]] = x
+    return out
 
 
 # -- graded Hom components through Polynomial matrix products ------------

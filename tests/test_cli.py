@@ -207,6 +207,19 @@ def test_census_at_scale_is_pinned(tmp_path, capsys):
     )
 
 
+def test_hilbert_is_pinned(tmp_path, capsys):
+    # k[x, y, z, w]/(x^3 - yzw) over S = k[y, z, w]: a Hilbert polynomial
+    # with coefficients 3/2; the CI runs the same command as a fresh process
+    # against the same files
+    data = ROOT / "tests" / "data"
+    report = tmp_path / "hilbert.json"
+    code, out, _ = run(capsys, "hilbert", "--algebra", str(data / "x3_yzw.alg"),
+                       "--json", str(report))
+    assert code == 0
+    assert out == (data / "hilbert_x3_yzw.out").read_text()
+    assert report.read_bytes() == (data / "hilbert_x3_yzw.json").read_bytes()
+
+
 def test_labelled_census_is_pinned(tmp_path, capsys):
     # x2 (0, 1) q = 5 with the three named representatives of type (0, 1):
     # 25 points in 3 orbits, each with its label, the census the scale pin
@@ -266,6 +279,16 @@ def test_family_command(capsys):
     code, out, _ = run(capsys, "family", "--module", "In", "--n", "3")
     assert code == 0
     assert "I_3" in out and "indecomposable: True" in out
+
+
+def test_family_refuses_n_for_module_R(tmp_path, capsys):
+    # R takes no parameter: --n is refused, not ignored, and no report is written
+    report = tmp_path / "family.json"
+    code, out, err = run(capsys, "family", "--module", "R", "--n", "3", "--json", str(report))
+    assert code == 1
+    assert out == ""
+    assert err == "error: --n applies to --module In only\n"
+    assert not report.exists()
 
 
 def test_json_report_stable(tmp_path, capsys):

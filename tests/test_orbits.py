@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import operator
@@ -12,7 +13,7 @@ from mcmrep.families import NamedModulePoint, example_algebra_x2, three_orbit_re
 from mcmrep.fields import GF, QQ
 from mcmrep.graded import GradedAlgebra, ShiftType
 from mcmrep.groebner import IdealHandle
-from mcmrep.linalg import rref, solve
+from mcmrep.linalg import determinant, rref, solve
 from mcmrep.matops import mat_det, mat_mul
 from mcmrep.orbits import (
     EXHAUSTIVE_ISOM_CAP,
@@ -20,7 +21,10 @@ from mcmrep.orbits import (
     BudgetExceededError,
     GroupElement,
     InvariantViolationError,
-    _block_det,
+    _block_product,
+    _block_projection,
+    _block_sizes,
+    _blocks,
     _generator_actions,
     _generic_det,
     _gray_scan,
@@ -67,6 +71,7 @@ from oracles import (
     brute_force_x2_points,
     cofactor_are_isomorphic,
     column_product,
+    compose_block_product,
     constant_coefficient,
     generic_element_is_indecomposable,
     hom_basis,
@@ -937,10 +942,55 @@ def test_block_det_matches_cofactor_det(field):
             M = matrix_of(s_ring, len(V), slots, [rng.choice((0, 0, 1, -1, 2)) for _ in slots])
             det = mat_det(M, s_ring)
             assert is_constant(det)
-            block = _block_det(V, lambda p, q: constant_coefficient(M[p][q]), field)
+            inside = [constant_coefficient(M[p][q]) for p, q, _ in slots if shifts[p] == shifts[q]]
+            dets = [determinant(b, field) for b in _blocks(inside, _block_sizes(V))]
+            block = functools.reduce(field.mul, dets)
             assert block == constant_coefficient(det)
             singular.add(det.is_zero())
         assert singular == {True, False}
+
+
+def x2_over_s12():
+    """k[x, y, w]/(x^2) over S = k[y, w] with deg w = 2."""
+    ring = PolynomialRing(QQ, ("x", "y", "w"), (1, 1, 2))
+    return GradedAlgebra(ring, (parse_polynomial(ring, "x^2"),), ("y", "w"))
+
+
+@pytest.mark.parametrize("name,shifts,q", CENSUS_CASES + [
+    # S = k[y] and S = k[y, w] with deg w = 2: the entries between unequal
+    # shifts hold one or more slots, which sit between the block slots
+    ("x2", (0, 0, 1, 1), 2), ("x2s12", (0, 0, 2), 2), ("x2s12", (0, 1, 1, 2), 2),
+])
+def test_block_projection_reads_the_constant_blocks_of_hom_maps(name, shifts, q):
+    # every Hom_0 between two orbit representatives: block k of each
+    # projected basis vector is the constant part of the entries (p, r) of
+    # its matrix with p and r in the k-th run of equal shifts
+    R = x2_over_s12() if name == "x2s12" else named_algebra(name)
+    V = ShiftType(shifts)
+    ps = parameterize(R, V, GF(q))
+    census = orbit_partition(enumerate_points(build_defining_ideal(R, V), q), R, V, q)
+    reps = [evaluate(ps, o.representative) for o in census.orbits]
+    runs = [list(run) for _, run in itertools.groupby(range(len(V)), key=lambda p: shifts[p])]
+    assert list(_block_sizes(V)) == [len(run) for run in runs]
+    for mu, nu in itertools.product(reps, repeat=2):
+        E = hom_component(mu, nu, 0)
+        projected = _block_projection(E)
+        assert len(projected) == E.dimension
+        for vec, alpha in zip(projected, hom_basis(E)):
+            constant = [[constant_coefficient(x) for x in row] for row in alpha]
+            blocks = [[[constant[p][r] for r in run] for p in run] for run in runs]
+            assert _blocks(vec, _block_sizes(V)) == blocks
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=["QQ", "GF2", "GF3", "GF7"])
+def test_block_product_matches_compose(field):
+    rng = random.Random(field.characteristic)
+    values = (0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-5, 3)) if field == QQ else range(field.p)
+    for sizes in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2, 3), (3, 3), (2, 3, 1, 2)]:
+        n = sum(m * m for m in sizes)
+        for _ in range(12):
+            a, b = ([field.coerce(rng.choice(values)) for _ in range(n)] for _ in range(2))
+            assert _block_product(a, b, sizes, field) == compose_block_product(a, b, sizes, field)
 
 
 def random_group_element(V, s_ring, rng):
@@ -982,11 +1032,8 @@ def test_are_isomorphic_matches_cofactor_oracle_on_census(name, shifts, q):
 def block_layout(sizes):
     """Blocks of the given sizes laid out one after another in a vector,
     each row-major: (length, blocks as square arrays of positions)."""
-    blocks, n = [], 0
-    for m in sizes:
-        blocks.append([[n + m * r + c for c in range(m)] for r in range(m)])
-        n += m * m
-    return n, blocks
+    n = sum(m * m for m in sizes)
+    return n, _blocks(range(n), sizes)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -1001,16 +1048,16 @@ def test_gray_scan_matches_product_scan(p):
             for density in (0.3, 0.7):
                 rows = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
                         for _ in range(k)]
-                answer = _gray_scan(rows, n, blocks, field)
+                answer = _gray_scan(rows, sizes, field)
                 assert answer == product_scan(rows, n, blocks, field)
                 answers.append(answer)
                 # a zero first column in the last block leaves no invertible element
                 for row in rows:
                     for r in blocks[-1]:
                         row[r[0]] = 0
-                assert not _gray_scan(rows, n, blocks, field)
+                assert not _gray_scan(rows, sizes, field)
                 assert not product_scan(rows, n, blocks, field)
-        assert not _gray_scan([], n, blocks, field)  # rank 0
+        assert not _gray_scan([], sizes, field)  # rank 0
     assert True in answers and False in answers
 
 
@@ -1023,7 +1070,8 @@ def test_gray_scan_finds_the_last_invertible_combination(p, k):
     # Gray order reaches c w at step c (p^k - 1) / (p - 1), so over F_2 the
     # only invertible combination is the last one it visits.
     field = GF(p)
-    n, blocks = block_layout((4, 3, 2, 1))
+    sizes = (4, 3, 2, 1)
+    n, blocks = block_layout(sizes)
     diagonal = [blk[i][i] for blk in blocks for i in range(len(blk))]
     w = [int(i in diagonal) for i in range(n)]
     rows = []
@@ -1032,9 +1080,9 @@ def test_gray_scan_finds_the_last_invertible_combination(p, k):
         for c, i in enumerate(diagonal[r * p:(r + 1) * p]):
             row[i] = c
         rows.append(row)
-    assert _gray_scan(rows + [w], n, blocks, field)
+    assert _gray_scan(rows + [w], sizes, field)
     assert product_scan(rows + [w], n, blocks, field)
-    assert not _gray_scan(rows, n, blocks, field)
+    assert not _gray_scan(rows, sizes, field)
     assert not product_scan(rows, n, blocks, field)
     invertible = [
         coeffs for coeffs in itertools.product(range(p), repeat=k)
@@ -1399,7 +1447,7 @@ def test_split_local_test_needs_the_nilpotency_of_j():
     # every vector of its echelon basis is lambda 1 plus a nilpotent: only
     # J^4 != 0 shows it
     field = GF(3)
-    blocks = [[0, 1, 2, 3]]
+    sizes = (4,)
     P = [[2, 2, 2, 1], [1, 0, 1, 1], [1, 1, 2, 0], [1, 0, 2, 1]]
     units = [[[int((i, j) == (a, b)) for j in range(2)] for i in range(2)]
              for a in range(2) for b in range(2)]
@@ -1409,14 +1457,14 @@ def test_split_local_test_needs_the_nilpotency_of_j():
         shifted = ({**b, **{(i, i, (0,)): field.sub(b.get((i, i, (0,)), 0), lam) for i in range(4)}}
                    for lam in range(3))
         assert any(not compose(compose(a, a, field), compose(a, a, field), field) for a in shifted)
-    assert not _is_split_local(vectors, BLOCK_SLOTS, blocks, field)
+    assert not _is_split_local(vectors, sizes, field)
     # the same conjugate of k[e] (x) 1_2, e^2 = 0, is local
     local = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
-    assert _is_split_local(_conjugated_tensor_algebra(field, P, local), BLOCK_SLOTS, blocks, field)
+    assert _is_split_local(_conjugated_tensor_algebra(field, P, local), sizes, field)
     # and M_2 (x) 1_2 unconjugated fails already at E_11 (x) 1_2
     identity = [[int(i == j) for j in range(4)] for i in range(4)]
     assert not _is_split_local(
-        _conjugated_tensor_algebra(field, identity, units), BLOCK_SLOTS, blocks, field
+        _conjugated_tensor_algebra(field, identity, units), sizes, field
     )
 
 
