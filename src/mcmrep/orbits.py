@@ -441,6 +441,17 @@ def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
     those.  So the search gives a coordinate whose rows lie in different
     components only the values 0 and 1, and 1 merges the two components.
 
+    Most checks are linear in the unknown u that completes them: slope u +
+    offset, both read off the coordinates already assigned.  The first such
+    check of each depth is solved instead of tested, which is forward
+    checking (Haralick & Elliott, 1980).  If slope != 0 mod q, u = -offset /
+    slope is the one value tried, and none if it exceeds 1 at a joining
+    coordinate (on a T-stable ideal the offset is 0 there: a nonzero term of
+    it would be a path of nonzero entries between the two rows).  If slope
+    = 0 and offset != 0, no value is tried; if both are 0, every value is.
+    The depth's other checks are tested on each value tried, so the leaves
+    and their order are those of trying every value.
+
     An ideal over QQ is reduced modulo q through primitive integer
     generators: a generator's coefficients times the lcm D of their
     denominators, divided by the gcd G of those integers, have the same
@@ -485,6 +496,19 @@ def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
         buckets[max((position[i] + 1 for i in support), default=0)].append(terms)
     if any(buckets[0]):  # a nonzero constant
         return []
+    # the first check of each depth that is linear in its new unknown u,
+    # taken out of the bucket as (terms holding u with u dropped, the rest)
+    solved = [None] * (n + 1)
+    for depth, u in enumerate(order, 1):
+        checks = buckets[depth]
+        for j, terms in enumerate(checks):
+            if all(factors.count(u) <= 1 for _, factors in terms):
+                solved[depth] = (
+                    [(c, tuple(i for i in factors if i != u)) for c, factors in terms if u in factors],
+                    [(c, factors) for c, factors in terms if u not in factors],
+                )
+                del checks[j]
+                break
     out = []
     values = [0] * n
 
@@ -503,12 +527,29 @@ def _normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
         if depth == n:
             out.append((tuple(values), labels))
             return
-        checks = buckets[depth + 1]
         k = order[depth]
         p, r = entries[k]
         a, b = labels[p], labels[r]
+        choices = range(q) if a == b else (0, 1)
+        linear = solved[depth + 1]
+        if linear:
+            slope = offset = 0
+            for c, factors in linear[0]:
+                for i in factors:
+                    c *= values[i]
+                slope += c
+            for c, factors in linear[1]:
+                for i in factors:
+                    c *= values[i]
+                offset += c
+            if slope % q:
+                v = -offset * pow(slope, -1, q) % q
+                choices = (v,) if a == b or v <= 1 else ()
+            elif offset % q:
+                return
+        checks = buckets[depth + 1]
         merged = labels if a == b else tuple(a if c == b else c for c in labels)
-        for v in range(q) if a == b else (0, 1):
+        for v in choices:
             values[k] = v
             if not checks or admissible(checks):
                 rec(depth + 1, merged if v else labels)

@@ -21,6 +21,8 @@ from mcmrep.orbits import (
     InvariantViolationError,
     _check_compatible,
     _combine,
+    _search_order,
+    _torus_weight,
     are_isomorphic,
     conjugate,
     enumerate_group,
@@ -515,6 +517,82 @@ def brute_force_torus_orbit(x, ps, q):
         tuple(c * t[u.row] * pow(t[u.col], q - 2, q) % q for c, u in zip(x, ps.unknowns))
         for t in itertools.product(range(1, q), repeat=d)
     }
+
+
+def trying_normal_forms(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
+    """_normal_forms as it was before its solve step: the same compile,
+    search order and labels, but every depth tries every value of its new
+    unknown (0 and 1 where it joins two components) and tests each of the
+    depth's checks on each value.  The leaves and their order must be
+    _normal_forms' own."""
+    ps = rep.parameter_space
+    n = len(ps.unknowns)
+    d = len(ps.shifts)
+    field = GF(q)
+    rational = rep.ideal.ring.field == QQ
+    if not rational and rep.ideal.ring.field != field:
+        raise ValueError(f"an ideal over F_{rep.ideal.ring.field.p} has no reduction to F_{q}")
+    total = q**n
+    if total > budget:
+        raise BudgetExceededError(
+            f"point enumeration needs {total} tuples (budget {budget})", total
+        )
+    entries = [(u.row, u.col) for u in ps.unknowns]
+    # each generator as (coefficient, unknowns with multiplicity) terms over F_q
+    compiled = []
+    for g in rep.ideal.generators:
+        coeffs = g.terms.values()
+        if rational:
+            D = math.lcm(*(c.denominator for c in coeffs))
+            G = math.gcd(*(c.numerator * (D // c.denominator) for c in coeffs)) or 1
+            coeffs = [c.numerator * (D // c.denominator) // G % q for c in coeffs]
+        terms = [(c, tuple(i for i, e in enumerate(m) for _ in range(e)))
+                 for m, c in zip(g.terms, coeffs) if c]
+        if len({_torus_weight(factors, entries, d) for _, factors in terms}) > 1:
+            raise ValueError(f"generator {g} is not homogeneous for the diagonal torus of G_V")
+        compiled.append(terms)
+    supports = [{i for _, factors in terms for i in factors} for terms in compiled]
+    order = _search_order(supports, n)
+    position = [0] * n
+    for k, i in enumerate(order):
+        position[i] = k
+    # each check bucketed by the depth after its last unknown in the order
+    buckets = [[] for _ in range(n + 1)]
+    for terms, support in zip(compiled, supports):
+        buckets[max((position[i] + 1 for i in support), default=0)].append(terms)
+    if any(buckets[0]):  # a nonzero constant
+        return []
+    out = []
+    values = [0] * n
+
+    def admissible(checks):
+        for terms in checks:
+            acc = 0
+            for c, factors in terms:
+                for i in factors:
+                    c *= values[i]
+                acc += c
+            if acc % q:
+                return False
+        return True
+
+    def rec(depth, labels):
+        if depth == n:
+            out.append((tuple(values), labels))
+            return
+        checks = buckets[depth + 1]
+        k = order[depth]
+        p, r = entries[k]
+        a, b = labels[p], labels[r]
+        merged = labels if a == b else tuple(a if c == b else c for c in labels)
+        for v in range(q) if a == b else (0, 1):
+            values[k] = v
+            if not checks or admissible(checks):
+                rec(depth + 1, merged if v else labels)
+        values[k] = 0
+
+    rec(0, tuple(range(d)))
+    return out
 
 
 # -- orbit census by a sweep over the whole group ------------------------

@@ -543,6 +543,19 @@ def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
     assert report.read_bytes() == (ROOT / "perfbench" / "data" / "census_x2_q13.json").read_bytes()
 
 
+def test_dinf_census_matches_its_pins(tmp_path, capsys):
+    # D-infinity (0, 0, 1) at q = 5, which CI also runs in a fresh process
+    # against the same files; the pins were taken before the search solved
+    # its linear checks
+    data = ROOT / "tests" / "data"
+    report = tmp_path / "census.json"
+    code, out, err = run(capsys, "census", "--algebra", str(data / "dinf.alg"),
+                         "--shifts", "0,0,1", "--q", "5", "--json", str(report))
+    assert (code, err) == (0, "")
+    assert out == (data / "census_dinf_001_q5.out").read_text()
+    assert report.read_bytes() == (data / "census_dinf_001_q5.json").read_bytes()
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 def test_unreadable_algebra_file_is_refused(tmp_path, capsys, where):
     path = tmp_path / "missing.alg" if where == "missing" else tmp_path

@@ -85,6 +85,7 @@ from oracles import (
     matmul_hom_component,
     product_scan,
     sweep_orbit_partition,
+    trying_normal_forms,
 )
 
 V01 = ShiftType((0, 1))
@@ -419,6 +420,7 @@ PRESENTATIONS = {
     "x2y2": (("x", "y"), ("x^2 + y^2",), ("y",)),
     "xz": (("x", "z", "y"), ("x^2", "x*z", "z^2"), ("y",)),
     "x2s2": (("x", "y", "w"), ("x^2",), ("y", "w")),
+    "dinf": (("x", "y"), ("x^3 - x^2*y",), ("y",)),  # D-infinity
 }
 
 
@@ -608,6 +610,85 @@ def test_search_order_completes_a_check_before_an_unknown_that_completes_nothing
     assert _search_order([{0, 2}, {1, 3}, {2, 3}, {0, 3}], 4) == [0, 2, 3, 1]
     # an unknown completing two checks goes before one completing one
     assert _search_order([{0}, {1}, {1}, {1, 2}], 3) == [1, 0, 2]
+
+
+@pytest.mark.parametrize("name,shifts,q,field", [
+    (name, shifts, q, field) for name, shifts, q in CENSUS_CASES + [
+        ("x2", (0, 0, 1, 1), 3), ("x2y2", (0, 0, 1, 1), 3), ("dinf", (0, 0, 1), 5),
+    ] for field in (QQ, GF(q))
+])
+def test_normal_forms_match_the_search_that_tries_every_value(name, shifts, q, field):
+    # the same points, labels and order as the search without the solve step
+    rep = build_defining_ideal(named_algebra(name, field), ShiftType(shifts), field)
+    budget = 10**8  # x2 (0, 0, 1, 1) has 3^16 tuples
+    assert _normal_forms(rep, q, budget) == trying_normal_forms(rep, q, budget)
+
+
+def x2_ideal(*generators):
+    """A hand-built ideal on the unknowns u1, u2, u3, u4 of x2 at type
+    (0, 1), at the entries (0, 0), (0, 1), (1, 0) and (1, 1): u2 and u3 join
+    the rows' two components, u1 and u4 never do."""
+    ps = parameterize(example_algebra_x2(), V01)
+    return RepIdeal(ps, IdealHandle(ps.ring, [g(*ps.ring.gens()) for g in generators]))
+
+
+def test_solve_step_forces_a_value_or_rules_out_every_value():
+    # searched u1, u4, u2, u3.  u1 u4 is linear in u4 with a = u1 and b = 0:
+    # u1 != 0 forces u4 = 0, and u1 = 0 leaves every value.  u2 u3 - 2 u1^2
+    # is linear in u3 with a = u2 and b = -2 u1^2: u2 = 1 joins the rows and
+    # forces u3 = 2 u1^2, values above 1 too; u2 = 0 leaves a = 0, so u3 has
+    # no value when u1 != 0, and with u1 = 0 it tries 0 and 1, the values
+    # of a joining coordinate.
+    rep = x2_ideal(lambda u1, u2, u3, u4: u2 * u3 - 2 * u1 * u1,
+                   lambda u1, u2, u3, u4: u1 * u4)
+    expected = []
+    for u1 in range(5):
+        for u4 in range(5) if u1 == 0 else (0,):
+            if u1 == 0:
+                expected += [((0, 0, 0, u4), (0, 1)), ((0, 0, 1, u4), (1, 1))]
+            expected.append(((u1, 1, 2 * u1 * u1 % 5, u4), (0, 0)))
+    forms = _normal_forms(rep, 5)
+    assert forms == expected
+    assert forms == trying_normal_forms(rep, 5)
+    assert {x[2] for x, labels in forms if labels == (0, 0)} == {0, 2, 3}
+
+
+def test_solve_step_tests_the_other_checks_on_the_forced_value():
+    # after u1, u4 completes both checks: u1 - 2 u4 forces u4 = 3 u1 over
+    # F_5, and u4^2 - u1, tested on that value, keeps u1 = 0 and u1 = 4 only
+    rep = x2_ideal(lambda u1, u2, u3, u4: u1 - 2 * u4, lambda u1, u2, u3, u4: u4 * u4 - u1)
+    forms = _normal_forms(rep, 5)
+    assert forms == trying_normal_forms(rep, 5)
+    assert sorted({(x[0], x[3]) for x, _ in forms}) == [(0, 0), (4, 2)]
+    assert len(forms) == 2 * (2 + 5)  # u2 = 0 with u3 in {0, 1}; u2 = 1 with any u3
+
+
+def test_solve_step_drops_a_forced_value_above_1_at_a_joining_coordinate(monkeypatch):
+    # no T-stable ideal forces a nonzero value at a joining coordinate (a
+    # nonzero term of b would be a path of nonzero entries between its two
+    # rows), so the torus check is switched off: u3 - 2 forces u3 = 2, which
+    # no normal form takes there; u3 - 1 forces the join
+    monkeypatch.setattr(mcmrep.orbits, "_torus_weight", lambda factors, entries, d: ())
+    assert _normal_forms(x2_ideal(lambda u1, u2, u3, u4: u3 - 2), 5) == []
+    forms = _normal_forms(x2_ideal(lambda u1, u2, u3, u4: u3 - 1), 5)
+    assert {(x[2], labels) for x, labels in forms} == {(1, (1, 1))}
+    assert len(forms) == 5 * 5 * 5
+
+
+@pytest.mark.parametrize("shifts,points,orbits", [
+    ((0, 0), (22, 56), 4), ((0, 1), (22, 56), 7),
+    ((0, 0, 1), (1276, 20896), 16), ((0, 1, 2), (520, 4896), 25),
+])
+def test_dinf_census(shifts, points, orbits):
+    # D-infinity, k[x, y]/(x^3 - x^2 y) over S = k[y], has countable CM
+    # type: the same orbit count at q = 3 and q = 5, each orbit one class
+    R = named_algebra("dinf")
+    V = ShiftType(shifts)
+    rep = build_defining_ideal(R, V)
+    for q, count in zip((3, 5), points):
+        census = orbit_partition(enumerate_points(rep, q), R, V, q)
+        assert (census.point_count, census.orbit_count) == (count, orbits)
+        assert census.isomorphism_class_count == orbits
 
 
 def test_enumerate_points_refuses_an_ideal_that_is_not_torus_stable(R):
