@@ -22,11 +22,6 @@ from .repvariety import MatrixPoint
 class NamedModulePoint(_Value):
     __slots__ = _fields = ("label", "point", "type")
 
-    def __init__(self, label: str, point: MatrixPoint, type: ShiftType):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "type", type)
-
 
 def example_algebra_x2(field=QQ) -> GradedAlgebra:
     """R = k[x, y]/(x^2), deg x = deg y = 1, S = k[y]."""

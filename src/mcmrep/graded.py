@@ -20,14 +20,35 @@ from .poly import PolynomialRing, integer, monomial_div, monomial_gcd
 class _Value:
     """An immutable value: equal only to an instance of its own class with
     equal fields, hashed on its fields, shown as Class(field=value, ...),
-    for the fields a subclass names in `_fields`.  Setting or deleting an
-    attribute raises FrozenInstanceError, so a subclass's __init__ sets its
-    attributes with object.__setattr__."""
+    for the fields a subclass names in `_fields`.  The constructor binds its
+    arguments to `_fields` by position or keyword, as a dataclass's does, and
+    raises TypeError on a missing, repeated, surplus or unknown argument.
+    Setting or deleting an attribute raises FrozenInstanceError, so a
+    subclass whose constructor does more sets its attributes with
+    object.__setattr__."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            cls = self.__class__.__qualname__
+            if len(args) > len(fields):
+                raise TypeError(f"{cls}() takes {len(fields)} arguments but {len(args)} were given")
+            for name in kwargs:
+                if name not in fields:
+                    raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
+                if fields.index(name) < len(args):
+                    raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+            missing = [name for name in fields[len(args):] if name not in kwargs]
+            if missing:
+                raise TypeError(f"{cls}() missing argument(s): {', '.join(map(repr, missing))}")
+            args += tuple(kwargs[name] for name in fields[len(args):])
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         # comparing field tuples finds a value equal to itself anyway; points
@@ -221,10 +242,6 @@ class HilbertSeries(_Value):
     and hash as their value at t = 1/2."""
 
     __slots__ = _fields = ("numerator", "denominator")
-
-    def __init__(self, numerator: tuple, denominator: tuple):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
 
     @staticmethod
     def make(numerator: dict, denominator) -> "HilbertSeries":

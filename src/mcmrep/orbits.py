@@ -56,14 +56,6 @@ class HomComponentBasis(_Value):
 
     __slots__ = _fields = ("degree", "source", "target", "slots", "vectors")
 
-    def __init__(self, degree: int, source: MatrixPoint, target: MatrixPoint, slots: tuple,
-                 vectors: tuple):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "vectors", vectors)
-
     @property
     def dimension(self) -> int:
         return len(self.vectors)
@@ -281,12 +273,6 @@ class GroupElement(_Value):
     is None when V is empty.  Its maps are dicts, so it is not hashable."""
 
     __slots__ = _fields = ("shifts", "s_ring", "map", "inverse")
-
-    def __init__(self, shifts: ShiftType, s_ring: PolynomialRing, map: dict, inverse: dict):
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "s_ring", s_ring)
-        object.__setattr__(self, "map", map)
-        object.__setattr__(self, "inverse", inverse)
 
     @staticmethod
     def from_matrix(shifts: ShiftType, matrix) -> "GroupElement":
@@ -596,21 +582,9 @@ def enumerate_points(rep: RepIdeal, q: int, budget=DEFAULT_BUDGET):
 class OrbitRecord(_Value):
     __slots__ = _fields = ("representative", "size", "stabilizer_order", "label")
 
-    def __init__(self, representative: tuple, size: int, stabilizer_order: int, label: str):
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "stabilizer_order", stabilizer_order)
-        object.__setattr__(self, "label", label)
-
 
 class OrbitCensus(_Value):
     __slots__ = _fields = ("q", "group_order", "point_count", "orbits")
-
-    def __init__(self, q: int, group_order: int, point_count: int, orbits: tuple):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "group_order", group_order)
-        object.__setattr__(self, "point_count", point_count)
-        object.__setattr__(self, "orbits", orbits)
 
     @property
     def orbit_count(self) -> int:

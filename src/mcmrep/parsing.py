@@ -1,6 +1,7 @@
 """Line-oriented algebra input format and a polynomial expression parser.
 
-Format (UTF-8, order of lines free, '#' starts a comment):
+Format (UTF-8, order of lines free, each key at most once, '#' starts a
+comment):
 
     field: Q            # or Fp:<prime>; optional, default Q
     vars: x:1, y:1      # name:degree pairs, declaration order is the
@@ -154,6 +155,7 @@ def parse_algebra_text(text: str) -> GradedAlgebra:
     var_line = None
     norm_line = None
     rel_line = None
+    first_line = {}
     lines = text.splitlines()
     for i, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -163,6 +165,10 @@ def parse_algebra_text(text: str) -> GradedAlgebra:
             raise AlgebraSyntaxError("expected 'key: value'", i, 1)
         key, value = stripped.split(":", 1)
         key = key.strip().lower()
+        # an unknown key is refused below on its first line, so never repeats
+        if key in first_line:
+            raise AlgebraSyntaxError(f"repeated key {key!r} (first given at line {first_line[key]})", i, 1)
+        first_line[key] = i
         if key == "field":
             try:
                 field = parse_field(value)

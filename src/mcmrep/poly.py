@@ -182,29 +182,23 @@ class PolynomialRing:
                 clean[tuple(m)] = c
         return Polynomial(self, clean)
 
-    def monomials_of_weight(self, d: int, var_indices=None):
-        """All exponent tuples of weighted degree d, sorted descending.
-
-        var_indices restricts the support to a subset of the variables.
-        """
+    def monomials_of_weight(self, d: int):
+        """All exponent tuples of weighted degree d, sorted descending."""
         if d < 0:
             return []
-        if var_indices is None:
-            var_indices = range(self.nvars)
-        var_indices = list(var_indices)
         out = []
-        exps = [0] * self.nvars
+        n = self.nvars
+        exps = [0] * n
 
-        def rec(pos: int, remaining: int):
-            if pos == len(var_indices):
+        def rec(i: int, remaining: int):
+            if i == n:
                 if remaining == 0:
                     out.append(tuple(exps))
                 return
-            i = var_indices[pos]
             w = self.degrees[i]
             for e in range(remaining // w + 1):
                 exps[i] = e
-                rec(pos + 1, remaining - e * w)
+                rec(i + 1, remaining - e * w)
             exps[i] = 0
 
         rec(0, d)

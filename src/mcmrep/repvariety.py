@@ -32,13 +32,6 @@ class Unknown(_Value):
 
     __slots__ = _fields = ("name", "generator", "row", "col", "monomial")
 
-    def __init__(self, name: str, generator: str, row: int, col: int, monomial: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
-        object.__setattr__(self, "monomial", monomial)
-
     def describe(self, s_names) -> str:
         mono = "*".join(
             n if e == 1 else f"{n}^{e}" for n, e in zip(s_names, self.monomial) if e
@@ -156,10 +149,6 @@ class RepIdeal(_Value):
     """Defining ideal of the representation variety, with provenance."""
 
     __slots__ = _fields = ("parameter_space", "ideal")
-
-    def __init__(self, parameter_space: ParameterSpace, ideal: IdealHandle):
-        object.__setattr__(self, "parameter_space", parameter_space)
-        object.__setattr__(self, "ideal", ideal)
 
 
 def _require_valid(R: GradedAlgebra):
@@ -438,7 +427,8 @@ def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
     unknowns.
 
     assignment is a sequence aligned with ps.unknowns or a dict keyed by
-    unknown name.  Inverse to point_from_matrices on conforming points.
+    unknown name, with no other key.  Inverse to point_from_matrices on
+    conforming points.
     Each generator's coefficient map is read off the unknowns' slots, and
     the point holds those maps; its matrices are built on first read.
     """
@@ -447,6 +437,10 @@ def evaluate(ps: ParameterSpace, assignment) -> MatrixPoint:
         missing = [u.name for u in ps.unknowns if u.name not in assignment]
         if missing:
             raise ValueError(f"missing assignment entries: {', '.join(missing)}")
+        if len(assignment) != len(ps.unknowns):
+            names = {u.name for u in ps.unknowns}
+            foreign = [str(name) for name in assignment if name not in names]
+            raise ValueError(f"assignment entries name no unknown: {', '.join(foreign)}")
         values = [field.coerce(assignment[u.name]) for u in ps.unknowns]
     else:
         values = [field.coerce(v) for v in assignment]

@@ -71,6 +71,14 @@ def test_validate_bad_file_exits_1(tmp_path, capsys):
     assert "not homogeneous" in err
 
 
+def test_repeated_key_exits_1(tmp_path, capsys):
+    path = tmp_path / "twice.alg"
+    path.write_text(X2_TEXT + "relations: x^3\n")
+    code, out, err = run(capsys, "validate", "--algebra", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: repeated key 'relations' (first given at line 3) at line 4, column 1\n"
+
+
 def test_hilbert(capsys):
     code, out, _ = run(capsys, "hilbert", "--family", "x2")
     assert code == 0

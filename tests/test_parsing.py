@@ -58,6 +58,20 @@ def test_bad_field_line_carries_its_line_number():
         assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("key, text, first, again", [
+    ("field", "field: Fp:3\nvars: x:1, y:1\nnormalization: y\nfield: Q\n", 1, 4),
+    ("vars", "vars: x:1, y:1\nnormalization: y\n# x only\nvars: x:1\n", 1, 4),
+    ("normalization", "normalization: y\nvars: x:1, y:1\nNormalization: x\n", 1, 3),
+    ("relations", "vars: x:1, y:1\nnormalization: y\nrelations: x^2\nrelations: x^3\n", 3, 4),
+])
+def test_repeated_key_is_refused_at_its_second_line(key, text, first, again):
+    # a later line would otherwise replace the earlier one without a word
+    message = f"^repeated key '{key}' \\(first given at line {first}\\) at line {again}, column 1$"
+    with pytest.raises(AlgebraSyntaxError, match=message) as exc:
+        parse_algebra_text(text)
+    assert (exc.value.line, exc.value.col) == (again, 1)
+
+
 def test_inhomogeneous_relation_is_semantic_error():
     with pytest.raises(AlgebraSemanticError) as exc:
         parse_algebra_text("vars: x:1, y:1\nnormalization: y\nrelations: x^2 + y\n")

@@ -282,10 +282,6 @@ def test_monomials_of_weight():
 def test_monomials_of_weight_order_and_support():
     ring = PolynomialRing(QQ, ("x", "y", "z"), (1, 2, 1))
     assert ring.monomials_of_weight(3) == [(3, 0, 0), (1, 1, 0), (2, 0, 1), (0, 1, 1), (1, 0, 2), (0, 0, 3)]
-    assert ring.monomials_of_weight(4, var_indices=(1, 2)) == [(0, 2, 0), (0, 1, 2), (0, 0, 4)]
-    assert ring.monomials_of_weight(4, var_indices=(2, 0)) == [
-        (4, 0, 0), (3, 0, 1), (2, 0, 2), (1, 0, 3), (0, 0, 4)
-    ]
 
 
 def test_ring_equality():

@@ -286,6 +286,15 @@ def test_evaluate_requires_total_assignment(R):
         evaluate(ps, {"u1": 1})
 
 
+def test_evaluate_refuses_a_key_that_names_no_unknown(R):
+    # like a list of the wrong length, a stray key is refused, not dropped
+    ps = parameterize(R, V01)
+    point = {"u1": 0, "u2": 0, "u3": 1, "u4": 0}
+    with pytest.raises(ValueError, match=r"^assignment entries name no unknown: u5, 3$"):
+        evaluate(ps, {**point, "u5": 7, 3: 0})
+    assert evaluate(ps, point) == evaluate(ps, [0, 0, 1, 0])
+
+
 def test_point_from_matrices_round_trip(R):
     mats = (s_matrix(R, [[None, (1, 2)], [None, None]]),)
     assert point_from_matrices(R, V01, mats) == (0, 1, 0, 0)

@@ -109,6 +109,34 @@ def test_value_class_behaves_as_its_dataclass(name):
     assert repr(a) == repr(oa)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_class_binds_arguments_as_its_dataclass(name):
+    cls, make = CASES[name]
+    oracle = DATACLASS_ORACLES[name]
+    args, _ = make()
+    names = [f.name for f in dataclasses.fields(oracle) if f.init]
+    first, last = names[0], names[-1]
+    # a missing, surplus, repeated or unknown argument, and the field named
+    bad = (
+        ((args[:-1], {}), last),
+        (((), dict(zip(names[1:], args[1:]))), first),
+        ((args + (None,), {}), ""),
+        ((args, {first: args[0]}), first),
+        ((args, {last: args[-1]}), last),
+        ((args, {"other": None}), "other"),
+    )
+    for make_value in (cls, oracle):
+        for (positional, keywords), field in bad:
+            with pytest.raises(TypeError, match=f"'{field}'" if field else "given"):
+                make_value(*positional, **keywords)
+    # positional and keyword arguments mixed build the all-positional value
+    for split in range(len(args) + 1):
+        mixed = cls(*args[:split], **dict(zip(names[split:], args[split:])))
+        assert mixed == cls(*args) and repr(mixed) == repr(oracle(*args))
+        if name != "GroupElement":  # its maps are dicts
+            assert hash(mixed) == hash(cls(*args))
+
+
 def test_algebra_caches_stay_out_of_equality_hashing_and_repr():
     R, fresh = example_algebra_x2(), example_algebra_x2()
     oracle = DATACLASS_ORACLES["GradedAlgebra"](R.ring, R.relations, R.normalization)
