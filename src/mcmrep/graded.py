@@ -17,6 +17,9 @@ from .linalg import solve
 from .poly import PolynomialRing, integer, monomial_div, monomial_gcd
 
 
+_setattr = object.__setattr__  # bound once: _Value.__init__ runs per field of every value
+
+
 class _Value:
     """An immutable value: equal only to an instance of its own class with
     equal fields, hashed on its fields, shown as Class(field=value, ...),
@@ -48,7 +51,7 @@ class _Value:
                 raise TypeError(f"{cls}() missing argument(s): {', '.join(map(repr, missing))}")
             args += tuple(kwargs[name] for name in fields[len(args):])
         for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+            _setattr(self, name, value)
 
     def __eq__(self, other):
         # comparing field tuples finds a value equal to itself anyway; points

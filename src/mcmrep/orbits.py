@@ -598,22 +598,46 @@ class OrbitCensus(_Value):
         return self.orbit_count
 
 
+def _generating_slots(ps):
+    """The degree-0 slots (p, r, m), in entry_slots order, whose elementary
+    matrices g (I + m E_pr for p != r, I with a primitive root at (p, p)
+    for p = r) generate G_V(F_q) = L x| U together with the scalars:
+
+    - in each block of equal shifts, I + E between adjacent rows in both
+      directions, and the root at its first row.  Over a prime field the
+      powers of I + E_pr are all I + c E_pr, the adjacent ones generate
+      SL_m(F_q), and one root adds every determinant: GL_m.
+    - no root for the first block of size 1: the scalars, which conjugate
+      trivially, times the other blocks' elements give it.
+    - between blocks, only first rows, and only the monomials m that are
+      no product m1 m2 through an intermediate shift.  U is generated by
+      its root elements I + c m E_pr; the commutator [I + m1 E_ps,
+      I + m2 E_sr] = I + m1 m2 E_pr gives the products, and Weyl elements
+      of the blocks, in SL, move first rows to the other rows."""
+    shifts = ps.shifts.shifts
+    first = [shifts.index(l) for l in shifts]
+    dropped = [p for p, l in enumerate(shifts) if shifts.count(l) == 1][:1]
+    links = [(p, r, m) for p, r, m in ps.slots(0)
+             if shifts[p] < shifts[r] and first[p] == p and first[r] == r]
+    kept = set(links) - {(p, t, monomial_mul(m1, m2)) for p, r, m1 in links for s, t, m2 in links if r == s}
+    return [(p, r, m) for p, r, m in ps.slots(0)
+            if (shifts[p] == shifts[r] and abs(p - r) == 1) or (p == r == first[p] and p not in dropped)
+            or (p, r, m) in kept]
+
+
 def _generator_actions(ps, q):
     """Conjugation by each generator of G_V(F_q) as the moved rows of A - 1:
-    one generator per degree-0 coefficient slot (p, r, m), in entry_slots
-    order, each row a coordinate with its nonzero entries by column, so A
-    sends vec to vec + (A - 1) vec.
+    one generator per slot (p, r, m) of _generating_slots, in its order,
+    each row a coordinate with its nonzero entries by column, so A sends
+    vec to vec + (A - 1) vec.  The scalars act trivially and get none.
 
     Off the diagonal the generator is g = I + m E_pr with g^-1 = I - m E_pr,
     since E_pr^2 = 0, so g X g^-1 - X = m E_pr X - X E_pr m - m^2 X[r, p] E_pr:
     the unknown (z, r, b, mu) adds 1 at (z, p, b, mu m), (z, a, p, mu) adds
     -1 at (z, a, r, mu m), and (z, r, p, mu) adds -1 at (z, p, r, mu m^2).
     On it, g is I with a primitive root t at (p, p), which scales row p by t
-    and column p by t^-1.  Over a prime field the powers of I + m E_pr are
-    all I + c m E_pr.  These generate the unipotent radical and SL of each
-    block of equal shifts, and the diagonal roots supply every
-    determinant.  The unknowns are indexed by row and by column once, so
-    each slot visits only the unknowns in row r or column p."""
+    and column p by t^-1.  The unknowns are indexed by row and by column
+    once, so each slot visits only the unknowns in row r or column p."""
     keys = ps.keys
     index = {key: k for k, key in enumerate(keys)}
     by_row, by_col = {}, {}
@@ -623,7 +647,7 @@ def _generator_actions(ps, q):
     t = _primitive_root(q)
     row_scale, col_scale = (t - 1) % q, (pow(t, -1, q) - 1) % q
     actions = []
-    for p, r, m in ps.slots(0):
+    for p, r, m in _generating_slots(ps):
         if p == r:  # (p, p) itself is scaled by t^0 = 1
             moved = [(j, row_scale) for j in by_row.get(p, ()) if keys[j][1][1] != p]
             moved += [(j, col_scale) for j in by_col.get(p, ()) if keys[j][1][0] != p]
@@ -666,17 +690,21 @@ def _permutation_table(moved, columns, index, q):
 def orbit_partition(points, R, V: ShiftType, q: int, named_reps=None) -> OrbitCensus:
     """Partition the F_q-points into conjugation orbits.
 
-    Each generator of G_V(F_q) is a linear map on the coordinates F_q^n
-    (_generator_actions), so its images of all points are computed a
-    coordinate column at a time and read as a table of point positions:
-    the permutation it induces.  Each orbit then grows by breadth-first
-    search over positions under these tables: an orbit of a finite group
-    closes under its generators alone (Holt, Eick & O'Brien, Handbook of
-    Computational Group Theory, 2005, 4.1).  A stabilizer has order
-    |G_V| / |orbit|.  A point that is not a vector over F_q (entries in
-    0..q-1) with one coordinate per unknown raises ValueError.  Checks that
-    each image stays in the point set, that each orbit's size divides |G_V|
-    and that the sizes sum to the point count.
+    G_V(F_q) is generated by the scalars, which act trivially, and the
+    elementary matrices of a few degree-0 slots (_generating_slots): the
+    adjacent transvections and one root per block of equal shifts, and the
+    root elements between first rows of blocks that no commutator gives.
+    Each is a linear map on the coordinates F_q^n (_generator_actions), so
+    its images of all points are computed a coordinate column at a time
+    and read as a table of point positions: the permutation it induces.
+    Each orbit then grows by breadth-first search over positions under
+    these tables: an orbit of a finite group closes under any generating
+    set (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+    2005, 4.1), so the orbits do not depend on the choice.  A stabilizer
+    has order |G_V| / |orbit|.  A point that is not a vector over F_q
+    (entries in 0..q-1) with one coordinate per unknown raises ValueError.
+    Checks that each image stays in the point set, that each orbit's size
+    divides |G_V| and that the sizes sum to the point count.
 
     The orbits are the isomorphism classes over F_q, so no isomorphism test
     runs.  A named representative of type V labels the orbit that holds its

@@ -42,11 +42,12 @@ class Unknown(_Value):
 class ParameterSpace:
     """Coordinates of the affine space containing the representation variety.
 
-    There is one space per (R, V, field), built and validated on the first
-    `parameterize` call and returned by every later one.  Besides the
-    unknowns it holds what each query reads: `keys`, each unknown's
-    (generator index, (row, col, S-monomial)); `relations`, each relation's
-    terms and tops (_relation_terms); and each degree's slot layout (`slots`)."""
+    There is one space per (R, V, field), built on the first `parameterize`
+    call (R is validated with its first space) and returned by every later
+    one.  Besides the unknowns it holds what each query reads: `keys`, each
+    unknown's (generator index, (row, col, S-monomial)); `relations`, each
+    relation's terms and tops (_relation_terms); and each degree's slot
+    layout (`slots`)."""
 
     __slots__ = ("algebra", "shifts", "unknowns", "s_ring", "relations", "_keys", "_ring", "_slots")
 
@@ -244,14 +245,16 @@ def parameterize(R: GradedAlgebra, V: ShiftType, field=None) -> ParameterSpace:
     entry slots of each generator's matrix.  The field is R's own unless
     given (see GradedAlgebra.s_ring).
 
-    One space per (R, V, field): the first call validates R, checks the
-    field and builds the space, which R keeps; later calls return it.  An
-    invalid R or field is never kept, so it raises on every call."""
+    One space per (R, V, field): the first call checks the field and
+    builds the space, which R keeps; later calls return it.  R is
+    validated while it keeps no space, as a space is kept only for a valid
+    R.  An invalid R or field is never kept, so it raises on every call."""
     key = V, R.ring.field if field is None else field
     ps = R._spaces.get(key)
     if ps is not None:
         return ps
-    _require_valid(R)
+    if not R._spaces:
+        _require_valid(R)
     s_ring = R.s_ring(field)
     unknowns = []
     for z in R.generator_names:

@@ -21,11 +21,13 @@ from mcmrep.orbits import (
     InvariantViolationError,
     _check_compatible,
     _combine,
+    _generating_slots,
     _search_order,
     _torus_weight,
     are_isomorphic,
     conjugate,
     enumerate_group,
+    group_order,
     hom_component,
     identity_coefficients,
 )
@@ -689,6 +691,36 @@ def _act(moved, vec, q):
             acc += c * vec[j]
         out[i] = acc % q
     return tuple(out)
+
+
+def assert_generating_slots_generate(R, V, q):
+    """Closes the group that the elementary matrices of the census's kept
+    degree-0 slots (_generating_slots) and the scalar t I generate,
+    t a primitive root of F_q, and asserts that its order is |G_V(F_q)|.
+
+    The slot (p, r, m) gives I + m E_pr for p != r and I with t at (p, p)
+    for p = r.  Elements are coefficient maps over F_q; the closure is a
+    breadth-first search from the identity under right multiplication by
+    each generator (repvariety.compose), which in a finite group reaches
+    every product of the generators and their inverses."""
+    field = GF(q)
+    ps = parameterize(R, V, field)
+    t = next(t for t in range(1, q) if len({pow(t, e, q) for e in range(q)}) == q - 1)
+    one = ps.s_ring.monomials_of_weight(0)[0]
+    identity = {(p, p, one): 1 for p in range(len(V))}
+    generators = [{(p, p, one): t for p in range(len(V))}]
+    for p, r, m in _generating_slots(ps):
+        generators.append({**identity, (p, r, m): t if p == r else 1})
+    seen = {frozenset(identity.items())}
+    queue = [identity]
+    for g in queue:  # the queue grows while it is read
+        for h in generators:
+            gh = compose(g, h, field)
+            key = frozenset(gh.items())
+            if key not in seen:
+                seen.add(key)
+                queue.append(gh)
+    assert len(seen) == group_order(V, q, R.normalization_degrees)
 
 
 # -- isomorphism by a scan over every coefficient tuple ------------------

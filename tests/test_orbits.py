@@ -25,6 +25,7 @@ from mcmrep.orbits import (
     _block_projection,
     _block_sizes,
     _blocks,
+    _generating_slots,
     _generator_actions,
     _generic_det,
     _gray_scan,
@@ -66,6 +67,7 @@ from oracles import (
     _act,
     _reduce_point,
     all_pairs_classes,
+    assert_generating_slots_generate,
     brute_force_points,
     brute_force_torus_orbit,
     brute_force_x2_points,
@@ -1323,19 +1325,18 @@ def test_decide_builds_no_polynomial_once_the_spaces_are_built(monkeypatch):
     assert 2 in expanded  # blocks of size 2 reach the expansion
     assert set(first) == {True, False}
 
-CONJUGATION_CASES = [("x2", (0, 1, 2)), ("xz", (0, 1)), ("x2s2", (0, 1))]
+CONJUGATION_CASES = [("x2", (0, 1, 2)), ("xz", (0, 1)), ("x2s2", (0, 1)), ("x2", (0, 0, 1))]
 
 
 def generator_elements(ps, q):
-    """The census generators of G_V(F_q) as group elements, in entry_slots
-    order: I + m E_pr off the diagonal, and I with a primitive root at
-    (p, p) on it."""
+    """The census generators of G_V(F_q) as group elements, one per kept
+    slot of _generating_slots, in its order: I + m E_pr off the diagonal,
+    and I with a primitive root at (p, p) on it."""
     V = ps.shifts
-    slots = entry_slots(ps.s_ring, V, V, 0)
-    identity = {(p, p, m): 1 for p, r, m in slots if p == r}
+    identity = {(p, p, m): 1 for p, r, m in entry_slots(ps.s_ring, V, V, 0) if p == r}
     root = _primitive_root(q)
     elements = []
-    for p, r, m in slots:
+    for p, r, m in _generating_slots(ps):
         gen = {**identity, (p, r, m): root if p == r else 1}
         matrix = matrix_of(ps.s_ring, len(V), gen.keys(), gen.values())
         elements.append(GroupElement.from_matrix(V, matrix))
@@ -1353,14 +1354,14 @@ def conjugation_columns(ps, g):
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("name,shifts", CONJUGATION_CASES)
 def test_conjugation_columns_match_conjugate(name, shifts, q):
-    # one action per degree-0 slot, read column by column on the unit
-    # vectors, against conjugation by its elementary matrix
+    # one action per kept slot, read column by column on the unit vectors,
+    # against conjugation by the elementary matrix of that slot
     V = ShiftType(shifts)
     ps = parameterize(named_algebra(name), V, GF(q))
     n = len(ps)
     actions = _generator_actions(ps, q)
     elements = generator_elements(ps, q)
-    assert len(actions) == len(elements) == len(entry_slots(ps.s_ring, V, V, 0))
+    assert len(actions) == len(elements) == len(_generating_slots(ps))
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     for action, g in zip(actions, elements):
         assert_inverse_pair(g)
@@ -1372,7 +1373,8 @@ def test_conjugation_columns_match_conjugate(name, shifts, q):
 @pytest.mark.parametrize("name,shifts", CONJUGATION_CASES)
 def test_moved_rows_act_as_the_column_product(name, shifts, q):
     # each action rewrites some but not all coordinates, and agrees with
-    # the full column product of conjugation on any vector
+    # the full column product of conjugation by its own kept slot's
+    # elementary matrix on any vector
     V = ShiftType(shifts)
     ps = parameterize(named_algebra(name), V, GF(q))
     n = len(ps)
@@ -1383,6 +1385,38 @@ def test_moved_rows_act_as_the_column_product(name, shifts, q):
         columns = conjugation_columns(ps, g)
         for vec in vectors:
             assert _act(action, vec, q) == column_product(columns, vec, q)
+
+
+def x2w2_algebra():
+    # k[x, y, w]/(x^2) with deg w = 2 over S = k[y, w]: in type (0, 1, 2)
+    # the weight-2 monomial w of entry (1, 3) is no product through shift 1
+    ring = PolynomialRing(QQ, ("x", "y", "w"), (1, 1, 2))
+    x = ring.variable("x")
+    return GradedAlgebra(ring, (x * x,), ("y", "w"))
+
+
+@pytest.mark.parametrize("name,shifts,q", [
+    ("x2", (0, 0, 1), 3), ("x2", (0, 0, 0), 2), ("x2", (0, 0, 0), 3),
+    ("x2y2", (0, 0), 3), ("x2y2", (0, 0), 5),  # no block of size 1
+    ("x2", (0, 0, 1, 1), 2), ("x2s2", (0, 1, 2), 2),
+    ("x2w2", (0, 1, 2), 2), ("x2w2", (0, 1, 2), 3), ("x2w2", (0, 0, 2), 2), ("x2w2", (0, 0, 2), 3),
+])
+def test_generating_slots_and_scalars_generate_the_group(name, shifts, q):
+    R = x2w2_algebra() if name == "x2w2" else named_algebra(name)
+    assert_generating_slots_generate(R, ShiftType(shifts), q)
+
+
+@pytest.mark.parametrize("name,shifts,kept", [
+    ("x2", (0, 1), 2),
+    ("x2", (0, 1, 2), 4), ("x2", (0, 1, 3), 4), ("x2", (0, 2, 4), 4),
+    ("x2", (0, 0, 1), 4), ("x2", (0, 1, 1), 4), ("x2", (0, 0, 2), 4),
+    ("x2y2", (0, 0), 3),
+    ("x2", (0, 0, 1, 1), 7),
+])
+def test_the_census_keeps_few_of_the_degree_0_slots(name, shifts, kept):
+    # one table per kept slot, of 3, 6, 7, 4 and 12 degree-0 slots
+    ps = parameterize(named_algebra(name), ShiftType(shifts), GF(3))
+    assert len(_generating_slots(ps)) == len(_generator_actions(ps, 3)) == kept
 
 
 def check_is_indecomposable_against_oracle(pt):

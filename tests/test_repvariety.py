@@ -708,6 +708,20 @@ def test_invalid_algebra_raises_on_every_call_and_keeps_no_space():
         assert bad._spaces == {}
 
 
+def test_an_algebra_is_validated_once_over_all_its_spaces(R, monkeypatch):
+    # a census reads one type over QQ (the ideal) and over F_q (the
+    # partition); R keeps a space only once it is valid, so the second
+    # space needs no validation
+    calls = []
+    verify = mcmrep.repvariety.verify_normalization
+    monkeypatch.setattr(mcmrep.repvariety, "verify_normalization",
+                        lambda A: calls.append(A) or verify(A))
+    parameterize(R, V01, QQ)
+    parameterize(R, V01, GF(5))
+    parameterize(R, ShiftType((0, 0, 1)), GF(7))
+    assert calls == [R]
+
+
 def test_stored_spaces_stay_out_of_equality_hashing_and_repr(R):
     fresh = example_algebra_x2()
     before = repr(R)
